@@ -190,6 +190,10 @@ def _dispatch(args) -> int:
         problem = _load_problem(args)
         with open(args.certificate, "r", encoding="utf-8") as fh:
             payload_in = json.load(fh)
+        if "certificate" in payload_in and payload_in["certificate"] is None:
+            print("popnc: input error: the report carries no certificate "
+                  f"(verdict: {payload_in.get('verdict')})", file=sys.stderr)
+            return EXIT_INPUT
         if "certificate" in payload_in and isinstance(payload_in["certificate"], dict):
             payload_in = payload_in["certificate"]
         cert = certificate_from_payload(payload_in)

@@ -104,6 +104,20 @@ class TestVerifySubcommand:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_report_without_certificate(self, tmp_path, capsys):
+        path = tmp_path / "line.pop"
+        path.write_text(LINE)
+        code = cli_main(["minimize", str(path), "--json"])
+        tree = json.loads(capsys.readouterr().out)
+        assert code == 2 and tree["certificate"] is None
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(tree))
+        code = cli_main(["verify", str(report_path), str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "carries no certificate" in err
+        assert tree["verdict"] in err
+
 
 class TestFlags:
     def test_dump_sdp(self, ex31_file, tmp_path, capsys):

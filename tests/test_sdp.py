@@ -1,10 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 from sdp_cases import build_cases
 
+from popnc import sdp
 from popnc.builder import build_coercivity_check, build_hierarchy_step
 from popnc.sdp import (
     LinearConstraint,
@@ -227,3 +229,124 @@ class TestDump:
         assert "sense max" in text
         assert text.rstrip().endswith("end")
         assert text.count("constraint ") == len(prob.constraints)
+
+
+def _random_sparse_rows(rng, p, d, per_row):
+    """p random symmetric d x d matrices with about per_row entries each."""
+    mats = []
+    for _ in range(p):
+        m = np.zeros((d, d))
+        for _ in range(per_row):
+            r, c = rng.integers(d, size=2)
+            m[r, c] = m[c, r] = rng.standard_normal()
+        mats.append(m)
+    return mats
+
+
+def _sym_random(rng, d):
+    G = rng.standard_normal((d, d))
+    return 0.5 * (G + G.T)
+
+
+def _internal_block(mats, d):
+    prob = SdpProblem(block_dims=[d], num_free=0,
+                      constraints=[LinearConstraint({0: m}, np.zeros(0), 0.0) for m in mats])
+    return sdp._to_internal(prob).A[0]
+
+
+class TestSchurFormulas:
+    # (p, d, entries per row, formula the cost rule picks)
+    SIDES = [(30, 6, 3, "dense"), (200, 40, 4, "low-rank")]
+
+    @pytest.mark.parametrize("p,d,per_row,picked", SIDES)
+    def test_rule_side(self, p, d, per_row, picked):
+        blk = _internal_block(_random_sparse_rows(np.random.default_rng(p), p, d, per_row), d)
+        blk.prepare()
+        assert (blk.dense is not None, blk.plan is not None) == (picked == "dense", picked == "low-rank")
+
+    @pytest.mark.parametrize("p,d,per_row,picked", SIDES)
+    @pytest.mark.parametrize("row_cost", [0.0, math.inf])
+    def test_both_formulas_match_dense_product(self, monkeypatch, p, d, per_row, picked, row_cost):
+        rng = np.random.default_rng(p + d)
+        mats = _random_sparse_rows(rng, p, d, per_row)
+        G = rng.standard_normal((d, d))
+        W = G @ G.T / d + np.eye(d)
+        A = np.stack(mats)
+        ref = A.reshape(p, -1) @ np.matmul(np.matmul(W, A), W).reshape(p, -1).T
+        monkeypatch.setattr(sdp, "_SPARSE_ROW_COST", row_cost)  # 0 forces low-rank, inf dense
+        blk = _internal_block(mats, d)
+        blk.prepare()
+        assert (blk.plan is not None) == (row_cost == 0.0)
+        M = sdp._schur([blk], [W], p)
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+        X = rng.standard_normal((d, d))
+        y = rng.standard_normal(p)
+        assert np.allclose(blk.apply(X), A.reshape(p, -1) @ X.ravel(), rtol=1e-12, atol=1e-12)
+        assert np.allclose(blk.adjoint(y), np.tensordot(y, A, axes=1), rtol=1e-12, atol=1e-12)
+
+
+class TestTriangularSolve:
+    @pytest.mark.parametrize("n", [sdp._TRI_BLOCK - 1, sdp._TRI_BLOCK, 2 * sdp._TRI_BLOCK + 5])
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_matches_linalg_solve(self, n, trans):
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(G @ G.T + n * np.eye(n))
+        T = L.T if trans else L
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = sdp._tri_solve(L, rhs, trans=trans)
+            ref = np.linalg.solve(T, rhs)
+            assert np.abs(x - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+class TestFreeVariableSupport:
+    def test_matches_hand_elimination(self):
+        # u appears in rows 0 and 1 only; the other rows pass through
+        # elimination unchanged.  Substituting u = b0 - <A0, X> by hand gives
+        # a problem without free variables and the same optimal value.
+        rng = np.random.default_rng(3)
+        d, p, cu = 3, 5, 0.1
+        mats = [_sym_random(rng, d) for _ in range(p)]
+        X0 = np.eye(d) + 0.1 * _sym_random(rng, d)
+        u0 = 0.7
+        free = [1.0, 2.0, 0.0, 0.0, 0.0]
+        rhs = [float(np.tensordot(m, X0)) + f * u0 for m, f in zip(mats, free)]
+        C = 2.0 * np.eye(d)
+        prob = SdpProblem(
+            block_dims=[d], num_free=1,
+            constraints=[LinearConstraint({0: m}, np.array([f]), r) for m, f, r in zip(mats, free, rhs)],
+            obj_blocks={0: C}, obj_free=np.array([cu]),
+        )
+        hand = SdpProblem(
+            block_dims=[d], num_free=0,
+            constraints=[
+                LinearConstraint({0: mats[1] - 2.0 * mats[0]}, np.zeros(0), rhs[1] - 2.0 * rhs[0]),
+                *(LinearConstraint({0: m}, np.zeros(0), r) for m, r in zip(mats[2:], rhs[2:])),
+            ],
+            obj_blocks={0: C - cu * mats[0]}, obj_offset=cu * rhs[0],
+        )
+        sol, ref = solve(prob), solve(hand)
+        assert sol.status is ref.status is Status.OPTIMAL
+        assert sol.obj_primal == pytest.approx(ref.obj_primal, rel=1e-7, abs=1e-7)
+        assert sol.free[0] == pytest.approx(rhs[0] - float(np.tensordot(mats[0], sol.X[0])), abs=1e-7)
+        pres, dres, gap = recompute_residuals(prob, sol)
+        assert max(pres, dres, gap) <= 5 * SETTINGS.feas_tol
+
+    @pytest.mark.parametrize("b2,status", [(4.0, Status.OPTIMAL), (5.0, Status.PRIMAL_INFEASIBLE)])
+    def test_rows_with_only_free_coefficients(self, b2, status):
+        # rows 1 and 2 read u = 2 and 2u = b2: after elimination their
+        # combination has no PSD part, and is dropped when consistent
+        prob = SdpProblem(
+            block_dims=[1], num_free=1,
+            constraints=[
+                LinearConstraint({0: np.array([[1.0]])}, np.array([0.0]), 1.0),
+                LinearConstraint({}, np.array([1.0]), 2.0),
+                LinearConstraint({}, np.array([2.0]), b2),
+            ],
+            obj_blocks={0: np.array([[1.0]])}, obj_free=np.array([0.0]),
+        )
+        sol = solve(prob)
+        assert sol.status is status
+        if status is Status.OPTIMAL:
+            assert sol.obj_primal == pytest.approx(1.0, abs=1e-7)
+            assert sol.free[0] == pytest.approx(2.0, abs=1e-7)
