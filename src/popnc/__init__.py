@@ -59,9 +59,7 @@ from .certificates import (
     verify_certificate,
 )
 from .driver import (
-    ArchimedeanReport,
-    CoercivityReport,
-    MinimizeReport,
+    HierarchyReport,
     OrderOutcome,
     check_archimedean,
     check_archimedean_sufficient,
@@ -73,14 +71,12 @@ from .cli import cli_main
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchimedeanReport",
     "CertificateError",
-    "CoercivityReport",
     "Direction",
     "GeneratorSet",
+    "HierarchyReport",
     "LinearConstraint",
     "MembershipProgram",
-    "MinimizeReport",
     "ModuleCertificate",
     "Monomial",
     "NotPsdError",

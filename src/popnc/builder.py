@@ -50,6 +50,9 @@ class Direction(str, Enum):
     FEASIBILITY = "feasibility"
 
 
+_LAMBDA_SIGN = {Direction.MAXIMIZE: 1, Direction.MINIMIZE: -1, Direction.FEASIBILITY: 0}
+
+
 def monomial_basis(num_vars: int, max_degree: int) -> list[Monomial]:
     """All monomials of total degree <= max_degree in graded-lex order.
 
@@ -133,6 +136,7 @@ class SosBlock:
     scale: Coeff
     basis: list[Monomial]
     kept: list[int] = field(default_factory=list)
+    solver_block: int | None = None  # its block in the SdpProblem; None when nothing is kept
 
     @property
     def kept_basis(self) -> list[Monomial]:
@@ -150,11 +154,13 @@ class EqBlock:
 @dataclass
 class MembershipProgram:
     """Structural description of a membership program; kept alongside the
-    numeric SdpProblem so that solutions can be mapped back to certificates."""
+    numeric SdpProblem so that solutions can be mapped back to certificates.
+    ``gens`` is the caller's unscaled generator set."""
 
     num_vars: int
     order: int
     target: Polynomial
+    gens: GeneratorSet
     direction: Direction
     blocks: list[SosBlock]
     eq_blocks: list[EqBlock]
@@ -166,11 +172,7 @@ class MembershipProgram:
     @property
     def lambda_sign(self) -> int:
         """Sign s in the identity  sum(...) + s*lambda = target."""
-        if self.direction is Direction.MAXIMIZE:
-            return 1
-        if self.direction is Direction.MINIMIZE:
-            return -1
-        return 0
+        return _LAMBDA_SIGN[self.direction]
 
 
 def _scaled(p: Polynomial) -> tuple[Polynomial, Coeff]:
@@ -292,7 +294,7 @@ def build_membership_program(
         eq_blocks.append(EqBlock(index=l, generator=scaled, scale=s,
                                  basis=monomial_basis(n, 2 * k - w)))
 
-    lam_sign = {Direction.MAXIMIZE: 1, Direction.MINIMIZE: -1, Direction.FEASIBILITY: 0}[direction]
+    lam_sign = _LAMBDA_SIGN[direction]
     _reduce_bases(blocks, eq_blocks, target, lam_sign)
 
     num_phi = sum(len(eb.basis) for eb in eq_blocks)
@@ -311,16 +313,13 @@ def build_membership_program(
         return row
 
     solver_block_dims: list[int] = []
-    solver_block_of: list[int | None] = []  # SosBlock -> SdpProblem block index
     for blk in blocks:
         if blk.kept:
-            solver_block_of.append(len(solver_block_dims))
+            blk.solver_block = len(solver_block_dims)
             solver_block_dims.append(len(blk.kept))
-        else:
-            solver_block_of.append(None)
 
-    for bi, blk in enumerate(blocks):
-        sb = solver_block_of[bi]
+    for blk in blocks:
+        sb = blk.solver_block
         if sb is None:
             continue
         dim = len(blk.kept)
@@ -370,18 +369,15 @@ def build_membership_program(
     ]
 
     obj_free = np.zeros(num_free)
-    sense = "min"
-    if direction is Direction.MAXIMIZE:
+    if has_lambda:
         obj_free[lambda_index] = 1.0
-        sense = "max"
-    elif direction is Direction.MINIMIZE:
-        obj_free[lambda_index] = 1.0
-        sense = "min"
+    sense = "max" if direction is Direction.MAXIMIZE else "min"
 
     meta = MembershipProgram(
         num_vars=n,
         order=k,
         target=target,
+        gens=gens,
         direction=direction,
         blocks=blocks,
         eq_blocks=eq_blocks,

@@ -159,18 +159,6 @@ def verify_certificate(
     return VerificationResult(passed=passed, residual=residual, min_gram_eig=min_eig, tol=tol)
 
 
-def _solver_block_indices(program: MembershipProgram) -> list[int | None]:
-    out: list[int | None] = []
-    nxt = 0
-    for blk in program.blocks:
-        if blk.kept:
-            out.append(nxt)
-            nxt += 1
-        else:
-            out.append(None)
-    return out
-
-
 def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> ModuleCertificate:
     """Map an optimal solver point back to generator-level weights.
 
@@ -181,14 +169,13 @@ def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> Mo
     if solution.status is not Status.OPTIMAL:
         raise CertificateError(f"cannot extract a certificate from status {solution.status.value}")
     n = program.num_vars
-    sblock = _solver_block_indices(program)
 
     weights: list[SosWeight] = []
-    for blk, sb in zip(program.blocks, sblock):
+    for blk in program.blocks:
         size = len(blk.basis)
         gram = np.zeros((size, size))
-        if sb is not None:
-            sub = solution.X[sb]
+        if blk.solver_block is not None:
+            sub = solution.X[blk.solver_block]
             idx = np.asarray(blk.kept, dtype=int)
             gram[np.ix_(idx, idx)] = 0.5 * (sub + sub.T)
         gram /= float(blk.scale)
@@ -216,27 +203,13 @@ def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> Mo
         residual=0.0,
         family=program.family,
     )
-    gens = _original_generators(program)
-    cert.residual = (cert.reconstruct(gens) - cert.expected(program.target)).l1_norm()
+    cert.residual = (cert.reconstruct(program.gens) - cert.expected(program.target)).l1_norm()
     return cert
-
-
-def _original_generators(program: MembershipProgram) -> GeneratorSet:
-    ineq = []
-    cf_index = None
-    for blk in program.blocks:
-        if blk.tag == "sigma0":
-            continue
-        if blk.tag == "cf":
-            cf_index = blk.gen_index
-        ineq.append(blk.generator.scale(blk.scale))
-    eq = [eb.generator.scale(eb.scale) for eb in program.eq_blocks]
-    return GeneratorSet(num_vars=program.num_vars, ineq=tuple(ineq), eq=tuple(eq), cf_index=cf_index)
 
 
 def program_generators(program: MembershipProgram) -> GeneratorSet:
     """Unscaled generator set matching a built program (for verification)."""
-    return _original_generators(program)
+    return program.gens
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import sys
 from . import driver
 from .builder import GeneratorSet, hierarchy_generators
 from .certificates import (
+    DEFAULT_RESIDUAL_TOL,
     CertificateError,
     certificate_from_payload,
     format_certificate,
@@ -27,7 +28,7 @@ from .problem_io import (
     emit_report,
     parse_problem,
 )
-from .sdp import SdpStructureError, SolverSettings
+from .sdp import SdpStructureError
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -121,8 +122,6 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    settings = SolverSettings()
-
     if args.command == "parse":
         problem = _load_problem(args)
         _emit(args, {"command": "parse", "problem": problem.to_payload()},
@@ -131,60 +130,8 @@ def _dispatch(args) -> int:
                f"{len(problem.equalities)} equalities, c = {float(problem.resolved_c()):g}"])
         return EXIT_OK
 
-    if args.command == "minimize":
-        problem = _load_problem(args)
-        report = driver.minimize(
-            problem,
-            k_start=args.k_start,
-            k_max=args.k_max,
-            stab_tol=args.tol if args.tol is not None else driver.DEFAULT_STAB_TOL,
-            settings=settings,
-            dump_dir=args.dump_sdp,
-        )
-        payload = {"command": "minimize", "problem": problem.to_payload(), **report.to_payload()}
-        lines = [f"  k={o.order}: {o.value_repr}" for o in report.orders]
-        lines.insert(0, f"verdict: {report.verdict}")
-        if report.final_bound is not None:
-            lines.append(f"final bound: {report.final_bound:.9g}")
-        if report.verification is not None:
-            lines.append(f"certificate residual: {float(report.verification.residual):.3e} "
-                         f"({'ok' if report.verification.passed else 'FAILED'})")
-        for cav in report.caveats:
-            lines.append(f"note: {cav}")
-        _emit(args, payload, lines)
-        return EXIT_OK if report.verdict == "stabilized" else EXIT_INCONCLUSIVE
-
-    if args.command == "arch-check":
-        problem = _load_problem(args)
-        report = driver.check_archimedean(
-            problem, k_max=args.k_max, settings=settings,
-            cert_tol=args.tol if args.tol is not None else 1e-5,
-            dump_dir=args.dump_sdp,
-        )
-        payload = {"command": "arch-check", "problem": problem.to_payload(), **report.to_payload()}
-        lines = [f"verdict: {report.verdict}"]
-        lines += [f"  k={o.order}: rho = {o.value_repr}" for o in report.orders]
-        if report.verdict == "certified":
-            lines.append(f"Archimedean certified at k={report.order} with N = {report.bound:.9g}")
-        _emit(args, payload, lines)
-        return EXIT_OK if report.verdict == "certified" else EXIT_INCONCLUSIVE
-
-    if args.command == "coercive-check":
-        problem = _load_problem(args)
-        report = driver.check_coercive(
-            problem.objective, k_max=args.k_max,
-            pos_tol=args.tol if args.tol is not None else driver.DEFAULT_POS_TOL,
-            settings=settings, dump_dir=args.dump_sdp,
-        )
-        payload = {"command": "coercive-check", "problem": problem.to_payload(), **report.to_payload()}
-        lines = [f"verdict: {report.verdict}"]
-        lines += [f"  k={o.order}: rho = {o.value_repr}" for o in report.orders]
-        if report.verdict == "certified":
-            lines.append(f"coercive: top form >= {report.bound:.9g} * |x|^d  (k={report.order})")
-        for note in report.notes:
-            lines.append(f"note: {note}")
-        _emit(args, payload, lines)
-        return EXIT_OK if report.verdict == "certified" else EXIT_INCONCLUSIVE
+    if args.command in _SOLVE_COMMANDS:
+        return _run_solve_command(args)
 
     if args.command == "verify":
         problem = _load_problem(args)
@@ -200,7 +147,7 @@ def _dispatch(args) -> int:
         target, gens = _verification_context(cert, problem)
         result = verify_certificate(
             cert, target, gens,
-            tol=args.tol if args.tol is not None else 1e-5,
+            tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
         )
         payload = {
             "command": "verify",
@@ -217,6 +164,38 @@ def _dispatch(args) -> int:
         return EXIT_OK if result.passed else EXIT_INCONCLUSIVE
 
     raise ProblemFormatError(f"unknown command {args.command!r}")
+
+
+# command -> (driver routine, looked up in the module when the command runs;
+#             the routine's parameter that --tol sets; label of each order's value;
+#             lines printed when the report carries a bound)
+_SOLVE_COMMANDS = {
+    "minimize": ("minimize", "stab_tol", "",
+                 "final bound: {bound:.9g}\ncertificate residual: {residual:.3e} ({check})"),
+    "arch-check": ("check_archimedean", "cert_tol", "rho = ",
+                   "Archimedean certified at k={order} with N = {bound:.9g}"),
+    "coercive-check": ("check_coercive", "pos_tol", "rho = ",
+                       "coercive: top form >= {bound:.9g} * |x|^d  (k={order})"),
+}
+
+
+def _run_solve_command(args) -> int:
+    routine, tol_keyword, value_label, bound_lines = _SOLVE_COMMANDS[args.command]
+    problem = _load_problem(args)
+    subject = problem.objective if args.command == "coercive-check" else problem
+    report = getattr(driver, routine)(
+        subject, k_start=args.k_start, k_max=args.k_max, dump_dir=args.dump_sdp,
+        **({} if args.tol is None else {tol_keyword: args.tol}),
+    )
+    lines = [f"verdict: {report.verdict}"]
+    lines += [f"  k={o.order}: {value_label}{o.value_repr}" for o in report.orders]
+    if report.bound is not None:  # a bound always comes with its verification
+        ver = report.verification
+        lines += bound_lines.format(bound=report.bound, order=report.order, residual=float(ver.residual),
+                                    check="ok" if ver.passed else "FAILED").splitlines()
+    lines += [f"note: {note}" for note in report.notes]
+    _emit(args, {"problem": problem.to_payload(), **report.to_payload()}, lines)
+    return EXIT_OK if report.verdict in ("stabilized", "certified") else EXIT_INCONCLUSIVE
 
 
 def _verification_context(cert, problem: PopProblem):

@@ -1,9 +1,10 @@
 """Orchestration of the three SDP hierarchies over increasing order.
 
-Each routine solves a family of membership programs for k = k_min..k_max,
-records a per-order outcome, and attaches a verified certificate to any
-positive verdict.  The boundedness and coercivity tests are one-sided: they
-certify or come back inconclusive, never refute.
+Each routine describes its family of membership programs as a
+`HierarchySpec` and hands it to `run_hierarchy`, which solves them for
+k = k_start..k_max, records a per-order outcome, and attaches a verified
+certificate to any positive verdict.  The boundedness and coercivity tests
+are one-sided: they certify or come back inconclusive, never refute.
 """
 
 from __future__ import annotations
@@ -11,11 +12,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .builder import (
-    GeneratorSet,
-    MembershipProgram,
     build_archimedean_check,
     build_coercivity_check,
     build_hierarchy_step,
@@ -24,15 +23,15 @@ from .builder import (
     min_order,
 )
 from .certificates import (
+    DEFAULT_RESIDUAL_TOL,
     ModuleCertificate,
     VerificationResult,
     extract_certificate,
-    program_generators,
     verify_certificate,
 )
-from .polynomial import Polynomial
+from .polynomial import Polynomial, sum_of_squared_variables
 from .problem_io import PopProblem
-from .sdp import SdpSolution, SolverSettings, Status, dump_sdp, solve
+from .sdp import SdpProblem, SdpSolution, SolverSettings, Status, dump_sdp, solve
 
 DEFAULT_K_MAX = 6
 DEFAULT_STAB_TOL = 1e-6
@@ -53,6 +52,13 @@ class OrderOutcome:
     order: int
     status: str
     value: float | None = None
+    iterations: int = 0
+    message: str = ""
+
+    @classmethod
+    def of(cls, order: int, sol: SdpSolution) -> OrderOutcome:
+        value = sol.obj_primal if sol.status is Status.OPTIMAL else None
+        return cls(order, sol.status.value, value, sol.iterations, sol.message)
 
     @property
     def value_repr(self) -> str:
@@ -66,18 +72,48 @@ class OrderOutcome:
 
     def to_payload(self) -> dict:
         return {"k": self.order, "status": self.status, "value": self.value,
-                "value_repr": self.value_repr}
+                "value_repr": self.value_repr, "iterations": self.iterations,
+                "message": self.message}
+
+
+# command -> {payload key: report attribute} for the keys that differ by command
+_PAYLOAD_KEYS = {
+    "minimize": {"final_bound": "bound", "bounds": "bounds", "caveats": "notes"},
+    "arch-check": {"rho": "bound", "certified_order": "order", "notes": "notes"},
+    "coercive-check": {"delta": "bound", "certified_order": "order", "notes": "notes",
+                       "subject": "subject"},
+}
 
 
 @dataclass
-class MinimizeReport:
+class HierarchyReport:
+    """Outcome of one hierarchy sweep, whichever command ran it.
+
+    ``bound`` and ``order`` are the certified value and its order; for
+    minimize they are the last optimal order's, whether or not its
+    certificate verified.  ``notes`` are minimize's caveats.
+    """
+
+    command: str  # minimize | arch-check | coercive-check
     orders: list[OrderOutcome]
-    final_bound: float | None
-    verdict: str  # stabilized | reached_max_order | infeasible_at_all_orders
+    # minimize: stabilized | reached_max_order | infeasible_at_all_orders;
+    # the tests: certified | inconclusive | not_applicable
+    verdict: str
+    bound: float | None = None
+    order: int | None = None
     certificate: ModuleCertificate | None = None
     verification: VerificationResult | None = None
-    caveats: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    subject: str | None = None  # coercive-check: objective | combination
     elapsed_s: float = 0.0
+
+    @property
+    def final_bound(self) -> float | None:
+        return self.bound
+
+    @property
+    def caveats(self) -> list[str]:
+        return self.notes
 
     @property
     def bounds(self) -> list[float]:
@@ -85,74 +121,111 @@ class MinimizeReport:
 
     def to_payload(self) -> dict:
         return {
-            "command": "minimize",
-            "bounds": self.bounds,
+            "command": self.command,
             "orders": [o.to_payload() for o in self.orders],
-            "final_bound": self.final_bound,
             "verdict": self.verdict,
+            **{key: getattr(self, attr) for key, attr in _PAYLOAD_KEYS[self.command].items()},
             "certificate": None if self.certificate is None else self.certificate.to_payload(),
             "verification": None if self.verification is None else self.verification.to_payload(),
-            "caveats": self.caveats,
             "timing_s": self.elapsed_s,
         }
 
 
 @dataclass
-class ArchimedeanReport:
-    orders: list[OrderOutcome]
-    verdict: str  # certified | inconclusive
-    bound: float | None = None
-    order: int | None = None
-    certificate: ModuleCertificate | None = None
-    verification: VerificationResult | None = None
+class HierarchySpec:
+    """One hierarchy: the program built at order k and when the sweep stops.
+
+    With ``certify_if``, each optimal order whose value passes it is certified
+    on the spot; the sweep stops at the first certificate that verifies and
+    notes ``fail_note`` for the others.  With ``stab_tol``, the sweep stops
+    once the value is stable over two consecutive orders, and only the last
+    optimal order is certified, after the sweep.
+    """
+
+    command: str
+    build: Callable[[int], SdpProblem]
+    k_min: int
+    k_start: int | None = None
+    k_max: int = DEFAULT_K_MAX
+    certify_if: Callable[[float], bool] | None = None
+    fail_note: str = ""
+    stab_tol: float | None = None
+    cert_tol: float = DEFAULT_RESIDUAL_TOL
     notes: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    def to_payload(self) -> dict:
-        return {
-            "command": "arch-check",
-            "orders": [o.to_payload() for o in self.orders],
-            "verdict": self.verdict,
-            "rho": self.bound,
-            "certified_order": self.order,
-            "certificate": None if self.certificate is None else self.certificate.to_payload(),
-            "verification": None if self.verification is None else self.verification.to_payload(),
-            "notes": self.notes,
-            "timing_s": self.elapsed_s,
-        }
+    subject: str | None = None
 
 
-@dataclass
-class CoercivityReport:
-    orders: list[OrderOutcome]
-    verdict: str  # certified | inconclusive | not_applicable
-    bound: float | None = None
-    order: int | None = None
-    certificate: ModuleCertificate | None = None
-    verification: VerificationResult | None = None
-    subject: str = "objective"
-    notes: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    def to_payload(self) -> dict:
-        return {
-            "command": "coercive-check",
-            "orders": [o.to_payload() for o in self.orders],
-            "verdict": self.verdict,
-            "delta": self.bound,
-            "certified_order": self.order,
-            "subject": self.subject,
-            "certificate": None if self.certificate is None else self.certificate.to_payload(),
-            "verification": None if self.verification is None else self.verification.to_payload(),
-            "notes": self.notes,
-            "timing_s": self.elapsed_s,
-        }
-
-
-def _maybe_dump(problem_sdp, dump_dir: str | None, family: str, k: int) -> None:
+def _maybe_dump(problem_sdp: SdpProblem, dump_dir: str | None) -> None:
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
-        dump_sdp(problem_sdp, os.path.join(dump_dir, f"{family}_k{k}.sdp"))
+        meta = problem_sdp.meta
+        dump_sdp(problem_sdp, os.path.join(dump_dir, f"{meta.family}_k{meta.order}.sdp"))
+
+
+def _stabilized(orders: list[OrderOutcome], tol: float) -> bool:
+    """|f_k - f_prev| <= tol * (1 + |f_k|) at each of the last two orders,
+    both optimal, f_prev being the optimal value before f_k."""
+    vals = [o.value for o in orders if o.value is not None]
+    return (len(vals) >= 3 and orders[-1].value is not None and orders[-2].value is not None
+            and all(abs(b - a) <= tol * (1 + abs(b)) for a, b in zip(vals[-3:], vals[-2:])))
+
+
+def _certify(sol: SdpSolution, program, tol: float) -> tuple[ModuleCertificate, VerificationResult]:
+    cert = extract_certificate(sol, program)
+    return cert, verify_certificate(cert, program.target, program.gens, tol=tol)
+
+
+def run_hierarchy(
+    spec: HierarchySpec,
+    settings: SolverSettings | None = None,
+    dump_dir: str | None = None,
+) -> HierarchyReport:
+    """Solve the spec's programs for k = max(k_min, k_start)..k_max.
+
+    Solver failures at an order are recorded and the sweep continues; nothing
+    raises.
+    """
+    t0 = time.perf_counter()
+    report = HierarchyReport(spec.command, [], "inconclusive", notes=list(spec.notes),
+                             subject=spec.subject)
+    k0 = spec.k_min if spec.k_start is None else max(spec.k_min, spec.k_start)
+    if k0 > spec.k_max:
+        first = "minimal" if k0 == spec.k_min else "starting"
+        report.notes.append(f"k_max={spec.k_max} is below the {first} order {k0}; nothing solved")
+    last = None  # (k, solution, program) of the last optimal order
+    for k in range(k0, spec.k_max + 1):
+        sdp_prob = spec.build(k)
+        _maybe_dump(sdp_prob, dump_dir)
+        sol = solve(sdp_prob, settings)
+        report.orders.append(OrderOutcome.of(k, sol))
+        if sol.status is not Status.OPTIMAL:
+            continue
+        last = (k, sol, sdp_prob.meta)
+        if spec.certify_if is not None and spec.certify_if(sol.obj_primal):
+            cert, ver = _certify(sol, sdp_prob.meta, spec.cert_tol)
+            if ver.passed:
+                report.verdict = "certified"
+                report.bound, report.order = sol.obj_primal, k
+                report.certificate, report.verification = cert, ver
+                break
+            report.notes.append(f"order {k}: {spec.fail_note}")
+        if spec.stab_tol is not None and _stabilized(report.orders, spec.stab_tol):
+            report.verdict = "stabilized"
+            break
+
+    if spec.stab_tol is not None:
+        if report.verdict != "stabilized":
+            infeasible = report.orders and all(
+                o.status == Status.PRIMAL_INFEASIBLE.value for o in report.orders)
+            report.verdict = "infeasible_at_all_orders" if infeasible else "reached_max_order"
+        if last is not None:
+            k, sol, program = last
+            report.bound, report.order = sol.obj_primal, k
+            report.certificate, report.verification = _certify(sol, program, spec.cert_tol)
+            if not report.verification.passed:
+                report.notes.append("certificate at the final order failed independent verification")
+    report.elapsed_s = time.perf_counter() - t0
+    return report
 
 
 def minimize(
@@ -161,86 +234,35 @@ def minimize(
     k_max: int = DEFAULT_K_MAX,
     stab_tol: float = DEFAULT_STAB_TOL,
     settings: SolverSettings | None = None,
-    arch_report: ArchimedeanReport | None = None,
+    arch_report: HierarchyReport | None = None,
     dump_dir: str | None = None,
-) -> MinimizeReport:
+) -> HierarchyReport:
     """Run the lower-bound hierarchy; the bounds f_k are non-decreasing in k.
 
     Stops early once |f_k - f_{k-1}| <= stab_tol * (1 + |f_k|) holds for two
-    consecutive orders.  Solver failures at an order are recorded and the
-    sweep continues; nothing raises.
+    consecutive orders.
     """
-    t0 = time.perf_counter()
-    gens = hierarchy_generators(problem)
-    kmin = min_order(gens, problem.objective)
-    k0 = max(kmin, k_start if k_start is not None else kmin)
-
-    orders: list[OrderOutcome] = []
-    best: tuple[int, SdpSolution, MembershipProgram] | None = None
-    prev_val: float | None = None
-    consecutive = 0
-    verdict = "reached_max_order"
-    for k in range(k0, k_max + 1):
-        sdp_prob = build_hierarchy_step(problem, k)
-        _maybe_dump(sdp_prob, dump_dir, "hierarchy", k)
-        sol = solve(sdp_prob, settings)
-        if sol.status is Status.OPTIMAL:
-            val = sol.obj_primal
-            orders.append(OrderOutcome(k, sol.status.value, val))
-            best = (k, sol, sdp_prob.meta)
-            if prev_val is not None and abs(val - prev_val) <= stab_tol * (1 + abs(val)):
-                consecutive += 1
-            else:
-                consecutive = 0
-            prev_val = val
-            if consecutive >= 2:
-                verdict = "stabilized"
-                break
-        else:
-            orders.append(OrderOutcome(k, sol.status.value))
-            consecutive = 0
-
-    if best is None and orders and all(
-        o.status == Status.PRIMAL_INFEASIBLE.value for o in orders
-    ):
-        verdict = "infeasible_at_all_orders"
-
-    certificate = None
-    verification = None
     caveats = [_STOP_RULE_NOTE]
     if arch_report is None:
         caveats.append(_ARCH_CAVEAT)
     elif arch_report.verdict != "certified":
         caveats.append("arch-check was inconclusive; " + _ARCH_CAVEAT)
-    if best is not None:
-        _, sol, program = best
-        certificate = extract_certificate(sol, program)
-        verification = verify_certificate(
-            certificate, program.target, program_generators(program)
-        )
-        if not verification.passed:
-            caveats.append("certificate at the final order failed independent verification")
-
-    return MinimizeReport(
-        orders=orders,
-        final_bound=None if best is None else next(
-            o.value for o in reversed(orders) if o.value is not None
-        ),
-        verdict=verdict,
-        certificate=certificate,
-        verification=verification,
-        caveats=caveats,
-        elapsed_s=time.perf_counter() - t0,
+    spec = HierarchySpec(
+        "minimize", lambda k: build_hierarchy_step(problem, k),
+        min_order(hierarchy_generators(problem), problem.objective), k_start, k_max,
+        stab_tol=stab_tol, notes=caveats,
     )
+    return run_hierarchy(spec, settings, dump_dir)
 
 
 def check_archimedean(
     problem: PopProblem,
     k_max: int = DEFAULT_K_MAX,
     settings: SolverSettings | None = None,
-    cert_tol: float = 1e-5,
+    cert_tol: float = DEFAULT_RESIDUAL_TOL,
     dump_dir: str | None = None,
-) -> ArchimedeanReport:
+    k_start: int | None = None,
+) -> HierarchyReport:
     """Certify that the quadratic module of (g; h; c - f) is Archimedean.
 
     Solves rho_k = inf{lambda : lambda - |x|^2 in M_k} for increasing k and
@@ -248,40 +270,14 @@ def check_archimedean(
     is one-sided: failure at every order is inconclusive, not a refutation
     (an infeasible order means rho_k = +inf there).
     """
-    t0 = time.perf_counter()
-    gens = hierarchy_generators(problem)
-    from .polynomial import sum_of_squared_variables
-
-    kmin = min_order(gens, -sum_of_squared_variables(problem.num_vars))
-    orders: list[OrderOutcome] = []
-    notes: list[str] = []
-    for k in range(kmin, k_max + 1):
-        sdp_prob = build_archimedean_check(problem, k)
-        _maybe_dump(sdp_prob, dump_dir, "archimedean", k)
-        sol = solve(sdp_prob, settings)
-        if sol.status is Status.OPTIMAL:
-            cert = extract_certificate(sol, sdp_prob.meta)
-            program = sdp_prob.meta
-            ver = verify_certificate(cert, program.target, program_generators(program), tol=cert_tol)
-            orders.append(OrderOutcome(k, sol.status.value, sol.obj_primal))
-            if ver.passed:
-                return ArchimedeanReport(
-                    orders=orders,
-                    verdict="certified",
-                    bound=sol.obj_primal,
-                    order=k,
-                    certificate=cert,
-                    verification=ver,
-                    notes=notes,
-                    elapsed_s=time.perf_counter() - t0,
-                )
-            notes.append(f"order {k}: optimal value found but certificate failed verification")
-        else:
-            orders.append(OrderOutcome(k, sol.status.value))
-    return ArchimedeanReport(
-        orders=orders, verdict="inconclusive", notes=notes,
-        elapsed_s=time.perf_counter() - t0,
+    target = -sum_of_squared_variables(problem.num_vars)
+    spec = HierarchySpec(
+        "arch-check", lambda k: build_archimedean_check(problem, k),
+        min_order(hierarchy_generators(problem), target), k_start, k_max,
+        certify_if=lambda value: True,
+        fail_note="optimal value found but certificate failed verification", cert_tol=cert_tol,
     )
+    return run_hierarchy(spec, settings, dump_dir)
 
 
 def _diagonal_top_form(f: Polynomial) -> bool:
@@ -299,62 +295,43 @@ def _diagonal_top_form(f: Polynomial) -> bool:
     return len(seen) == f.num_vars
 
 
+def _not_applicable(note: str, subject: str = "objective") -> HierarchyReport:
+    return HierarchyReport("coercive-check", [], "not_applicable", notes=[note], subject=subject)
+
+
 def check_coercive(
     f: Polynomial,
     k_max: int = DEFAULT_K_MAX,
     pos_tol: float = DEFAULT_POS_TOL,
     settings: SolverSettings | None = None,
-    cert_tol: float = 1e-5,
+    cert_tol: float = DEFAULT_RESIDUAL_TOL,
     dump_dir: str | None = None,
-) -> CoercivityReport:
+    k_start: int | None = None,
+) -> HierarchyReport:
     """Certify coercivity by bounding the top homogeneous form below on the sphere.
 
     Solves rho_k = sup{mu : f_d - mu in M_k(|x|^2 - 1)} for k = deg(f)/2..k_max
     and certifies once rho_k > pos_tol with a verified witness.  Odd-degree,
     constant and zero inputs cannot be coercive: not_applicable.
     """
-    t0 = time.perf_counter()
-    notes: list[str] = []
     if f.is_zero():
-        return CoercivityReport([], "not_applicable", notes=["zero polynomial"], elapsed_s=0.0)
+        return _not_applicable("zero polynomial")
     d = f.degree()
     if d == 0:
-        return CoercivityReport([], "not_applicable", notes=["constant polynomial"], elapsed_s=0.0)
+        return _not_applicable("constant polynomial")
     if d % 2:
-        return CoercivityReport(
-            [], "not_applicable",
-            notes=["odd degree: a coercive polynomial has even degree"], elapsed_s=0.0,
-        )
+        return _not_applicable("odd degree: a coercive polynomial has even degree")
+    notes = []
     if _diagonal_top_form(f):
         notes.append("top form is a positive diagonal form; minimal order expected to certify")
-
-    kmin = coercivity_min_order(f)
-    orders: list[OrderOutcome] = []
-    if kmin > k_max:
-        notes.append(f"k_max={k_max} is below the minimal order {kmin}; nothing solved")
-    for k in range(kmin, k_max + 1):
-        sdp_prob = build_coercivity_check(f, k)
-        _maybe_dump(sdp_prob, dump_dir, "coercivity", k)
-        sol = solve(sdp_prob, settings)
-        if sol.status is Status.OPTIMAL:
-            orders.append(OrderOutcome(k, sol.status.value, sol.obj_primal))
-            if sol.obj_primal > pos_tol:
-                program = sdp_prob.meta
-                cert = extract_certificate(sol, program)
-                ver = verify_certificate(cert, program.target, program_generators(program), tol=cert_tol)
-                if ver.passed:
-                    return CoercivityReport(
-                        orders=orders, verdict="certified", bound=sol.obj_primal,
-                        order=k, certificate=cert, verification=ver, notes=notes,
-                        elapsed_s=time.perf_counter() - t0,
-                    )
-                notes.append(f"order {k}: positive value but certificate failed verification")
-        else:
-            orders.append(OrderOutcome(k, sol.status.value))
-    return CoercivityReport(
-        orders=orders, verdict="inconclusive", notes=notes,
-        elapsed_s=time.perf_counter() - t0,
+    spec = HierarchySpec(
+        "coercive-check", lambda k: build_coercivity_check(f, k),
+        coercivity_min_order(f), k_start, k_max,
+        certify_if=lambda value: value > pos_tol,
+        fail_note="positive value but certificate failed verification", cert_tol=cert_tol,
+        notes=notes, subject="objective",
     )
+    return run_hierarchy(spec, settings, dump_dir)
 
 
 def check_archimedean_sufficient(
@@ -365,7 +342,7 @@ def check_archimedean_sufficient(
     k_max: int = DEFAULT_K_MAX,
     pos_tol: float = DEFAULT_POS_TOL,
     settings: SolverSettings | None = None,
-) -> CoercivityReport:
+) -> HierarchyReport:
     """Sufficient Archimedean test via a user-supplied multiplier combination.
 
     Forms  alpha0 * f - sum_j lambda_j g_j - sum_l mu_l h_l  (alpha0, lambda_j
@@ -389,10 +366,7 @@ def check_archimedean_sufficient(
         combo = combo - h.scale(v)
 
     if combo.is_zero():
-        return CoercivityReport(
-            [], "not_applicable", subject="combination",
-            notes=["multiplier combination is the zero polynomial"],
-        )
+        return _not_applicable("multiplier combination is the zero polynomial", "combination")
     report = check_coercive(combo, k_max=k_max, pos_tol=pos_tol, settings=settings)
     report.subject = "combination"
     report.notes.append(

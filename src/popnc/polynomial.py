@@ -16,10 +16,6 @@ Monomial = tuple[int, ...]
 Coeff = Union[int, float, Fraction]
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -16,6 +16,8 @@ unchanged; the rows on it are replaced by a basis U2 of the orthogonal
 complement of range(B) there, which is never multiplied into A: the IPM
 applies U2 to vectors and forms its Schur matrix as U2' M U2 on those rows.
 A program whose only free variable sits in one row just loses that row.
+After elimination, rows left without coefficients are dropped when their
+right-hand side is zero and answer with a Farkas ray when it is not.
 
 The reduced pure-PSD problem is then solved by a primal-dual path-following
 interior-point method on the homogeneous self-dual embedding
@@ -423,43 +425,9 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     st = settings or SolverSettings()
     data = _to_internal(problem)
     flip = -1.0 if problem.sense == "max" else 1.0
-    sol = _solve_internal(data, st)
+    sol = _solve_eliminated(data, st)
     sol.obj_primal = flip * sol.obj_primal
     sol.obj_dual = flip * sol.obj_dual
-    return sol
-
-
-def _solve_internal(data: _Data, st: SolverSettings) -> SdpSolution:
-    p = len(data.b)
-
-    # stage 1: screen all-zero rows (inconsistent ones certify infeasibility)
-    coefmax = np.zeros(p)
-    for blk in data.A:
-        coefmax = np.maximum(coefmax, blk.row_absmax())
-    if data.B.size:
-        coefmax = np.maximum(coefmax, np.abs(data.B).max(axis=1))
-    zero = coefmax <= 1e-14
-    if not zero.any():
-        return _solve_eliminated(data, st)
-    bscale = 1.0 + float(np.abs(data.b).max())
-    bad = np.flatnonzero(zero & (np.abs(data.b) > 1e-10 * bscale))
-    if bad.size:
-        return _infeasible_row_solution(data, int(bad[0]))
-    keep = np.flatnonzero(~zero)
-    screened = _Data(
-        data.dims,
-        [blk.select(keep) for blk in data.A],
-        data.B[keep],
-        data.b[keep],
-        data.C,
-        data.c,
-        data.offset,
-    )
-    sol = _solve_eliminated(screened, st)
-    y_full = np.zeros(p)
-    if sol.y.size == keep.size:
-        y_full[keep] = sol.y
-    sol.y = y_full
     return sol
 
 
@@ -468,7 +436,7 @@ def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
     q = data.B.shape[1]
     dims = data.dims
 
-    # -- stage 2: eliminate free variables -------------------------------
+    # -- eliminate free variables -----------------------------------------
     # Only the rows where B is nonzero take part: the others pass through.
     on_support = np.any(data.B != 0, axis=1)
     supp, rest = np.flatnonzero(on_support), np.flatnonzero(~on_support)
@@ -484,7 +452,7 @@ def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
         # of the problem is feasible at all
         feas = _Data(dims, data.A, data.B, data.b, [np.zeros_like(Cb) for Cb in data.C],
                      np.zeros(q), 0.0)
-        probe = _solve_internal(feas, st)
+        probe = _solve_eliminated(feas, st)
         if probe.status is Status.OPTIMAL:
             ray_dir = V2 @ c_null
             ray = -ray_dir / np.linalg.norm(ray_dir)
@@ -537,15 +505,12 @@ def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
     if inner.status is Status.OPTIMAL:
         u = recover_u(data.b - data.apply(X))
         y = recover_y(inner.y, with_w=True)
-    elif inner.status is Status.PRIMAL_INFEASIBLE:
-        u = np.zeros(q)
-        y = recover_y(inner.y, with_w=False)
     elif inner.status is Status.DUAL_INFEASIBLE:
         u = recover_u(-data.apply(X))
         y = np.zeros(p)
     else:
         u = np.zeros(q)
-        y = recover_y(inner.y, with_w=False) if inner.y.size == len(reduced.b) else np.zeros(p)
+        y = recover_y(inner.y, with_w=False)
 
     pobj = _inner_blocks(data.C, X) + float(data.c @ u) + data.offset if inner.status is Status.OPTIMAL else inner.obj_primal
     dobj = float(data.b @ y) + data.offset if inner.status is Status.OPTIMAL else inner.obj_dual
@@ -560,24 +525,6 @@ def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
         iterations=inner.iterations,
         trace=inner.trace,
         message=inner.message,
-    )
-
-
-def _infeasible_row_solution(data: _Data, row: int) -> SdpSolution:
-    p = len(data.b)
-    y = np.zeros(p)
-    # Farkas ray: A'(y) = 0, b'y = |b_row| > 0
-    y[row] = -1.0 if data.b[row] < 0 else 1.0
-    return SdpSolution(
-        status=Status.PRIMAL_INFEASIBLE,
-        X=[np.zeros((d, d)) for d in data.dims],
-        free=np.zeros(data.B.shape[1]),
-        y=y,
-        obj_primal=float("nan"),
-        obj_dual=float("nan"),
-        residuals={"farkas": 0.0},
-        iterations=0,
-        message=f"constraint row {row} has zero coefficients but nonzero right-hand side",
     )
 
 
@@ -666,9 +613,9 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
     full_p = p
     sel = None
     if not keep.all():
-        # a row without coefficients reads 0 = rhs: as in the first screen,
-        # its rhs is weighed against the others before normalization, which
-        # would make it +-1 whatever its size
+        # a row without coefficients reads 0 = rhs: its rhs is weighed
+        # against the others before normalization, which would make it +-1
+        # whatever its size
         dropped_inconsistent = np.flatnonzero(
             ~keep & (np.abs(red.b) > 1e-10 * (1.0 + float(np.abs(red.b).max()))))
         if dropped_inconsistent.size:
@@ -701,8 +648,8 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
         out[sel] = y
         return out
 
-    if nu == 0 or p == 0:
-        return _solve_degenerate(red, p, expand_y, unscale_y)
+    if p == 0:
+        return _solve_degenerate(red, expand_y, unscale_y)
 
     kept = slice(None) if sel is None else sel
     Anorm = max(1.0, float((np.sqrt(fro2[kept]) / rn[kept]).max()))
@@ -846,18 +793,19 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
             dkappa = (sigma * mu - tau * kappa - kappa * dtau) / tau
             return dX, dy, dS, dtau, dkappa
 
+        def step(dX, dS, dtau: float, dkappa: float) -> float:
+            """step_frac of the longest step that stays in the cones, at most 1."""
+            longest = min(_max_step(dX, LXinv), _max_step(dS, LSinv),
+                          (-tau / dtau) if dtau < 0 else math.inf,
+                          (-kappa / dkappa) if dkappa < 0 else math.inf)
+            return min(1.0, st.step_frac * longest)
+
         aff = direction(0.0, 1.0)
         if aff is None:
             message = "singular Newton system"
             break
         dXa, dya, dSa, dtaua, dkappaa = aff
-        alpha_a = min(
-            _max_step(dXa, LXinv),
-            _max_step(dSa, LSinv),
-            (-tau / dtaua) if dtaua < 0 else math.inf,
-            (-kappa / dkappaa) if dkappaa < 0 else math.inf,
-        )
-        alpha_a = min(1.0, st.step_frac * alpha_a)
+        alpha_a = step(dXa, dSa, dtaua, dkappaa)
         mu_aff = (
             _inner_blocks([Xb + alpha_a * D for Xb, D in zip(X, dXa)],
                           [Sb + alpha_a * D for Sb, D in zip(S, dSa)])
@@ -870,13 +818,7 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
             message = "singular Newton system"
             break
         dX, dy, dS, dtau, dkappa = combo
-        alpha = min(
-            _max_step(dX, LXinv),
-            _max_step(dS, LSinv),
-            (-tau / dtau) if dtau < 0 else math.inf,
-            (-kappa / dkappa) if dkappa < 0 else math.inf,
-        )
-        alpha = min(1.0, st.step_frac * alpha)
+        alpha = step(dX, dS, dtau, dkappa)
         if not math.isfinite(alpha) or alpha <= 1e-10:
             stalls += 1
             if stalls >= 3:
@@ -912,39 +854,32 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
     )
 
 
-def _solve_degenerate(red: _Reduced, p: int, expand_y, unscale_y) -> SdpSolution:
-    """No constraints left, or no PSD blocks: solved in closed form."""
+def _solve_degenerate(red: _Reduced, expand_y, unscale_y) -> SdpSolution:
+    """No constraints left: solved in closed form.  Without PSD blocks no row
+    has coefficients, so the zero-row screen leaves none and this case covers
+    them too."""
     dims, C = red.dims, red.C
-    if p == 0:
-        eigmins = [float(np.linalg.eigvalsh(_sym(Cb)).min()) if Cb.size else 0.0 for Cb in C]
-        if all(m >= -1e-12 * (1.0 + _fro_blocks(C)) for m in eigmins):
-            return SdpSolution(
-                status=Status.OPTIMAL,
-                X=[np.zeros((d, d)) for d in dims], free=np.zeros(0),
-                y=unscale_y(expand_y(np.zeros(0))),
-                obj_primal=red.offset, obj_dual=red.offset,
-                residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
-                iterations=0, message="no active constraints",
-            )
-        bi = int(np.argmin(eigmins))
-        vals, vecs = np.linalg.eigh(_sym(C[bi]))
-        v = vecs[:, 0]
-        X = [np.zeros((d, d)) for d in dims]
-        X[bi] = np.outer(v, v)
+    eigmins = [float(np.linalg.eigvalsh(_sym(Cb)).min()) if Cb.size else 0.0 for Cb in C]
+    if all(m >= -1e-12 * (1.0 + _fro_blocks(C)) for m in eigmins):
         return SdpSolution(
-            status=Status.DUAL_INFEASIBLE,
-            X=X, free=np.zeros(0), y=unscale_y(expand_y(np.zeros(0))),
-            obj_primal=float("nan"), obj_dual=float("nan"),
-            residuals={"ray": 0.0}, iterations=0,
-            message="objective block is indefinite with no constraints",
+            status=Status.OPTIMAL,
+            X=[np.zeros((d, d)) for d in dims], free=np.zeros(0),
+            y=unscale_y(expand_y(np.zeros(0))),
+            obj_primal=red.offset, obj_dual=red.offset,
+            residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
+            iterations=0, message="no active constraints",
         )
-    # no PSD blocks: all rows were zero-coefficient and already screened
+    bi = int(np.argmin(eigmins))
+    vals, vecs = np.linalg.eigh(_sym(C[bi]))
+    v = vecs[:, 0]
+    X = [np.zeros((d, d)) for d in dims]
+    X[bi] = np.outer(v, v)
     return SdpSolution(
-        status=Status.OPTIMAL,
-        X=[], free=np.zeros(0), y=unscale_y(expand_y(np.zeros(p))),
-        obj_primal=red.offset, obj_dual=red.offset,
-        residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
-        iterations=0, message="no semidefinite blocks",
+        status=Status.DUAL_INFEASIBLE,
+        X=X, free=np.zeros(0), y=unscale_y(expand_y(np.zeros(0))),
+        obj_primal=float("nan"), obj_dual=float("nan"),
+        residuals={"ray": 0.0}, iterations=0,
+        message="objective block is indefinite with no constraints",
     )
 
 
@@ -954,7 +889,8 @@ def _solve_degenerate(red: _Reduced, p: int, expand_y, unscale_y) -> SdpSolution
 
 
 def condition_report(problem: SdpProblem) -> dict:
-    """Structural and scaling diagnostics used in emitted reports."""
+    """Structural and scaling diagnostics of a problem: block dims, row and
+    free-variable counts, coefficient range.  No report carries them yet."""
     lo, hi = math.inf, 0.0
     for con in problem.constraints:
         for mat in con.blocks.values():
