@@ -54,7 +54,6 @@ from .certificates import (
     extract_certificate,
     format_certificate,
     gram_to_polynomial,
-    program_generators,
     sos_decompose,
     verify_certificate,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "monomial_basis",
     "parse_polynomial",
     "parse_problem",
-    "program_generators",
     "solve",
     "sos_decompose",
     "sum_of_squared_variables",

@@ -386,7 +386,7 @@ def build_membership_program(
         family=family,
         c=c,
     )
-    problem = SdpProblem(
+    return SdpProblem(
         block_dims=solver_block_dims,
         num_free=num_free,
         constraints=constraints,
@@ -395,8 +395,6 @@ def build_membership_program(
         sense=sense,
         meta=meta,
     )
-    problem.validate()
-    return problem
 
 
 def hierarchy_generators(problem) -> GeneratorSet:

@@ -207,11 +207,6 @@ def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> Mo
     return cert
 
 
-def program_generators(program: MembershipProgram) -> GeneratorSet:
-    """Unscaled generator set matching a built program (for verification)."""
-    return program.gens
-
-
 # ---------------------------------------------------------------------------
 # quadratic-module transformation: drop the bound generator
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ exponent.  Juxtaposition of variable factors without ``*`` is rejected.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -146,10 +147,7 @@ class _ExprParser:
                 den = self._number(den_tok.text, den_tok)
                 if den == 0:
                     raise self._error("division by zero in coefficient", den_tok)
-                if self.rational:
-                    coeff = coeff / den
-                else:
-                    coeff = coeff / den
+                coeff = coeff / den
                 nxt = self._peek()
             # optional '*' between leading coefficient and the first variable
             if nxt.kind == "op" and nxt.text == "*":
@@ -308,6 +306,17 @@ class PopProblem:
                 raise ProblemFormatError("polynomial variable count does not match problem")
         if (self.c is None) == (self.x0 is None):
             raise ProblemFormatError("exactly one of c or x0 must be given")
+        fields = [("objective", self.objective.terms.values()), ("c", [self.c]),
+                  ("x0", self.x0 or []), ("margin", [self.margin])]
+        fields += [(f"inequality {j + 1}", g.terms.values()) for j, g in enumerate(self.inequalities)]
+        fields += [(f"equality {l + 1}", h.terms.values()) for l, h in enumerate(self.equalities)]
+        for name, values in fields:
+            try:
+                finite = all(math.isfinite(float(v)) for v in values if v is not None)
+            except OverflowError:  # a rational too large for a float
+                finite = False
+            if not finite:
+                raise ProblemFormatError(f"{name} holds a number that is not finite")
         if self.margin <= 0:
             raise ProblemFormatError("margin must be > 0")
         if self.x0 is not None:
@@ -452,9 +461,7 @@ def parse_problem(document: str, rational: bool = False) -> PopProblem:
 def _jsonable(obj: Any) -> Any:
     import numpy as np
 
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"

@@ -8,7 +8,8 @@ Problems are given in primal standard form with optional free variables:
 
 (`sense="max"` negates the objective internally).  Internally each PSD
 block keeps its constraint coefficients sparse, as row, position and value
-arrays; no (p, d, d) tensor is formed for a block stored that way.
+arrays; no (p, d, d) tensor is formed for a block stored that way.  Problems
+are checked as they are converted, reading each matrix once.
 
 Free variables are eliminated in a presolve step by an SVD of B restricted
 to the rows where B is nonzero.  Rows outside that support pass through
@@ -87,33 +88,6 @@ class SdpProblem:
     sense: str = "min"
     obj_offset: float = 0.0
     meta: Any = None
-
-    def validate(self) -> None:
-        if self.sense not in ("min", "max"):
-            raise SdpStructureError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        for d in self.block_dims:
-            if d < 1:
-                raise SdpStructureError("block dimensions must be >= 1")
-        if self.num_free < 0:
-            raise SdpStructureError("num_free must be >= 0")
-        if self.obj_free is not None and len(self.obj_free) != self.num_free:
-            raise SdpStructureError("objective free-vector length mismatch")
-        for b, mat in self.obj_blocks.items():
-            self._check_block(b, mat, "objective")
-        for i, con in enumerate(self.constraints):
-            if len(con.free) != self.num_free:
-                raise SdpStructureError(f"constraint {i}: free-vector length mismatch")
-            for b, mat in con.blocks.items():
-                self._check_block(b, mat, f"constraint {i}")
-
-    def _check_block(self, b: int, mat: np.ndarray, where: str) -> None:
-        if not 0 <= b < len(self.block_dims):
-            raise SdpStructureError(f"{where}: block index {b} out of range")
-        d = self.block_dims[b]
-        if mat.shape != (d, d):
-            raise SdpStructureError(f"{where}: block {b} has shape {mat.shape}, expected {(d, d)}")
-        if not np.allclose(mat, mat.T, atol=1e-12 * (1.0 + np.abs(mat).max())):
-            raise SdpStructureError(f"{where}: block {b} coefficient matrix is not symmetric")
 
 
 @dataclass
@@ -376,34 +350,62 @@ class _Reduced:
         return _sym(np.block([[M[:k, :k], MU[:k]], [MU[:k].T, U.T @ MU[k:]]]))
 
 
+def _block_matrix(dims: list[int], b: int, mat, where: str) -> np.ndarray:
+    """mat as a float array, checked as the coefficients of block b.  Symmetric
+    means finite and |M - M'| <= 1e-12 (1 + max|M|) + 1e-5 |M'| entrywise; a
+    NaN or infinite entry makes M - M' nonzero, so the exact test finds it."""
+    if not 0 <= b < len(dims):
+        raise SdpStructureError(f"{where}: block index {b} out of range")
+    M = np.asarray(mat, dtype=float)
+    d = dims[b]
+    if M.shape != (d, d):
+        raise SdpStructureError(f"{where}: block {b} has shape {M.shape}, expected {(d, d)}")
+    diff = M - M.T
+    if diff.any():
+        amax = np.abs(M).max()
+        if not (np.isfinite(amax) and np.all(np.abs(diff) <= 1e-12 * (1.0 + amax) + 1e-5 * np.abs(M.T))):
+            raise SdpStructureError(f"{where}: block {b} coefficient matrix is not symmetric")
+    return M
+
+
+@np.errstate(invalid="ignore")  # inf - inf in a symmetry test is a refusal, not a warning
 def _to_internal(problem: SdpProblem) -> _Data:
-    flip = -1.0 if problem.sense == "max" else 1.0
-    p = len(problem.constraints)
-    q = problem.num_free
+    if problem.sense not in ("min", "max"):
+        raise SdpStructureError(f"sense must be 'min' or 'max', got {problem.sense!r}")
     dims = list(problem.block_dims)
+    if any(d < 1 for d in dims):
+        raise SdpStructureError("block dimensions must be >= 1")
+    q = problem.num_free
+    if q < 0:
+        raise SdpStructureError("num_free must be >= 0")
+    if problem.obj_free is not None and len(problem.obj_free) != q:
+        raise SdpStructureError("objective free-vector length mismatch")
+    flip = -1.0 if problem.sense == "max" else 1.0
+    C = [np.zeros((d, d)) for d in dims]
+    for bi, mat in problem.obj_blocks.items():
+        C[bi] = flip * _sym(_block_matrix(dims, bi, mat, "objective"))
+    p = len(problem.constraints)
     parts: list[tuple[list, list, list]] = [([], [], []) for _ in dims]
     B = np.zeros((p, q))
     b = np.zeros(p)
     for i, con in enumerate(problem.constraints):
+        if len(con.free) != q:
+            raise SdpStructureError(f"constraint {i}: free-vector length mismatch")
         for bi, mat in con.blocks.items():
-            twice = np.asarray(mat, dtype=float)
-            twice = twice + twice.T
+            M = _block_matrix(dims, bi, mat, f"constraint {i}")
+            twice = M + M.T
             flat = np.flatnonzero(twice)
             rows, pos, val = parts[bi]
             rows.append(np.full(flat.size, i))
             pos.append(flat)
             val.append(0.5 * twice.ravel()[flat])
-        if q:
-            B[i] = np.asarray(con.free, dtype=float)
+        B[i] = con.free
         b[i] = con.rhs
     A = [
         _Block(d, p, np.concatenate(rows or [np.zeros(0, dtype=int)]),
                np.concatenate(pos or [np.zeros(0, dtype=int)]), np.concatenate(val or [np.zeros(0)]))
         for d, (rows, pos, val) in zip(dims, parts)
     ]
-    C = [np.zeros((d, d)) for d in dims]
-    for bi, mat in problem.obj_blocks.items():
-        C[bi] = flip * _sym(np.asarray(mat, dtype=float))
     c = np.zeros(q)
     if q and problem.obj_free is not None:
         c = flip * np.asarray(problem.obj_free, dtype=float)
@@ -421,7 +423,6 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
     Never raises on numerical failure; iteration-limit and ill-posed cases
     come back with status Unknown.  Structural errors do raise.
     """
-    problem.validate()
     st = settings or SolverSettings()
     data = _to_internal(problem)
     flip = -1.0 if problem.sense == "max" else 1.0

@@ -21,7 +21,6 @@ from popnc.certificates import (
     corollary_transform,
     extract_certificate,
     gram_to_polynomial,
-    program_generators,
     sos_decompose,
     verify_certificate,
 )

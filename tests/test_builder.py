@@ -15,7 +15,7 @@ from popnc.builder import (
     min_order,
     monomial_basis,
 )
-from popnc.certificates import extract_certificate, program_generators
+from popnc.certificates import extract_certificate
 from popnc.polynomial import Polynomial, sum_of_squared_variables
 from popnc.problem_io import parse_polynomial
 from popnc.sdp import Status, solve
@@ -202,5 +202,5 @@ class TestIdentitySoundness:
         for blk, orig in zip(prob.meta.blocks[1:], gens.ineq):
             assert blk.scale == orig.l1_norm()
             assert blk.generator.scale(blk.scale) == orig
-        rebuilt = program_generators(prob.meta)
+        rebuilt = prob.meta.gens
         assert rebuilt.ineq == gens.ineq

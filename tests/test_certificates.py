@@ -25,7 +25,6 @@ from popnc.certificates import (
     extract_certificate,
     format_certificate,
     gram_to_polynomial,
-    program_generators,
     sos_decompose,
     verify_certificate,
 )
@@ -100,7 +99,7 @@ class TestExtractCertificate:
         assert abs(float(cert.lam) - 2.0) <= 1e-5
         assert len(cert.sos_weights) == 4
         assert float(cert.residual) <= 1e-6
-        ver = verify_certificate(cert, prob.meta.target, program_generators(prob.meta))
+        ver = verify_certificate(cert, prob.meta.target, prob.meta.gens)
         assert ver.passed
 
     def test_trivial_square(self):
@@ -252,7 +251,7 @@ class TestPayload:
         payload = certificate_to_payload(cert)
         text = json.dumps(payload)
         back = certificate_from_payload(json.loads(text))
-        gens = program_generators(prob.meta)
+        gens = prob.meta.gens
         a = verify_certificate(cert, prob.meta.target, gens)
         b = verify_certificate(back, prob.meta.target, gens)
         assert a.passed == b.passed

@@ -145,6 +145,21 @@ class TestFlags:
         tree = json.loads(capsys.readouterr().out)
         assert code == 0 and tree["problem"]["resolved_c"] == 2.0
 
+    @pytest.mark.parametrize("command", ["parse", "minimize", "coercive-check"])
+    @pytest.mark.parametrize("flag, value", [("--c", "inf"), ("--c", "nan"), ("--margin", "nan")])
+    def test_non_finite_override_is_input_error(self, sextic_file, capsys, command, flag, value):
+        code = cli_main([command, sextic_file, flag, value])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"input error: {flag[2:]} holds a number that is not finite" in err
+
+    def test_overflowing_coefficient_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "p.pop"
+        path.write_text("vars: x\nobj: 1e999*x^2\nc: 1\n")
+        code = cli_main(["minimize", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3 and "objective holds a number that is not finite" in err
+
     def test_k_start(self, ex31_file, capsys):
         code = cli_main(["minimize", ex31_file, "--k-start", "2", "--json"])
         tree = json.loads(capsys.readouterr().out)

@@ -5,7 +5,7 @@ import pytest
 from oracles import circle_oracle, problem_oracle
 
 from popnc.builder import build_hierarchy_step
-from popnc.certificates import extract_certificate, program_generators, verify_certificate
+from popnc.certificates import extract_certificate, verify_certificate
 from popnc.driver import (
     check_archimedean,
     check_archimedean_sufficient,
@@ -272,5 +272,5 @@ class TestRegressionSuite:
             cert = extract_certificate(sol, prob.meta)
             bound = 1e-5 * (1 + float(prob.meta.target.l1_norm()))
             assert float(cert.residual) <= bound, (name, outcome.order)
-            ver = verify_certificate(cert, prob.meta.target, program_generators(prob.meta))
+            ver = verify_certificate(cert, prob.meta.target, prob.meta.gens)
             assert ver.passed

@@ -158,6 +158,28 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError):
             parse_problem("vars: x y\nobj: x\neq: x^2 + y^2 - 1\nx0: 0.5 0\n")
 
+    @pytest.mark.parametrize("doc, rational, field", [
+        ("vars: x\nobj: 1e999*x^2\nc: 1\n", False, "objective"),
+        ("vars: x\nobj: 1e999*x - 1e999*x + x^2\nc: 1\n", False, "objective"),
+        ("vars: x\nobj: x^2\nineq: 1e999 - x\nc: 1\n", False, "inequality 1"),
+        ("vars: x\nobj: x^2\neq: x\neq: x - 1e999\nc: 1\n", False, "equality 2"),
+        ("vars: x\nobj: x^2\nc: 1e999\n", False, "c"),
+        ("vars: x y\nobj: x^2\nx0: 0 1e999\n", False, "x0"),
+        ("vars: x\nobj: x^2\nx0: 0\nmargin: 1e999\n", False, "margin"),
+        ("vars: x\nobj: 1e400*x^2\nc: 1\n", True, "objective"),
+        ("vars: x\nobj: x^2\nc: 1e400\n", True, "c"),
+        ("vars: x\nobj: x^2\nx0: 1e400/3\n", True, "x0"),
+    ])
+    def test_non_finite_number_rejected(self, doc, rational, field):
+        with pytest.raises(ProblemFormatError, match=f"^{field} holds a number that is not finite"):
+            parse_problem(doc, rational=rational)
+
+    def test_large_finite_numbers_accepted(self):
+        p = parse_problem("vars: x\nobj: 1e300*x^2\nc: 1e300\n")
+        assert p.c == 1e300
+        p = parse_problem("vars: x\nobj: x^2\nc: 1e300\n", rational=True)
+        assert p.c == Fraction(10) ** 300
+
 
 class TestParserTotality:
     def test_fuzz_never_crashes(self):

@@ -121,31 +121,66 @@ class TestSolutionQuality:
             assert pobj - dobj >= -slack
 
 
+def _one_row(mat, free=np.zeros(0), **kw):
+    """A 2 x 2 block and one constraint row with coefficients mat."""
+    return SdpProblem(block_dims=[2], num_free=len(free),
+                      constraints=[LinearConstraint({0: mat}, free, 1.0)], **kw)
+
+
+ASYM = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
 class TestStructuralErrors:
-    def test_asymmetric_matrix_rejected(self):
-        prob = SdpProblem(
-            block_dims=[2], num_free=0,
-            constraints=[LinearConstraint({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, np.zeros(0), 1.0)],
-        )
-        with pytest.raises(SdpStructureError):
+    CASES = {
+        "bad sense": (_one_row(np.eye(2), sense="maximize"), "sense must be 'min' or 'max'"),
+        "block dim 0": (SdpProblem(block_dims=[2, 0], num_free=0, constraints=[]),
+                        "block dimensions must be >= 1"),
+        "negative num_free": (SdpProblem(block_dims=[2], num_free=-1, constraints=[]),
+                              "num_free must be >= 0"),
+        "objective free length": (_one_row(np.eye(2), np.zeros(1), obj_free=np.zeros(2)),
+                                  "objective free-vector length mismatch"),
+        "constraint free length": (
+            SdpProblem(block_dims=[1], num_free=2, obj_free=np.zeros(2),
+                       constraints=[LinearConstraint({0: np.eye(1)}, np.zeros(1), 1.0)]),
+            "constraint 0: free-vector length mismatch"),
+        "constraint block index": (
+            SdpProblem(block_dims=[2], num_free=0,
+                       constraints=[LinearConstraint({1: np.eye(2)}, np.zeros(0), 1.0)]),
+            "constraint 0: block index 1 out of range"),
+        "objective block index": (_one_row(np.eye(2), obj_blocks={-1: np.eye(2)}),
+                                  "objective: block index -1 out of range"),
+        "constraint shape": (_one_row(np.eye(3)),
+                             r"constraint 0: block 0 has shape \(3, 3\), expected \(2, 2\)"),
+        "objective shape": (_one_row(np.eye(2), obj_blocks={0: np.eye(3)}),
+                            r"objective: block 0 has shape \(3, 3\), expected \(2, 2\)"),
+        "constraint asymmetry": (_one_row(ASYM), "constraint 0: block 0 coefficient matrix is not symmetric"),
+        "objective asymmetry": (_one_row(np.eye(2), obj_blocks={0: ASYM}),
+                                "objective: block 0 coefficient matrix is not symmetric"),
+        "nan entry": (_one_row(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                      "constraint 0: block 0 coefficient matrix is not symmetric"),
+        "symmetric inf entry": (_one_row(np.array([[0.0, np.inf], [np.inf, 0.0]])),
+                                "constraint 0: block 0 coefficient matrix is not symmetric"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejected(self, case):
+        prob, message = self.CASES[case]
+        with pytest.raises(SdpStructureError, match=message):
             solve(prob)
 
-    def test_wrong_block_shape_rejected(self):
-        prob = SdpProblem(
-            block_dims=[2], num_free=0,
-            constraints=[LinearConstraint({0: np.eye(3)}, np.zeros(0), 1.0)],
-        )
-        with pytest.raises(SdpStructureError):
-            solve(prob)
-
-    def test_free_vector_length_rejected(self):
-        prob = SdpProblem(
-            block_dims=[1], num_free=2,
-            constraints=[LinearConstraint({0: np.eye(1)}, np.zeros(1), 1.0)],
-            obj_free=np.zeros(2),
-        )
-        with pytest.raises(SdpStructureError):
-            solve(prob)
+    # |M - M'| <= 1e-12 (1 + max|M|) + 1e-5 |M'| entrywise is symmetric
+    @pytest.mark.parametrize("mat, symmetric", [
+        (np.array([[1.0, 1e6], [1e6 * (1 + 0.9e-5), 1.0]]), True),
+        (np.array([[1.0, 1e6], [1e6 * (1 + 1.1e-5), 1.0]]), False),
+        (np.array([[0.0, 0.0], [1.8e-12, 1.0]]), True),
+        (np.array([[0.0, 0.0], [2.2e-12, 1.0]]), False),
+    ])
+    def test_symmetry_tolerance(self, mat, symmetric):
+        if symmetric:
+            assert solve(_one_row(mat)).status is Status.OPTIMAL
+        else:
+            with pytest.raises(SdpStructureError):
+                solve(_one_row(mat))
 
 
 class TestIterationLimit:
