@@ -21,6 +21,7 @@ from .builder import (
     Direction,
     GeneratorSet,
     MembershipProgram,
+    Statement,
     basis_size,
     build_archimedean_check,
     build_coercivity_check,
@@ -29,6 +30,7 @@ from .builder import (
     hierarchy_generators,
     min_order,
     monomial_basis,
+    statement,
 )
 from .sdp import (
     LinearConstraint,
@@ -37,7 +39,6 @@ from .sdp import (
     SdpStructureError,
     SolverSettings,
     Status,
-    condition_report,
     dump_sdp,
     solve,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "SolverSettings",
     "SosDecomposition",
     "SosWeight",
+    "Statement",
     "Status",
     "VerificationResult",
     "basis_size",
@@ -103,7 +105,6 @@ __all__ = [
     "check_archimedean_sufficient",
     "check_coercive",
     "cli_main",
-    "condition_report",
     "corollary_transform",
     "dump_sdp",
     "emit_report",
@@ -120,6 +121,7 @@ __all__ = [
     "parse_problem",
     "solve",
     "sos_decompose",
+    "statement",
     "sum_of_squared_variables",
     "verify_certificate",
 ]

@@ -12,13 +12,10 @@ the monomials of degree <= 2k yields the linear constraints of a
 block-diagonal semidefinite program; the decision scalar lambda (when
 present) and the phi coefficients enter as free variables.
 
-Three program families share this machinery:
-
-* hierarchy step:   maximize lambda with target f over (g; h; c - f),
-* boundedness test: minimize lambda with target -(x1^2 + ... + xn^2) over the
-  same generators (finite value certifies an Archimedean module),
-* coercivity test:  maximize mu with target f_d over the single equality
-  generator x1^2 + ... + xn^2 - 1.
+What each certificate family proves -- its target, generators and the
+sign of lambda -- is defined once, by ``statement``; the hierarchy step, the
+boundedness test and the coercivity test build their programs from it, and
+``popnc verify`` checks payloads against it.
 
 Generators are rescaled to unit l1 norm before assembly for conditioning;
 extraction undoes the scaling.
@@ -167,7 +164,6 @@ class MembershipProgram:
     constraint_index: list[Monomial]
     lambda_index: int | None  # position of lambda in the free-variable vector
     family: str = "membership"
-    c: Coeff | None = None
 
     @property
     def lambda_sign(self) -> int:
@@ -248,7 +244,6 @@ def build_membership_program(
     k: int,
     direction: Direction | str = Direction.FEASIBILITY,
     family: str = "membership",
-    c: Coeff | None = None,
 ) -> SdpProblem:
     """Assemble the order-k membership SDP for ``target`` over ``gens``.
 
@@ -384,7 +379,6 @@ def build_membership_program(
         constraint_index=constraint_index,
         lambda_index=lambda_index,
         family=family,
-        c=c,
     )
     return SdpProblem(
         block_dims=solver_block_dims,
@@ -410,44 +404,85 @@ def hierarchy_generators(problem) -> GeneratorSet:
     )
 
 
-def build_hierarchy_step(problem, k: int) -> SdpProblem:
-    """Order-k lower-bound program: maximize lambda with f - lambda in M_k(g; h; c - f)."""
-    gens = hierarchy_generators(problem)
-    return build_membership_program(
-        problem.objective, gens, k, Direction.MAXIMIZE,
-        family="hierarchy", c=problem.resolved_c(),
-    )
+@dataclass(frozen=True)
+class Statement:
+    """What a certificate of one family proves: target - s * lambda lies in
+    the quadratic module of ``gens``, s being ``lambda_sign``."""
+
+    family: str
+    target: Polynomial
+    gens: GeneratorSet
+    direction: Direction
+
+    @property
+    def lambda_sign(self) -> int:
+        return _LAMBDA_SIGN[self.direction]
+
+    def min_order(self) -> int:
+        return min_order(self.gens, self.target)
+
+    def program(self, k: int) -> SdpProblem:
+        """The order-k membership program that searches for such a certificate."""
+        return build_membership_program(self.target, self.gens, k, self.direction, self.family)
 
 
-def build_archimedean_check(problem, k: int) -> SdpProblem:
-    """Order-k boundedness program: minimize lambda with lambda - |x|^2 in M_k(g; h; c - f)."""
-    gens = hierarchy_generators(problem)
-    target = -sum_of_squared_variables(problem.num_vars)
-    return build_membership_program(
-        target, gens, k, Direction.MINIMIZE,
-        family="archimedean", c=problem.resolved_c(),
-    )
+def statement(family: str, subject, psi: Polynomial | None = None) -> Statement:
+    """What certificates of ``family`` prove about ``subject``:
 
+        hierarchy     f - lambda       in M(g; h; c - f)   subject: the problem
+        archimedean   lambda - |x|^2   in M(g; h; c - f)   subject: the problem
+        coercivity    f_d - mu         in M(|x|^2 - 1)     subject: f (of a problem: its objective)
+        module        (1 + psi) f      in M(g; h)          subject: the problem; psi SOS
 
-def coercivity_min_order(f: Polynomial) -> int:
-    d = f.degree()
-    return max(1, (d + 1) // 2)
-
-
-def build_coercivity_check(f: Polynomial, k: int) -> SdpProblem:
-    """Order-k coercivity program: maximize mu with f_d - mu = sigma + phi * (|x|^2 - 1).
-
-    f must have even degree >= 2; the top homogeneous component f_d is the
-    target and the sphere polynomial enters as an equality generator with a
-    free multiplier of degree <= 2k - 2.
+    Raises ValueError for an unknown family, a module statement without psi,
+    and a coercivity subject that is zero or not of even degree >= 2.
     """
+    if family != "coercivity":
+        return bound_statement(family, subject.objective, hierarchy_generators(subject), psi)
+    f = subject if isinstance(subject, Polynomial) else subject.objective
     if f.is_zero():
         raise ValueError("coercivity test is undefined for the zero polynomial")
     d = f.degree()
     if d < 2 or d % 2 != 0:
         raise ValueError(f"coercivity requires even degree >= 2, got degree {d}")
-    theta = sum_of_squared_variables(f.num_vars) - Polynomial.constant(f.num_vars, 1)
-    gens = GeneratorSet(num_vars=f.num_vars, eq=(theta,))
-    return build_membership_program(
-        f.top_component(), gens, k, Direction.MAXIMIZE, family="coercivity",
-    )
+    n = f.num_vars
+    sphere = sum_of_squared_variables(n) - Polynomial.constant(n, 1)
+    return Statement(family, f.top_component(), GeneratorSet(num_vars=n, eq=(sphere,)),
+                     Direction.MAXIMIZE)
+
+
+def bound_statement(family: str, f: Polynomial, gens: GeneratorSet,
+                    psi: Polynomial | None = None) -> Statement:
+    """The hierarchy, archimedean and module statements of ``statement``, for
+    f and a generator set (g; h; c - f) that carries its bound generator."""
+    if family == "hierarchy":
+        return Statement(family, f, gens, Direction.MAXIMIZE)
+    if family == "archimedean":
+        return Statement(family, -sum_of_squared_variables(f.num_vars), gens, Direction.MINIMIZE)
+    if family != "module":
+        raise ValueError(f"unknown certificate family {family!r}")
+    if psi is None:
+        raise ValueError("a module certificate must carry its SOS weight psi")
+    ineq = tuple(g for j, g in enumerate(gens.ineq) if j != gens.cf_index)
+    return Statement(family, (Polynomial.constant(f.num_vars, 1) + psi) * f,
+                     GeneratorSet(num_vars=gens.num_vars, ineq=ineq, eq=gens.eq),
+                     Direction.FEASIBILITY)
+
+
+def build_hierarchy_step(problem, k: int) -> SdpProblem:
+    """Order-k lower-bound program: maximize lambda with f - lambda in M_k(g; h; c - f)."""
+    return statement("hierarchy", problem).program(k)
+
+
+def build_archimedean_check(problem, k: int) -> SdpProblem:
+    """Order-k boundedness program: minimize lambda with lambda - |x|^2 in M_k(g; h; c - f)."""
+    return statement("archimedean", problem).program(k)
+
+
+def build_coercivity_check(f: Polynomial, k: int) -> SdpProblem:
+    """Order-k coercivity program: maximize mu with f_d - mu = sigma + phi * (|x|^2 - 1).
+
+    f must have even degree >= 2; the sphere polynomial enters as an equality
+    generator with a free multiplier of degree <= 2k - 2.
+    """
+    return statement("coercivity", f).program(k)

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .builder import GeneratorSet, MembershipProgram
+from .builder import GeneratorSet, MembershipProgram, bound_statement
 from .polynomial import Coeff, Monomial, Polynomial, grlex_key, monomial_mul
 from .sdp import SdpSolution, Status
 
@@ -57,7 +57,7 @@ def _gram_float(gram: Any) -> np.ndarray:
 
 @dataclass
 class SosWeight:
-    tag: str  # "sigma0" | "ineq" | "cf"
+    tag: str  # "sigma0" | "ineq" | "cf" | "psi" (the module family's multiplier of f)
     index: int | None
     basis: list[Monomial]
     gram: Any  # square symmetric matrix; float ndarray or nested rationals
@@ -96,9 +96,12 @@ class ModuleCertificate:
         return None
 
     def reconstruct(self, gens: GeneratorSet) -> Polynomial:
-        """sigma_0 + sum sigma_j g_j + sum phi_l h_l from the stored weights."""
+        """sigma_0 + sum sigma_j g_j + sum phi_l h_l from the stored weights;
+        a psi weight is part of the target, not a module term."""
         total = Polynomial.zero(self.num_vars)
         for w in self.sos_weights:
+            if w.tag == "psi":
+                continue
             sigma = w.polynomial(self.num_vars)
             if w.tag == "sigma0":
                 total = total + sigma
@@ -245,7 +248,8 @@ def corollary_transform(
     weight psi on the c - f generator, returns (1 + psi) and a certificate of
     (1 + psi) * f over (g; h): the identity f = q + psi (c - f) rearranges to
     (1 + psi) f = q + c psi, and c psi is PSD-representable since c >= 0.
-    The output identity is verified before returning.
+    The certificate keeps psi as a weight tagged ``psi``, so that it can be
+    checked on its own.  The output identity is verified before returning.
     """
     if gens.cf_index is None:
         raise CertificateError("generator set carries no bound generator")
@@ -260,10 +264,8 @@ def corollary_transform(
     if w0 is None:
         w0 = SosWeight("sigma0", None, [tuple([0] * cert.num_vars)], [[0]])
 
-    one_plus_psi = Polynomial.constant(cert.num_vars, 1) + wcf.polynomial(cert.num_vars)
-
-    new_ineq = [g for j, g in enumerate(gens.ineq) if j != gens.cf_index]
-    new_gens = GeneratorSet(num_vars=gens.num_vars, ineq=tuple(new_ineq), eq=gens.eq)
+    psi = wcf.polynomial(cert.num_vars)
+    module = bound_statement("module", f, gens, psi)
 
     def shifted(j: int) -> int:
         return j if j < gens.cf_index else j - 1
@@ -273,8 +275,9 @@ def corollary_transform(
         if w.tag == "sigma0" or (w.tag == "cf" and w.index == gens.cf_index):
             continue
         new_weights.append(SosWeight(tag="ineq", index=shifted(w.index), basis=list(w.basis), gram=w.gram))
+    new_weights.append(SosWeight(tag="psi", index=None, basis=list(wcf.basis), gram=wcf.gram))
 
-    target = one_plus_psi * f
+    target = module.target
     out = ModuleCertificate(
         num_vars=cert.num_vars,
         order=cert.order,
@@ -284,7 +287,7 @@ def corollary_transform(
         eq_multipliers=list(cert.eq_multipliers),
         family="module",
     )
-    out.residual = (out.reconstruct(new_gens) - target).l1_norm()
+    out.residual = (out.reconstruct(module.gens) - target).l1_norm()
     bound = max(
         DEFAULT_RESIDUAL_TOL * float(1 + target.l1_norm()),
         10.0 * float(cert.residual) + 1e-12,
@@ -293,7 +296,7 @@ def corollary_transform(
         raise CertificateError(
             f"transformed identity failed verification: residual {float(out.residual):.3e}"
         )
-    return one_plus_psi, out
+    return Polynomial.constant(cert.num_vars, 1) + psi, out
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +447,7 @@ def format_certificate(cert: ModuleCertificate, digits: int = 6, drop_below: flo
     for w in cert.sos_weights:
         if w.frobenius() < drop_below:
             continue
-        name = {"sigma0": "sigma_0", "cf": "sigma[c-f]"}.get(w.tag, f"sigma[{(w.index or 0) + 1}]")
+        name = {"sigma0": "sigma_0", "cf": "sigma[c-f]", "psi": "psi"}.get(w.tag, f"sigma[{(w.index or 0) + 1}]")
         lines.append(f"{name} = {format_polynomial(rounded(w.polynomial(cert.num_vars)))}")
     for l, phi in cert.eq_multipliers:
         if float(phi.l1_norm()) < drop_below:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import driver
-from .builder import GeneratorSet, hierarchy_generators
+from .builder import statement
 from .certificates import (
     DEFAULT_RESIDUAL_TOL,
     CertificateError,
@@ -20,7 +20,6 @@ from .certificates import (
     format_certificate,
     verify_certificate,
 )
-from .polynomial import Polynomial, sum_of_squared_variables
 from .problem_io import (
     ParseError,
     PopProblem,
@@ -144,9 +143,13 @@ def _dispatch(args) -> int:
         if "certificate" in payload_in and isinstance(payload_in["certificate"], dict):
             payload_in = payload_in["certificate"]
         cert = certificate_from_payload(payload_in)
-        target, gens = _verification_context(cert, problem)
+        psi = cert.weight("psi")
+        claim = statement(cert.family, problem, None if psi is None else psi.polynomial(cert.num_vars))
+        if cert.lam != 0 and cert.lam_sign != claim.lambda_sign:
+            raise ValueError(f"lambda_sign {cert.lam_sign} contradicts the {cert.family} family, "
+                             f"whose lambda_sign is {claim.lambda_sign}")
         result = verify_certificate(
-            cert, target, gens,
+            cert, claim.target, claim.gens,
             tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
         )
         payload = {
@@ -155,7 +158,7 @@ def _dispatch(args) -> int:
             "verification": result.to_payload(),
             "certificate": cert.to_payload(),
         }
-        _emit(args, payload, [
+        _emit(args, payload, [] if args.json else [
             f"residual: {float(result.residual):.6e}",
             f"min Gram eigenvalue: {result.min_gram_eig:.3e}",
             "verification: PASS" if result.passed else "verification: FAIL",
@@ -196,21 +199,6 @@ def _run_solve_command(args) -> int:
     lines += [f"note: {note}" for note in report.notes]
     _emit(args, {"problem": problem.to_payload(), **report.to_payload()}, lines)
     return EXIT_OK if report.verdict in ("stabilized", "certified") else EXIT_INCONCLUSIVE
-
-
-def _verification_context(cert, problem: PopProblem):
-    """Rebuild the target and generator set a certificate refers to."""
-    n = problem.num_vars
-    if cert.family == "coercivity":
-        theta = sum_of_squared_variables(n) - Polynomial.constant(n, 1)
-        return problem.objective.top_component(), GeneratorSet(num_vars=n, eq=(theta,))
-    if cert.family == "archimedean":
-        return -sum_of_squared_variables(n), hierarchy_generators(problem)
-    if cert.family == "module":
-        return problem.objective, GeneratorSet(
-            num_vars=n, ineq=tuple(problem.inequalities), eq=tuple(problem.equalities)
-        )
-    return problem.objective, hierarchy_generators(problem)
 
 
 def main() -> None:

@@ -18,9 +18,7 @@ from .builder import (
     build_archimedean_check,
     build_coercivity_check,
     build_hierarchy_step,
-    coercivity_min_order,
-    hierarchy_generators,
-    min_order,
+    statement,
 )
 from .certificates import (
     DEFAULT_RESIDUAL_TOL,
@@ -29,7 +27,7 @@ from .certificates import (
     extract_certificate,
     verify_certificate,
 )
-from .polynomial import Polynomial, sum_of_squared_variables
+from .polynomial import Polynomial
 from .problem_io import PopProblem
 from .sdp import SdpProblem, SdpSolution, SolverSettings, Status, dump_sdp, solve
 
@@ -249,7 +247,7 @@ def minimize(
         caveats.append("arch-check was inconclusive; " + _ARCH_CAVEAT)
     spec = HierarchySpec(
         "minimize", lambda k: build_hierarchy_step(problem, k),
-        min_order(hierarchy_generators(problem), problem.objective), k_start, k_max,
+        statement("hierarchy", problem).min_order(), k_start, k_max,
         stab_tol=stab_tol, notes=caveats,
     )
     return run_hierarchy(spec, settings, dump_dir)
@@ -270,10 +268,9 @@ def check_archimedean(
     is one-sided: failure at every order is inconclusive, not a refutation
     (an infeasible order means rho_k = +inf there).
     """
-    target = -sum_of_squared_variables(problem.num_vars)
     spec = HierarchySpec(
         "arch-check", lambda k: build_archimedean_check(problem, k),
-        min_order(hierarchy_generators(problem), target), k_start, k_max,
+        statement("archimedean", problem).min_order(), k_start, k_max,
         certify_if=lambda value: True,
         fail_note="optimal value found but certificate failed verification", cert_tol=cert_tol,
     )
@@ -326,7 +323,7 @@ def check_coercive(
         notes.append("top form is a positive diagonal form; minimal order expected to certify")
     spec = HierarchySpec(
         "coercive-check", lambda k: build_coercivity_check(f, k),
-        coercivity_min_order(f), k_start, k_max,
+        statement("coercivity", f).min_order(), k_start, k_max,
         certify_if=lambda value: value > pos_tol,
         fail_note="positive value but certificate failed verification", cert_tol=cert_tol,
         notes=notes, subject="objective",

@@ -84,10 +84,6 @@ class Polynomial:
         mono = tuple(1 if i == index else 0 for i in range(num_vars))
         return cls(num_vars, {mono: 1})
 
-    @classmethod
-    def monomial(cls, num_vars: int, exponents: Sequence[int], coeff: Coeff = 1) -> "Polynomial":
-        return cls(num_vars, {tuple(exponents): coeff})
-
     # -- inspection ---------------------------------------------------------
 
     @property
@@ -112,9 +108,6 @@ class Polynomial:
     def l1_norm(self) -> Coeff:
         """Sum of absolute coefficient values."""
         return sum((abs(c) for c in self._terms.values()), 0)
-
-    def support(self) -> list[Monomial]:
-        return sorted(self._terms, key=grlex_key)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -295,7 +295,18 @@ class PopProblem:
             return self.c
         if self.x0 is None:
             raise ProblemFormatError("neither c nor x0 is available")
-        return self.objective.evaluate(self.x0) + self.margin
+        return self._at_x0(self.objective, "the objective") + self.margin
+
+    def _at_x0(self, p: Polynomial, name: str) -> Coeff:
+        """p(x0); an input error when it does not fit in a float."""
+        try:
+            value = p.evaluate(self.x0)
+            finite = math.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ProblemFormatError(f"x0 is out of range: {name} at x0 does not fit in a float")
+        return value
 
     def validate(self, feas_tol: float = DEFAULT_FEAS_TOL) -> None:
         n = self.num_vars
@@ -323,15 +334,14 @@ class PopProblem:
             if len(self.x0) != n:
                 raise ProblemFormatError(f"x0 has {len(self.x0)} entries, expected {n}")
             for j, g in enumerate(self.inequalities):
-                if float(g.evaluate(self.x0)) < -feas_tol:
-                    raise ProblemFormatError(
-                        f"x0 violates inequality {j + 1}: g(x0) = {float(g.evaluate(self.x0)):.6g}"
-                    )
+                value = float(self._at_x0(g, f"inequality {j + 1}"))
+                if value < -feas_tol:
+                    raise ProblemFormatError(f"x0 violates inequality {j + 1}: g(x0) = {value:.6g}")
             for l, h in enumerate(self.equalities):
-                if abs(float(h.evaluate(self.x0))) > feas_tol:
-                    raise ProblemFormatError(
-                        f"x0 violates equality {l + 1}: h(x0) = {float(h.evaluate(self.x0)):.6g}"
-                    )
+                value = float(self._at_x0(h, f"equality {l + 1}"))
+                if abs(value) > feas_tol:
+                    raise ProblemFormatError(f"x0 violates equality {l + 1}: h(x0) = {value:.6g}")
+            self.resolved_c()
 
     def to_payload(self) -> dict[str, Any]:
         return {

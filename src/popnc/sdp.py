@@ -49,7 +49,6 @@ as Unknown, never raised.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -94,7 +93,6 @@ class SdpProblem:
 class SolverSettings:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
-    eig_tol: float = 1e-9
     max_iter: int = 200
     infeas_ratio: float = 1e6
     step_frac: float = 0.98
@@ -112,16 +110,6 @@ class SdpSolution:
     iterations: int
     trace: list[dict] = field(default_factory=list)
     message: str = ""
-
-    def to_payload(self) -> dict:
-        return {
-            "status": self.status.value,
-            "obj_primal": self.obj_primal,
-            "obj_dual": self.obj_dual,
-            "residuals": self.residuals,
-            "iterations": self.iterations,
-            "message": self.message,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -882,41 +870,6 @@ def _solve_degenerate(red: _Reduced, expand_y, unscale_y) -> SdpSolution:
         residuals={"ray": 0.0}, iterations=0,
         message="objective block is indefinite with no constraints",
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-
-def condition_report(problem: SdpProblem) -> dict:
-    """Structural and scaling diagnostics of a problem: block dims, row and
-    free-variable counts, coefficient range.  No report carries them yet."""
-    lo, hi = math.inf, 0.0
-    for con in problem.constraints:
-        for mat in con.blocks.values():
-            nz = np.abs(mat[mat != 0])
-            if nz.size:
-                lo = min(lo, float(nz.min()))
-                hi = max(hi, float(nz.max()))
-        nz = np.abs(con.free[con.free != 0]) if len(con.free) else np.zeros(0)
-        if nz.size:
-            lo = min(lo, float(nz.min()))
-            hi = max(hi, float(nz.max()))
-    report = {
-        "psd_block_dims": list(problem.block_dims),
-        "num_constraints": len(problem.constraints),
-        "num_free": problem.num_free,
-        "sense": problem.sense,
-        "coeff_abs_range": None if hi == 0.0 else [lo, hi],
-        "rhs_abs_max": max((abs(c.rhs) for c in problem.constraints), default=0.0),
-    }
-    meta = problem.meta
-    if meta is not None and hasattr(meta, "eq_blocks"):
-        report["free_multiplier_dims"] = [len(eb.basis) for eb in meta.eq_blocks]
-        report["decision_scalar"] = meta.lambda_index is not None
-        report["order"] = meta.order
-    return report
 
 
 def dump_sdp(problem: SdpProblem, stream) -> None:

@@ -162,7 +162,7 @@ class TestCorollaryTransform:
     def test_machine_certificate_end_to_end(self, example31):
         gens = hierarchy_generators(example31)
         prob = build_membership_program(
-            example31.objective, gens, 2, Direction.FEASIBILITY, family="hierarchy", c=2.0
+            example31.objective, gens, 2, Direction.FEASIBILITY, family="hierarchy"
         )
         sol = solve(prob)
         assert sol.status is Status.OPTIMAL

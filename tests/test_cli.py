@@ -3,11 +3,43 @@ import os
 
 import pytest
 
+import popnc.cli
+from popnc.builder import Direction, build_membership_program, hierarchy_generators
+from popnc.certificates import certificate_to_payload, corollary_transform, extract_certificate
 from popnc.cli import cli_main
+from popnc.problem_io import parse_problem
+from popnc.sdp import solve
 
 EX31 = "vars: x1 x2\nobj: x1^2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"
 SEXTIC = "vars: x1 x2\nobj: x1^6 + x2^6 - x1^3*x2^3 + x1^4 - x2 + 1\nx0: 0 0\n"
 LINE = "vars: x\nobj: x\nc: 0\n"
+# EX31's constraints with objective x1^2 - 1, whose minimum is -1
+SHIFTED = "vars: x1 x2\nobj: x1^2 - 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 0\n"
+
+
+def _weight(tag, index, basis, gram):
+    return {"tag": tag, "index": index, "basis": basis, "gram": gram}
+
+
+def _payload(family, lam, sign, *weights):
+    return {"schema": "popnc.certificate/1", "family": family, "num_vars": 2, "order": 1,
+            "lambda": lam, "lambda_sign": sign, "residual": 0.0,
+            "sos_weights": list(weights), "eq_multipliers": []}
+
+
+# f - (-1) = x1^2 = sigma_0 for SHIFTED: a hierarchy certificate of the bound -1
+SHIFTED_CERT = _payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[1.0]]))
+
+
+def _module_cert(sigma0, w, psi=None):
+    """(1 + psi) (x1^2 + 1) = sigma0 + w x1^2 (g1 + g2) over EX31's (g1, g2), where
+    g1 + g2 = 3/4, with constant sigma0 and psi; a payload without psi when None."""
+    weights = [_weight("sigma0", None, [[0, 0]], [[sigma0]]),
+               _weight("ineq", 0, [[1, 0]], [[w]]),
+               _weight("ineq", 1, [[1, 0]], [[w]])]
+    if psi is not None:
+        weights.append(_weight("psi", None, [[0, 0]], [[psi]]))
+    return _payload("module", 0, 0, *weights)
 
 
 @pytest.fixture
@@ -119,6 +151,79 @@ class TestVerifySubcommand:
         assert tree["verdict"] in err
 
 
+class TestVerifyRoundTrip:
+    """Every certificate the tool emits passes `popnc verify` on its own payload,
+    and verify checks a payload against what its family proves."""
+
+    def _verify(self, tmp_path, payload, problem_text, *flags):
+        cert_path, problem_path = tmp_path / "cert.json", tmp_path / "problem.pop"
+        cert_path.write_text(json.dumps(payload))
+        problem_path.write_text(problem_text)
+        return cli_main(["verify", str(cert_path), str(problem_path), *flags])
+
+    def test_every_emitted_certificate_verifies(self, tmp_path, capsys):
+        verified = []
+        for command in ("minimize", "arch-check", "coercive-check"):
+            for name, text in (("ex31", EX31), ("sextic", SEXTIC)):
+                problem_path = tmp_path / f"{name}.pop"
+                problem_path.write_text(text)
+                code = cli_main([command, str(problem_path), "--json"])
+                report = json.loads(capsys.readouterr().out)
+                if report["certificate"] is None:
+                    # x1^2, EX31's top form, is not coercive in (x1, x2)
+                    assert (command, name, code) == ("coercive-check", "ex31", 2)
+                    continue
+                assert code == 0
+                code = self._verify(tmp_path, report, text)
+                assert code == 0 and "verification: PASS" in capsys.readouterr().out, (command, name)
+                verified.append((command, name))
+        assert len(verified) == 5
+
+        # the module certificate of the library's corollary transform
+        problem = parse_problem(EX31)
+        gens = hierarchy_generators(problem)
+        prob = build_membership_program(problem.objective, gens, 2, Direction.FEASIBILITY,
+                                        family="hierarchy")
+        cert = extract_certificate(solve(prob), prob.meta)
+        _, module = corollary_transform(cert, problem.objective, gens, problem.resolved_c())
+        code = self._verify(tmp_path, certificate_to_payload(module), EX31)
+        out = capsys.readouterr().out
+        assert code == 0 and "verification: PASS" in out
+        assert "psi = " in out
+
+    def test_hand_certificates(self, tmp_path, capsys):
+        assert self._verify(tmp_path, SHIFTED_CERT, SHIFTED) == 0
+        assert "lambda = -1" in capsys.readouterr().out
+        # (3/2) f = 3/2 + 2 x1^2 (g1 + g2)
+        assert self._verify(tmp_path, _module_cert("3/2", "2", psi="1/2"), EX31) == 0
+        assert "psi = 0.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("payload, problem, message", [
+        # lambda = 1 with sign -1 restates the same identity, f + 1 = x1^2, as a false bound 1
+        ({**SHIFTED_CERT, "lambda": 1.0, "lambda_sign": -1}, SHIFTED,
+         "lambda_sign -1 contradicts the hierarchy family, whose lambda_sign is 1"),
+        ({**SHIFTED_CERT, "family": "foo"}, SHIFTED, "unknown certificate family 'foo'"),
+        # x1^2 + 1 = 1 + (4/3) x1^2 (g1 + g2): valid against f, but without psi
+        (_module_cert("1", "4/3"), EX31, "a module certificate must carry its SOS weight psi"),
+    ], ids=["forged sign", "unknown family", "module without psi"])
+    def test_refused_payloads(self, tmp_path, capsys, payload, problem, message):
+        code = self._verify(tmp_path, payload, problem)
+        assert code == 3
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    def test_psi_must_be_sos(self, tmp_path, capsys):
+        # (1 - 1/2) f = 1/2 + (2/3) x1^2 (g1 + g2) holds, but psi = -1/2 is no square
+        code = self._verify(tmp_path, _module_cert("1/2", "2/3", psi="-1/2"), EX31)
+        assert code == 2 and "verification: FAIL" in capsys.readouterr().out
+
+    def test_json_verify_does_not_format(self, tmp_path, capsys, monkeypatch):
+        def unused(cert):
+            raise AssertionError("verify --json formatted the certificate")
+        monkeypatch.setattr(popnc.cli, "format_certificate", unused)
+        assert self._verify(tmp_path, SHIFTED_CERT, SHIFTED, "--json") == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"]
+
+
 class TestFlags:
     def test_dump_sdp(self, ex31_file, tmp_path, capsys):
         dump_dir = tmp_path / "dumps"
@@ -159,6 +264,15 @@ class TestFlags:
         code = cli_main(["minimize", str(path)])
         err = capsys.readouterr().err
         assert code == 3 and "objective holds a number that is not finite" in err
+
+    @pytest.mark.parametrize("command", ["parse", "minimize"])
+    def test_x0_beyond_float_range_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "p.pop"
+        path.write_text("vars: x\nobj: x^2\nx0: 1e300\n")
+        code = cli_main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "input error: x0 is out of range: the objective at x0 does not fit in a float" in err
 
     def test_k_start(self, ex31_file, capsys):
         code = cli_main(["minimize", ex31_file, "--k-start", "2", "--json"])

@@ -8,6 +8,7 @@ import pytest
 from popnc.polynomial import Polynomial
 from popnc.problem_io import (
     ParseError,
+    PopProblem,
     ProblemFormatError,
     emit_report,
     format_polynomial,
@@ -173,6 +174,23 @@ class TestParseProblem:
     def test_non_finite_number_rejected(self, doc, rational, field):
         with pytest.raises(ProblemFormatError, match=f"^{field} holds a number that is not finite"):
             parse_problem(doc, rational=rational)
+
+    @pytest.mark.parametrize("doc, rational, name", [
+        ("vars: x\nobj: x^2\nx0: 1e300\n", False, "the objective"),  # x0**2 raises OverflowError
+        ("vars: x\nobj: 1e300*x\nx0: 1e10\n", False, "the objective"),  # the product is inf
+        ("vars: x\nobj: x^2\nx0: 1e300\n", True, "the objective"),
+        ("vars: x\nobj: x\nineq: x^400 - 1\nx0: 1000\n", True, "inequality 1"),
+        ("vars: x\nobj: x\neq: x - 1000\neq: x^400 - 1\nx0: 1000\n", True, "equality 2"),
+    ])
+    def test_value_at_x0_beyond_float_range_rejected(self, doc, rational, name):
+        with pytest.raises(ProblemFormatError,
+                           match=f"^x0 is out of range: {name} at x0 does not fit in a float"):
+            parse_problem(doc, rational=rational)
+
+    def test_resolved_c_beyond_float_range_rejected(self):
+        p = PopProblem(["x"], parse_polynomial("x^2", ["x"]), x0=[1e300])
+        with pytest.raises(ProblemFormatError, match="^x0 is out of range: the objective"):
+            p.resolved_c()
 
     def test_large_finite_numbers_accepted(self):
         p = parse_problem("vars: x\nobj: 1e300*x^2\nc: 1e300\n")
