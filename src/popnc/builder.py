@@ -17,6 +17,16 @@ sign of lambda -- is defined once, by ``statement``; the hierarchy step, the
 boundedness test and the coercivity test build their programs from it, and
 ``popnc verify`` checks payloads against it.
 
+Sign symmetry: the sign flips x_i -> -x_i that leave the target and every
+generator unchanged form a group, given by a GF(2) basis (``sign_flips``).
+Averaging a certificate over that group keeps it a certificate with the same
+lambda, and the averaged one has Gram entries only between monomials of one
+parity class (``parity_classes``) and multiplier terms only of class 0.  So
+the builder emits only same-class Gram pairs, only class-0 multiplier
+coefficients and hence only class-0 rows: the moment of an omitted
+monomial is 0.  Each sigma stays one solver block over its whole kept basis.
+A program without flips is built exactly as before.
+
 Generators are rescaled to unit l1 norm before assembly for conditioning;
 extraction undoes the scaling.
 """
@@ -27,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +89,53 @@ def monomial_basis(num_vars: int, max_degree: int) -> list[Monomial]:
 
 def basis_size(num_vars: int, max_degree: int) -> int:
     return math.comb(num_vars + max_degree, num_vars)
+
+
+def _gf2_rref(vectors: Iterable[int]) -> list[int]:
+    """Reduced row echelon basis of the span of GF(2) vectors given as bit
+    masks; each basis vector's lowest bit is its pivot, set in no other."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            if v & b & -b:
+                v ^= b
+        if v:
+            low = v & -v
+            basis = [b ^ v if b & low else b for b in basis] + [v]
+    return sorted(basis, key=lambda b: b & -b)
+
+
+def sign_flips(polys: Iterable[Polynomial], num_vars: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of the sign flips x_i -> -x_i that leave every polynomial unchanged.
+
+    A flip negating the variables in S fixes a term x^a iff sum_{i in S} a_i
+    is even, so the flips are the GF(2) null space of the exponent parities.
+    Each basis flip is the tuple of the (0-based) variables it negates; the
+    basis is in reduced row echelon form, so it is unique.
+    """
+    parities = {sum((e & 1) << i for i, e in enumerate(mono)) for p in polys for mono in p.terms}
+    pivots = {r & -r: r for r in _gf2_rref(parities)}
+    null = [(1 << i) | sum(low for low, r in pivots.items() if r >> i & 1)
+            for i in range(num_vars) if (1 << i) not in pivots]
+    return tuple(tuple(i for i in range(num_vars) if s >> i & 1) for s in _gf2_rref(null))
+
+
+def parity_classes(monos: Iterable[Monomial], flips: Sequence[Sequence[int]]) -> list[int]:
+    """Parity class of each monomial: bit j is the parity of its degree in
+    the variables of flip j.  Class 0 is the flip-invariant monomials."""
+    return [sum((sum(m[i] for i in s) & 1) << j for j, s in enumerate(flips)) for m in monos]
+
+
+def _same_class_pairs(classes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Position pairs (a, b), a <= b, of one parity class; row-major when
+    there is one class."""
+    groups: dict[int, list[int]] = {}
+    for pos, c in enumerate(classes):
+        groups.setdefault(c, []).append(pos)
+    for group in groups.values():
+        for i, a in enumerate(group):
+            for b in group[i:]:
+                yield a, b
 
 
 @dataclass(frozen=True)
@@ -152,7 +210,8 @@ class EqBlock:
 class MembershipProgram:
     """Structural description of a membership program; kept alongside the
     numeric SdpProblem so that solutions can be mapped back to certificates.
-    ``gens`` is the caller's unscaled generator set."""
+    ``gens`` is the caller's unscaled generator set; ``sign_flips`` the basis
+    of the sign flips that leave the program invariant (see ``sign_flips``)."""
 
     num_vars: int
     order: int
@@ -164,6 +223,7 @@ class MembershipProgram:
     constraint_index: list[Monomial]
     lambda_index: int | None  # position of lambda in the free-variable vector
     family: str = "membership"
+    sign_flips: tuple[tuple[int, ...], ...] = ()
 
     @property
     def lambda_sign(self) -> int:
@@ -179,7 +239,7 @@ def _scaled(p: Polynomial) -> tuple[Polynomial, Coeff]:
     return p.scale(one / s), s
 
 
-def _reduce_bases(blocks: list[SosBlock], eq_blocks: list[EqBlock],
+def _reduce_bases(blocks: list[SosBlock], classes: list[list[int]], eq_blocks: list[EqBlock],
                   target: Polynomial, lambda_sign: int) -> None:
     """Drop Gram-basis monomials whose diagonal entries are forced to zero.
 
@@ -189,7 +249,8 @@ def _reduce_bases(blocks: list[SosBlock], eq_blocks: list[EqBlock],
     zero whenever the matched target coefficient is zero.  Removing them
     never changes the feasible set, and it turns several structurally
     infeasible programs into strongly infeasible SDPs that the solver can
-    classify.  Runs to a fixpoint.
+    classify.  Runs to a fixpoint.  Only same-class pairs are products
+    (``classes`` holds each block's basis classes).
     """
     free_reach: set[Monomial] = set()
     for eb in eq_blocks:
@@ -206,22 +267,21 @@ def _reduce_bases(blocks: list[SosBlock], eq_blocks: list[EqBlock],
         for bi, blk in enumerate(blocks):
             kept = blk.kept
             gen_terms = blk.generator.sorted_terms()
-            for ai_pos, ai in enumerate(kept):
-                ma = blk.basis[ai]
-                for bj in kept[ai_pos:]:
-                    mono_ab = monomial_mul(ma, blk.basis[bj])
-                    if ai == bj:
-                        acc: dict[Monomial, Coeff] = {}
-                        for delta, co in gen_terms:
-                            mono = monomial_mul(mono_ab, delta)
-                            acc[mono] = acc.get(mono, 0) + co
-                        for mono, co in acc.items():
-                            if co != 0:
-                                diag.setdefault(mono, []).append((bi, ai, float(co)))
-                    else:
-                        for delta, co in gen_terms:
-                            if co != 0:
-                                offdiag.add(monomial_mul(mono_ab, delta))
+            for a, b in _same_class_pairs([classes[bi][i] for i in kept]):
+                ai, bj = kept[a], kept[b]
+                mono_ab = monomial_mul(blk.basis[ai], blk.basis[bj])
+                if ai == bj:
+                    acc: dict[Monomial, Coeff] = {}
+                    for delta, co in gen_terms:
+                        mono = monomial_mul(mono_ab, delta)
+                        acc[mono] = acc.get(mono, 0) + co
+                    for mono, co in acc.items():
+                        if co != 0:
+                            diag.setdefault(mono, []).append((bi, ai, float(co)))
+                else:
+                    for delta, co in gen_terms:
+                        if co != 0:
+                            offdiag.add(monomial_mul(mono_ab, delta))
 
         to_drop: set[tuple[int, int]] = set()
         for mono, entries in diag.items():
@@ -247,7 +307,9 @@ def build_membership_program(
 ) -> SdpProblem:
     """Assemble the order-k membership SDP for ``target`` over ``gens``.
 
-    The returned SdpProblem carries the MembershipProgram as ``meta``.
+    The returned SdpProblem carries the MembershipProgram as ``meta``.  Its
+    rows (``meta.constraint_index``) are the class-0 monomials only when the
+    program has sign flips (see the module docstring).
     Raises ValueError when k is below the minimal well-formed order.
     """
     direction = Direction(direction)
@@ -281,16 +343,20 @@ def build_membership_program(
         )
     for blk in blocks:
         blk.kept = list(range(len(blk.basis)))
+    flips = sign_flips((target, *gens.ineq, *gens.eq), n)
+    classes = [parity_classes(blk.basis, flips) for blk in blocks]
 
     eq_blocks: list[EqBlock] = []
     for l, h in enumerate(gens.eq):
         scaled, s = _scaled(h)
         w = gens.eq_degrees[l]
-        eq_blocks.append(EqBlock(index=l, generator=scaled, scale=s,
-                                 basis=monomial_basis(n, 2 * k - w)))
+        basis = monomial_basis(n, 2 * k - w)
+        if flips:
+            basis = [m for m, c in zip(basis, parity_classes(basis, flips)) if c == 0]
+        eq_blocks.append(EqBlock(index=l, generator=scaled, scale=s, basis=basis))
 
     lam_sign = _LAMBDA_SIGN[direction]
-    _reduce_bases(blocks, eq_blocks, target, lam_sign)
+    _reduce_bases(blocks, classes, eq_blocks, target, lam_sign)
 
     num_phi = sum(len(eb.basis) for eb in eq_blocks)
     has_lambda = direction is not Direction.FEASIBILITY
@@ -313,27 +379,26 @@ def build_membership_program(
             blk.solver_block = len(solver_block_dims)
             solver_block_dims.append(len(blk.kept))
 
-    for blk in blocks:
+    for blk, cls in zip(blocks, classes):
         sb = blk.solver_block
         if sb is None:
             continue
         dim = len(blk.kept)
         kb = blk.kept_basis
         gen_terms = blk.generator.sorted_terms()
-        for a in range(dim):
-            for b in range(a, dim):
-                mono_ab = monomial_mul(kb[a], kb[b])
-                for delta, co in gen_terms:
-                    mono = monomial_mul(mono_ab, delta)
-                    mats, _ = row_for(mono)
-                    mat = mats.get(sb)
-                    if mat is None:
-                        mat = np.zeros((dim, dim))
-                        mats[sb] = mat
-                    cf = float(co)
-                    mat[a, b] += cf
-                    if a != b:
-                        mat[b, a] += cf
+        for a, b in _same_class_pairs([cls[i] for i in blk.kept]):
+            mono_ab = monomial_mul(kb[a], kb[b])
+            for delta, co in gen_terms:
+                mono = monomial_mul(mono_ab, delta)
+                mats, _ = row_for(mono)
+                mat = mats.get(sb)
+                if mat is None:
+                    mat = np.zeros((dim, dim))
+                    mats[sb] = mat
+                cf = float(co)
+                mat[a, b] += cf
+                if a != b:
+                    mat[b, a] += cf
 
     offset = 0
     for eb in eq_blocks:
@@ -379,6 +444,7 @@ def build_membership_program(
         constraint_index=constraint_index,
         lambda_index=lambda_index,
         family=family,
+        sign_flips=flips,
     )
     return SdpProblem(
         block_dims=solver_block_dims,

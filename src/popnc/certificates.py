@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .builder import GeneratorSet, MembershipProgram, bound_statement
+from .builder import GeneratorSet, MembershipProgram, bound_statement, parity_classes
 from .polynomial import Coeff, Monomial, Polynomial, grlex_key, monomial_mul
 from .sdp import SdpSolution, Status
 
@@ -76,6 +76,12 @@ class SosWeight:
         return float(np.sqrt((g * g).sum()))
 
 
+def _generator(gens: tuple[Polynomial, ...], index: int, name: str) -> Polynomial:
+    if not 0 <= index < len(gens):
+        raise ValueError(f"{name}: index {index} names no generator (there are {len(gens)})")
+    return gens[index]
+
+
 @dataclass
 class ModuleCertificate:
     """Bound plus weights witnessing membership of target - s*lambda in M_k."""
@@ -97,18 +103,19 @@ class ModuleCertificate:
 
     def reconstruct(self, gens: GeneratorSet) -> Polynomial:
         """sigma_0 + sum sigma_j g_j + sum phi_l h_l from the stored weights;
-        a psi weight is part of the target, not a module term."""
+        a psi weight is part of the target, not a module term.  Raises
+        ValueError for a weight or multiplier index that names no generator."""
         total = Polynomial.zero(self.num_vars)
-        for w in self.sos_weights:
+        for i, w in enumerate(self.sos_weights):
             if w.tag == "psi":
                 continue
             sigma = w.polynomial(self.num_vars)
             if w.tag == "sigma0":
                 total = total + sigma
             else:
-                total = total + sigma * gens.ineq[w.index]
-        for l, phi in self.eq_multipliers:
-            total = total + phi * gens.eq[l]
+                total = total + sigma * _generator(gens.ineq, w.index, f"sos weight {i} ({w.tag})")
+        for i, (l, phi) in enumerate(self.eq_multipliers):
+            total = total + phi * _generator(gens.eq, l, f"eq multiplier {i}")
         return total
 
     def expected(self, target: Polynomial) -> Polynomial:
@@ -166,8 +173,11 @@ def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> Mo
     """Map an optimal solver point back to generator-level weights.
 
     Gram entries pruned at build time are provably zero in every feasible
-    point, so they are restored as explicit zeros; generator scaling is
-    undone.  The residual is recomputed here via polynomial arithmetic.
+    point, so they are restored as explicit zeros; entries between monomials
+    of different parity classes are set to exactly 0 (averaging over the
+    program's sign flips, which keeps a PSD matrix PSD and the identity
+    intact); generator scaling is undone.  The residual is recomputed here
+    via polynomial arithmetic.
     """
     if solution.status is not Status.OPTIMAL:
         raise CertificateError(f"cannot extract a certificate from status {solution.status.value}")
@@ -181,6 +191,9 @@ def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> Mo
             sub = solution.X[blk.solver_block]
             idx = np.asarray(blk.kept, dtype=int)
             gram[np.ix_(idx, idx)] = 0.5 * (sub + sub.T)
+        if program.sign_flips:
+            cls = np.asarray(parity_classes(blk.basis, program.sign_flips))
+            gram[cls[:, None] != cls[None, :]] = 0.0
         gram /= float(blk.scale)
         weights.append(SosWeight(tag=blk.tag, index=blk.gen_index, basis=list(blk.basis), gram=gram))
 
@@ -370,12 +383,27 @@ def _num_to_payload(v: Coeff):
 
 
 def _num_from_payload(v) -> Coeff:
+    """A payload number; raises ValueError for a float that is not finite."""
     if isinstance(v, str):
         if "/" in v:
             num, den = v.split("/", 1)
             return Fraction(int(num), int(den))
         return Fraction(v)
-    return float(v)
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"{v} is not a finite number")
+    return v
+
+
+def _numbers(values, where: str) -> list[Coeff]:
+    """Payload numbers; a ValueError that names ``where`` for a bad one."""
+    try:
+        return [_num_from_payload(v) for v in values]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where} holds a bad number: {exc}") from None
+
+
+_WEIGHT_TAGS = ("sigma0", "ineq", "cf", "psi")
 
 
 def certificate_to_payload(cert: ModuleCertificate) -> dict:
@@ -411,22 +439,38 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
 
 
 def certificate_from_payload(payload: dict) -> ModuleCertificate:
+    """Read a certificate payload.  Raises ValueError, naming the weight or
+    multiplier, for an unknown tag, an ``ineq``/``cf`` weight or a
+    multiplier without an integer index, a Gram that is not square over its
+    basis, and a number that is not finite."""
     n = int(payload["num_vars"])
     weights = []
-    for w in payload["sos_weights"]:
+    for i, w in enumerate(payload["sos_weights"]):
+        tag, index = w["tag"], w["index"]
+        name = f"sos weight {i} ({tag})"
+        if tag not in _WEIGHT_TAGS:
+            raise ValueError(f"{name}: unknown tag; the tags are {', '.join(_WEIGHT_TAGS)}")
+        if tag in ("ineq", "cf") and type(index) is not int:
+            raise ValueError(f"{name}: the index must be an integer, got {index!r}")
         basis = [tuple(int(e) for e in m) for m in w["basis"]]
-        rows = [[_num_from_payload(v) for v in row] for row in w["gram"]]
+        rows = [_numbers(row, f"{name}: the gram") for row in w["gram"]]
+        if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
+            raise ValueError(f"{name}: the gram is not {len(basis)} x {len(basis)}, "
+                             f"the size of its basis")
         exact = any(isinstance(v, Fraction) for row in rows for v in row)
-        gram = rows if exact else np.array([[float(v) for v in row] for row in rows])
-        weights.append(SosWeight(tag=w["tag"], index=w["index"], basis=basis, gram=gram))
+        gram = rows if exact else np.array(rows, dtype=float)
+        weights.append(SosWeight(tag=tag, index=index, basis=basis, gram=gram))
     mults = []
-    for m in payload.get("eq_multipliers", []):
-        terms = {tuple(int(e) for e in mono): _num_from_payload(cv) for mono, cv in m["terms"]}
-        mults.append((int(m["index"]), Polynomial(n, terms)))
+    for i, m in enumerate(payload.get("eq_multipliers", [])):
+        if type(m["index"]) is not int:
+            raise ValueError(f"eq multiplier {i}: the index must be an integer, got {m['index']!r}")
+        coeffs = _numbers([cv for _, cv in m["terms"]], f"eq multiplier {i}: a term")
+        terms = {tuple(int(e) for e in mono): cv for (mono, _), cv in zip(m["terms"], coeffs)}
+        mults.append((m["index"], Polynomial(n, terms)))
     return ModuleCertificate(
         num_vars=n,
         order=int(payload["order"]),
-        lam=_num_from_payload(payload["lambda"]),
+        lam=_numbers([payload["lambda"]], "lambda")[0],
         lam_sign=int(payload["lambda_sign"]),
         sos_weights=weights,
         eq_multipliers=mults,

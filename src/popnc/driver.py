@@ -47,16 +47,25 @@ _STOP_RULE_NOTE = (
 
 @dataclass
 class OrderOutcome:
+    """One order's solve, with the size of the SDP it solved: ``sign_flips``
+    is the basis of the sign flips its program was reduced by."""
+
     order: int
     status: str
     value: float | None = None
     iterations: int = 0
     message: str = ""
+    block_dims: list[int] = field(default_factory=list)
+    rows: int = 0
+    free_vars: int = 0
+    sign_flips: list[list[int]] = field(default_factory=list)
 
     @classmethod
-    def of(cls, order: int, sol: SdpSolution) -> OrderOutcome:
+    def of(cls, order: int, sol: SdpSolution, sdp_prob: SdpProblem) -> OrderOutcome:
         value = sol.obj_primal if sol.status is Status.OPTIMAL else None
-        return cls(order, sol.status.value, value, sol.iterations, sol.message)
+        return cls(order, sol.status.value, value, sol.iterations, sol.message,
+                   list(sdp_prob.block_dims), len(sdp_prob.constraints), sdp_prob.num_free,
+                   [list(flip) for flip in sdp_prob.meta.sign_flips])
 
     @property
     def value_repr(self) -> str:
@@ -71,7 +80,8 @@ class OrderOutcome:
     def to_payload(self) -> dict:
         return {"k": self.order, "status": self.status, "value": self.value,
                 "value_repr": self.value_repr, "iterations": self.iterations,
-                "message": self.message}
+                "message": self.message, "block_dims": self.block_dims, "rows": self.rows,
+                "free_vars": self.free_vars, "sign_flips": self.sign_flips}
 
 
 # command -> {payload key: report attribute} for the keys that differ by command
@@ -195,7 +205,7 @@ def run_hierarchy(
         sdp_prob = spec.build(k)
         _maybe_dump(sdp_prob, dump_dir)
         sol = solve(sdp_prob, settings)
-        report.orders.append(OrderOutcome.of(k, sol))
+        report.orders.append(OrderOutcome.of(k, sol, sdp_prob))
         if sol.status is not Status.OPTIMAL:
             continue
         last = (k, sol, sdp_prob.meta)

@@ -14,10 +14,11 @@ from popnc.builder import (
     hierarchy_generators,
     min_order,
     monomial_basis,
+    parity_classes,
 )
 from popnc.certificates import extract_certificate
 from popnc.polynomial import Polynomial, sum_of_squared_variables
-from popnc.problem_io import parse_polynomial
+from popnc.problem_io import parse_polynomial, parse_problem
 from popnc.sdp import Status, solve
 
 V2 = ["x1", "x2"]
@@ -68,6 +69,10 @@ class TestGeneratorSet:
         assert gens.ineq[2] == Polynomial.constant(2, 2.0) - example31.objective
 
 
+# EX31 with odd terms x1 and x2 in f, which leave it no sign flip
+EX31_ASYMMETRIC = "vars: x1 x2\nobj: x1^2 + x1 + x2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"
+
+
 class TestMembershipStructure:
     def test_example31_k2_block_structure(self, example31):
         prob = build_hierarchy_step(example31, 2)
@@ -75,11 +80,21 @@ class TestMembershipStructure:
         # full Gram bases: sigma_0 over degree <= 2, the rest over degree <= 1
         assert [len(b.basis) for b in meta.blocks] == [6, 3, 3, 3]
         assert prob.block_dims == [6, 3, 3, 3]
-        assert len(prob.constraints) == 15
-        assert len(meta.constraint_index) == 15
+        # both single flips: one row per monomial of degree <= 4 with even
+        # exponents, 1, x1^2, x2^2, x1^4, x1^2 x2^2, x2^4
+        assert meta.sign_flips == ((0,), (1,))
+        assert len(prob.constraints) == 6
+        assert len(meta.constraint_index) == 6
         assert meta.eq_blocks == []
         assert prob.num_free == 1  # the decision scalar only
         assert prob.sense == "max"
+
+    def test_example31_k2_without_sign_flips(self):
+        prob = build_hierarchy_step(parse_problem(EX31_ASYMMETRIC), 2)
+        assert prob.meta.sign_flips == ()
+        assert prob.block_dims == [6, 3, 3, 3]
+        assert len(prob.constraints) == 15  # every monomial of degree <= 4
+        assert prob.num_free == 1
 
     def test_trivial_sos_program(self):
         x2 = parse_polynomial("x^2", ["x"])
@@ -100,7 +115,17 @@ class TestMembershipStructure:
         gens = GeneratorSet(num_vars=2, eq=(h,))
         target = parse_polynomial("x1^2 + x1", V2)
         prob = build_membership_program(target, gens, 1, Direction.FEASIBILITY)
-        # free multiplier of degree <= 2k - w = 1 in two variables
+        # free multiplier of degree <= 2k - w = 1 in two variables, without x2:
+        # x2 -> -x2 leaves x1^2 + x1 and x1 unchanged, so phi keeps 1 and x1
+        assert prob.meta.sign_flips == ((1,),)
+        assert [eb.basis for eb in prob.meta.eq_blocks] == [[(0, 0), (1, 0)]]
+        assert prob.num_free == 2
+
+    def test_equality_multiplier_dimension_without_sign_flips(self):
+        gens = GeneratorSet(num_vars=2, eq=(parse_polynomial("x1", V2),))
+        target = parse_polynomial("x1^2 + x1 + x2", V2)
+        prob = build_membership_program(target, gens, 1, Direction.FEASIBILITY)
+        assert prob.meta.sign_flips == ()
         assert [len(eb.basis) for eb in prob.meta.eq_blocks] == [3]
         assert prob.num_free == 3
 
@@ -126,11 +151,15 @@ class TestMembershipStructure:
             assert mono in index
         for blk in meta.blocks:
             kb = blk.kept_basis
-            for a in kb:
-                for b in kb:
+            classes = parity_classes(kb, meta.sign_flips)
+            for a, ca in zip(kb, classes):
+                for b, cb in zip(kb, classes):
+                    if ca != cb:
+                        continue
                     for delta in blk.generator.terms:
                         mono = tuple(x + y + z for x, y, z in zip(a, b, delta))
                         assert mono in index
+        assert set(parity_classes(index, meta.sign_flips)) == {0}
 
 
 class TestCoercivityProgram:
@@ -138,8 +167,23 @@ class TestCoercivityProgram:
         prob = build_coercivity_check(sextic, 3)
         meta = prob.meta
         assert prob.block_dims == [10]  # Gram basis of degree <= 3
-        assert [len(eb.basis) for eb in meta.eq_blocks] == [15]  # phi of degree <= 4
-        assert prob.num_free == 16  # phi coefficients plus the decision scalar
+        # the joint flip fixes the sextic top form and the sphere: phi and the
+        # rows keep the monomials of even degree, 1 + 3 + 5 of degree <= 4
+        # and 1 + 3 + 5 + 7 of degree <= 6
+        assert meta.sign_flips == ((0, 1),)
+        assert [len(eb.basis) for eb in meta.eq_blocks] == [9]
+        assert prob.num_free == 10  # phi coefficients plus the decision scalar
+        assert len(prob.constraints) == 16
+
+    def test_sextic_k3_sizes_without_sign_flips(self, sextic):
+        # the coercivity program of the top form plus an odd term x1^5
+        sym = build_coercivity_check(sextic, 3).meta
+        target = sym.target + parse_polynomial("x1^5", V2)
+        prob = build_membership_program(target, sym.gens, 3, Direction.MAXIMIZE)
+        assert prob.meta.sign_flips == ()
+        assert prob.block_dims == [10]
+        assert [len(eb.basis) for eb in prob.meta.eq_blocks] == [15]  # phi of degree <= 4
+        assert prob.num_free == 16
         assert len(prob.constraints) == 28
 
     def test_odd_degree_rejected(self):

@@ -211,6 +211,30 @@ class TestVerifyRoundTrip:
         assert code == 3
         assert f"input error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, message", [
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0], [0, 1]], [[1.0, 0.0]])),
+         "sos weight 0 (sigma0): the gram is not 2 x 2, the size of its basis"),
+        ({**SHIFTED_CERT, "sos_weights": SHIFTED_CERT["sos_weights"]
+          + [_weight("ineq", 3, [[0, 0]], [[0.0]])]},
+         "sos weight 1 (ineq): index 3 names no generator (there are 3)"),
+        ({**SHIFTED_CERT, "sos_weights": SHIFTED_CERT["sos_weights"]
+          + [_weight("ineq", None, [[0, 0]], [[0.0]])]},
+         "sos weight 1 (ineq): the index must be an integer, got None"),
+        ({**SHIFTED_CERT, "sos_weights": SHIFTED_CERT["sos_weights"]
+          + [_weight("foo", None, [[0, 0]], [[0.0]])]},
+         "sos weight 1 (foo): unknown tag; the tags are sigma0, ineq, cf, psi"),
+        ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 0], 0.0]]}]},
+         "eq multiplier 0: index 0 names no generator (there are 0)"),
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[float("nan")]])),
+         "sos weight 0 (sigma0): the gram holds a bad number: nan is not a finite number"),
+    ], ids=["short gram", "index past the generators", "null index", "unknown tag",
+            "multiplier without equalities", "nan gram entry"])
+    def test_malformed_payloads(self, tmp_path, capsys, payload, message):
+        code = self._verify(tmp_path, payload, SHIFTED)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"input error: {message}" in err and "Traceback" not in err
+
     def test_psi_must_be_sos(self, tmp_path, capsys):
         # (1 - 1/2) f = 1/2 + (2/3) x1^2 (g1 + g2) holds, but psi = -1/2 is no square
         code = self._verify(tmp_path, _module_cert("1/2", "2/3", psi="-1/2"), EX31)

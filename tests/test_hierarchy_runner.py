@@ -81,6 +81,26 @@ class TestOrderRecord:
                 assert rec["iterations"] > 0
 
 
+class TestOrderSizes:
+    def test_reduced_sizes_are_reported(self, tmp_path, capsys):
+        _, tree = _cli_json(tmp_path, capsys, SEXTIC, "coercive-check", "--k-max", "3")
+        rec = tree["orders"][0]
+        # the joint flip: the even-degree rows of degree <= 6, and 9 multiplier
+        # coefficients plus the decision scalar
+        assert (rec["block_dims"], rec["rows"], rec["free_vars"], rec["sign_flips"]) == \
+            ([10], 16, 10, [[0, 1]])
+        # EX31 is even in each variable: 1, x1^2, x2^2 at k = 1
+        _, tree = _cli_json(tmp_path, capsys, EX31, "minimize", "--k-max", "2")
+        assert [(r["rows"], r["free_vars"], r["sign_flips"]) for r in tree["orders"]] == \
+            [(3, 1, [[0], [1]]), (6, 1, [[0], [1]])]
+
+    def test_unreduced_sizes_are_reported(self, tmp_path, capsys):
+        _, tree = _cli_json(tmp_path, capsys, SEXTIC, "minimize", "--k-max", "3")
+        rec = tree["orders"][0]
+        assert (rec["k"], rec["block_dims"], rec["rows"], rec["free_vars"], rec["sign_flips"]) == \
+            (3, [10, 1], 28, 1, [])
+
+
 def _canned(statuses_values):
     """A stand-in for solve: the program built at order k 'solves' to the
     k-th canned (status, value)."""
@@ -116,10 +136,12 @@ OPT, UNK, INF = Status.OPTIMAL, Status.UNKNOWN, Status.PRIMAL_INFEASIBLE
 
 class _Meta:
     target = gens = None
+    sign_flips = ()
 
 
 class _Built(int):
     meta = _Meta()
+    block_dims, constraints, num_free = [1], [], 0
 
 
 def _spec(**kw):

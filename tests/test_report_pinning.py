@@ -13,6 +13,18 @@ what they prove, `popnc verify` passing on the emitted payload, and only
 their shapes are pinned.  Every other number matches to 1e-6 relative or
 1e-7 absolute; text matches exactly.  Payloads may gain per-order keys, not
 lose any; the top-level key set is fixed.
+
+The equality multipliers are not fixed by the problem either.  The pins
+were recorded from programs built without sign-symmetry reduction; for the
+sextic's coercivity test the last IPM step there solved a Schur system of
+condition number about 2e17, and the reduced program (condition 4e8) ends
+at another point of the optimal face, with the same bound but multiplier
+terms up to 1.5e-3 apart.  So in the emitted payload a multiplier's terms
+are checked by verification, and only its support is pinned: it may lack a
+pinned term (the reduction omits the terms a sign flip forces to 0), never
+gain one.  Built with the reduction switched off, the payloads are those
+of the pinned programs, and there every multiplier term matches its pin,
+compared as a map in which a missing term reads 0.
 """
 
 import io
@@ -24,7 +36,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from popnc import driver
+from popnc import builder, driver
 from popnc.cli import cli_main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -53,6 +65,16 @@ def _same_text(got: str, want: str, skip_numbers: int = 0) -> bool:
     return all(_close(float(a), float(b)) for a, b in nums)
 
 
+def _compare_terms(got, want, path: str) -> None:
+    """A polynomial's [[exponents, coefficient], ...] list, compared as a map
+    from monomial to coefficient in which a missing term reads 0."""
+    g = {tuple(mono): c for mono, c in got}
+    w = {tuple(mono): c for mono, c in want}
+    for mono in g.keys() | w.keys():
+        a, b = g.get(mono, 0.0), w.get(mono, 0.0)
+        assert _close(a, b), (path, mono, a, b)
+
+
 def _compare(got, want, path: str, order_record: bool = False) -> None:
     if isinstance(want, dict):
         assert isinstance(got, dict), path
@@ -63,6 +85,9 @@ def _compare(got, want, path: str, order_record: bool = False) -> None:
         for key, value in want.items():
             if key == "gram":  # checked by verification, see the module docstring
                 assert [len(row) for row in got[key]] == [len(row) for row in value], path
+                continue
+            if key == "terms":  # a multiplier: checked by verification, see the module docstring
+                assert {tuple(m) for m, _ in got[key]} <= {tuple(m) for m, _ in value}, path
                 continue
             _compare(got[key], value, f"{path}.{key}", order_record=key == "orders")
     elif isinstance(want, list):
@@ -126,6 +151,57 @@ def test_json_payload_refuses_corrupted_gram(corrupt, tmp_path):
     gram[0][0] = corrupt(gram[0][0])
     with pytest.raises(AssertionError, match="the certificate does not verify"):
         _check_payload(got, case, tmp_path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda terms: terms[0].__setitem__(1, terms[0][1] + 1e-3),
+    lambda terms: terms.append([[5, 0], 0.0]),
+], ids=["term moved by 1e-3", "term outside the pinned support"])
+def test_json_payload_refuses_corrupted_multiplier(corrupt, tmp_path):
+    case = "coercive-check sextic"
+    _, out = _run(tmp_path, case, json_out=True)
+    got = json.loads(out)
+    _check_payload(got, case, tmp_path)
+    corrupt(got["certificate"]["eq_multipliers"][0]["terms"])
+    with pytest.raises(AssertionError):
+        _check_payload(got, case, tmp_path)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_json_payload_without_sign_flips(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(builder, "sign_flips", lambda polys, num_vars: ())
+    code, out = _run(tmp_path, case, json_out=True)
+    assert code == PINNED[case]["exit"]
+    got = json.loads(out)
+    _check_payload(got, case, tmp_path)
+    want = PINNED[case]["json"]["certificate"]
+    if want is not None:
+        for i, (a, b) in enumerate(zip(got["certificate"]["eq_multipliers"], want["eq_multipliers"])):
+            _compare_terms(a["terms"], b["terms"], f"{case}.eq_multipliers[{i}]")
+
+
+SEXTIC_PHI = PINNED["coercive-check sextic"]["json"]["certificate"]["eq_multipliers"][0]["terms"]
+
+
+def _moved(terms, mono, by):
+    return [[m, c + by if m == mono else c] for m, c in terms]
+
+
+@pytest.mark.parametrize("got, want, passes", [
+    # the sextic's coercivity multiplier without its odd terms (|v| <= 2.5e-8)
+    ([[m, c] for m, c in SEXTIC_PHI if sum(m) % 2 == 0], SEXTIC_PHI, True),
+    (_moved(SEXTIC_PHI, [1, 1], 2e-7), SEXTIC_PHI, False),
+    (_moved(SEXTIC_PHI, [1, 0], 2e-7), SEXTIC_PHI, False),
+    ([[m, c] for m, c in SEXTIC_PHI if m != [1, 0]], _moved(SEXTIC_PHI, [1, 0], 2e-7), False),
+    (_moved(SEXTIC_PHI, [1, 0], 2e-7), [[m, c] for m, c in SEXTIC_PHI if m != [1, 0]], False),
+], ids=["odd terms absent", "term moved by 2e-7", "small term moved by 2e-7",
+        "absent term pinned off by 2e-7", "extra term off by 2e-7"])
+def test_polynomial_terms_compare_as_a_map(got, want, passes):
+    if passes:
+        _compare_terms(got, want, "terms")
+    else:
+        with pytest.raises(AssertionError):
+            _compare_terms(got, want, "terms")
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -7,7 +7,13 @@ import pytest
 from sdp_cases import build_cases
 
 from popnc import sdp
-from popnc.builder import build_coercivity_check, build_hierarchy_step
+from popnc.builder import (
+    Direction,
+    build_coercivity_check,
+    build_hierarchy_step,
+    build_membership_program,
+)
+from popnc.problem_io import parse_polynomial, parse_problem
 from popnc.sdp import (
     LinearConstraint,
     SdpProblem,
@@ -237,10 +243,29 @@ class TestBuiltSizes:
     def test_example31_k2(self, example31):
         prob = build_hierarchy_step(example31, 2)
         assert prob.block_dims == [6, 3, 3, 3]
+        # EX31 is even in x1 and in x2: the rows are the 6 monomials of
+        # degree <= 4 with even exponents
+        assert len(prob.constraints) == 6
+
+    def test_example31_k2_with_odd_terms(self):
+        prob = build_hierarchy_step(parse_problem(
+            "vars: x1 x2\nobj: x1^2 + x1 + x2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"), 2)
+        assert prob.block_dims == [6, 3, 3, 3]
         assert len(prob.constraints) == 15
 
     def test_coercivity_k3(self, sextic):
         prob = build_coercivity_check(sextic, 3)
+        assert prob.block_dims == [10]
+        # the joint flip keeps the even-degree monomials: 9 multiplier
+        # coefficients of degree <= 4 and the decision scalar; 16 rows of degree <= 6
+        assert prob.num_free == 10
+        assert prob.meta.lambda_index is not None
+        assert len(prob.constraints) == 16
+
+    def test_coercivity_k3_with_odd_term(self, sextic):
+        sym = build_coercivity_check(sextic, 3).meta
+        prob = build_membership_program(sym.target + parse_polynomial("x1^5", ["x1", "x2"]),
+                                        sym.gens, 3, Direction.MAXIMIZE)
         assert prob.block_dims == [10]
         assert prob.num_free == 16  # 15 multiplier coefficients and the decision scalar
         assert prob.meta.lambda_index is not None
