@@ -351,8 +351,7 @@ def build_membership_program(
         scaled, s = _scaled(h)
         w = gens.eq_degrees[l]
         basis = monomial_basis(n, 2 * k - w)
-        if flips:
-            basis = [m for m, c in zip(basis, parity_classes(basis, flips)) if c == 0]
+        basis = [m for m, c in zip(basis, parity_classes(basis, flips)) if c == 0]
         eq_blocks.append(EqBlock(index=l, generator=scaled, scale=s, basis=basis))
 
     lam_sign = _LAMBDA_SIGN[direction]

@@ -191,9 +191,8 @@ def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> Mo
             sub = solution.X[blk.solver_block]
             idx = np.asarray(blk.kept, dtype=int)
             gram[np.ix_(idx, idx)] = 0.5 * (sub + sub.T)
-        if program.sign_flips:
-            cls = np.asarray(parity_classes(blk.basis, program.sign_flips))
-            gram[cls[:, None] != cls[None, :]] = 0.0
+        cls = np.asarray(parity_classes(blk.basis, program.sign_flips))
+        gram[cls[:, None] != cls[None, :]] = 0.0
         gram /= float(blk.scale)
         weights.append(SosWeight(tag=blk.tag, index=blk.gen_index, basis=list(blk.basis), gram=gram))
 
@@ -395,14 +394,6 @@ def _num_from_payload(v) -> Coeff:
     return v
 
 
-def _numbers(values, where: str) -> list[Coeff]:
-    """Payload numbers; a ValueError that names ``where`` for a bad one."""
-    try:
-        return [_num_from_payload(v) for v in values]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where} holds a bad number: {exc}") from None
-
-
 _WEIGHT_TAGS = ("sigma0", "ineq", "cf", "psi")
 
 
@@ -439,42 +430,54 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
 
 
 def certificate_from_payload(payload: dict) -> ModuleCertificate:
-    """Read a certificate payload.  Raises ValueError, naming the weight or
-    multiplier, for an unknown tag, an ``ineq``/``cf`` weight or a
-    multiplier without an integer index, a Gram that is not square over its
-    basis, and a number that is not finite."""
-    n = int(payload["num_vars"])
-    weights = []
-    for i, w in enumerate(payload["sos_weights"]):
-        tag, index = w["tag"], w["index"]
-        name = f"sos weight {i} ({tag})"
-        if tag not in _WEIGHT_TAGS:
-            raise ValueError(f"{name}: unknown tag; the tags are {', '.join(_WEIGHT_TAGS)}")
-        if tag in ("ineq", "cf") and type(index) is not int:
-            raise ValueError(f"{name}: the index must be an integer, got {index!r}")
-        basis = [tuple(int(e) for e in m) for m in w["basis"]]
-        rows = [_numbers(row, f"{name}: the gram") for row in w["gram"]]
-        if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
-            raise ValueError(f"{name}: the gram is not {len(basis)} x {len(basis)}, "
-                             f"the size of its basis")
-        exact = any(isinstance(v, Fraction) for row in rows for v in row)
-        gram = rows if exact else np.array(rows, dtype=float)
-        weights.append(SosWeight(tag=tag, index=index, basis=basis, gram=gram))
-    mults = []
-    for i, m in enumerate(payload.get("eq_multipliers", [])):
-        if type(m["index"]) is not int:
-            raise ValueError(f"eq multiplier {i}: the index must be an integer, got {m['index']!r}")
-        coeffs = _numbers([cv for _, cv in m["terms"]], f"eq multiplier {i}: a term")
-        terms = {tuple(int(e) for e in mono): cv for (mono, _), cv in zip(m["terms"], coeffs)}
-        mults.append((m["index"], Polynomial(n, terms)))
+    """Read a certificate payload.  Raises ValueError, naming the field,
+    weight or multiplier at fault, for an unknown tag, an ``ineq``/``cf``
+    weight or a multiplier without an integer index, a Gram that is not
+    square over its basis, a number that is not finite, and a value of the
+    wrong kind (a null, a list or an object where a number, an integer, an
+    exponent vector, a weight or a term belongs)."""
+    where = "num_vars, order or lambda_sign"
+    try:
+        n, order, lam_sign = (int(payload[key]) for key in ("num_vars", "order", "lambda_sign"))
+        where = "lambda"
+        lam = _num_from_payload(payload["lambda"])
+        weights = []
+        for i, w in enumerate(payload["sos_weights"]):
+            where = f"sos weight {i}"
+            tag, index = w["tag"], w["index"]
+            where = f"sos weight {i} ({tag})"
+            if tag not in _WEIGHT_TAGS:
+                raise ValueError(f"unknown tag; the tags are {', '.join(_WEIGHT_TAGS)}")
+            if tag in ("ineq", "cf") and type(index) is not int:
+                raise ValueError(f"the index must be an integer, got {index!r}")
+            where = f"sos weight {i} ({tag}), its basis"
+            basis = [tuple(int(e) for e in m) for m in w["basis"]]
+            where = f"sos weight {i} ({tag}), its gram"
+            rows = [[_num_from_payload(v) for v in row] for row in w["gram"]]
+            if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
+                raise ValueError(f"not {len(basis)} x {len(basis)}, the size of its basis")
+            exact = any(isinstance(v, Fraction) for row in rows for v in row)
+            gram = rows if exact else np.array(rows, dtype=float)
+            weights.append(SosWeight(tag=tag, index=index, basis=basis, gram=gram))
+        mults = []
+        for i, m in enumerate(payload.get("eq_multipliers", [])):
+            where = f"eq multiplier {i}"
+            if type(m["index"]) is not int:
+                raise ValueError(f"the index must be an integer, got {m['index']!r}")
+            terms = {tuple(int(e) for e in mono): _num_from_payload(cv) for mono, cv in m["terms"]}
+            mults.append((m["index"], Polynomial(n, terms)))
+        where = "residual"
+        residual = float(payload.get("residual", 0.0))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
     return ModuleCertificate(
         num_vars=n,
-        order=int(payload["order"]),
-        lam=_numbers([payload["lambda"]], "lambda")[0],
-        lam_sign=int(payload["lambda_sign"]),
+        order=order,
+        lam=lam,
+        lam_sign=lam_sign,
         sos_weights=weights,
         eq_multipliers=mults,
-        residual=float(payload.get("residual", 0.0)),
+        residual=residual,
         family=payload.get("family", "membership"),
     )
 

@@ -213,7 +213,7 @@ class TestVerifyRoundTrip:
 
     @pytest.mark.parametrize("payload, message", [
         (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0], [0, 1]], [[1.0, 0.0]])),
-         "sos weight 0 (sigma0): the gram is not 2 x 2, the size of its basis"),
+         "sos weight 0 (sigma0), its gram: not 2 x 2, the size of its basis"),
         ({**SHIFTED_CERT, "sos_weights": SHIFTED_CERT["sos_weights"]
           + [_weight("ineq", 3, [[0, 0]], [[0.0]])]},
          "sos weight 1 (ineq): index 3 names no generator (there are 3)"),
@@ -226,9 +226,24 @@ class TestVerifyRoundTrip:
         ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 0], 0.0]]}]},
          "eq multiplier 0: index 0 names no generator (there are 0)"),
         (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[float("nan")]])),
-         "sos weight 0 (sigma0): the gram holds a bad number: nan is not a finite number"),
+         "sos weight 0 (sigma0), its gram: nan is not a finite number"),
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[None]])),
+         "sos weight 0 (sigma0), its gram: float() argument"),
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, None]], [[1.0]])),
+         "sos weight 0 (sigma0), its basis: int() argument"),
+        ({**SHIFTED_CERT, "lambda": [1.0]}, "lambda: float() argument"),
+        ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 0], {}]]}]},
+         "eq multiplier 0: float() argument"),
+        ({**SHIFTED_CERT, "order": None},
+         "num_vars, order or lambda_sign: int() argument"),
+        ({**SHIFTED_CERT, "sos_weights": SHIFTED_CERT["sos_weights"] + [None]},
+         "sos weight 1: 'NoneType' object is not subscriptable"),
+        ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [None]}]},
+         "eq multiplier 0: cannot unpack non-iterable NoneType object"),
     ], ids=["short gram", "index past the generators", "null index", "unknown tag",
-            "multiplier without equalities", "nan gram entry"])
+            "multiplier without equalities", "nan gram entry", "null gram entry",
+            "null basis exponent", "list lambda", "object multiplier coefficient", "null order",
+            "null weight", "null multiplier term"])
     def test_malformed_payloads(self, tmp_path, capsys, payload, message):
         code = self._verify(tmp_path, payload, SHIFTED)
         err = capsys.readouterr().err
