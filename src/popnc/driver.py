@@ -29,7 +29,7 @@ from .certificates import (
 )
 from .polynomial import Polynomial
 from .problem_io import PopProblem
-from .sdp import SdpProblem, SdpSolution, SolverSettings, Status, dump_sdp, solve
+from .sdp import SdpProblem, SdpSolution, Status, dump_sdp, solve
 
 DEFAULT_K_MAX = 6
 DEFAULT_STAB_TOL = 1e-6
@@ -185,7 +185,6 @@ def _certify(sol: SdpSolution, program, tol: float) -> tuple[ModuleCertificate, 
 
 def run_hierarchy(
     spec: HierarchySpec,
-    settings: SolverSettings | None = None,
     dump_dir: str | None = None,
 ) -> HierarchyReport:
     """Solve the spec's programs for k = max(k_min, k_start)..k_max.
@@ -204,7 +203,7 @@ def run_hierarchy(
     for k in range(k0, spec.k_max + 1):
         sdp_prob = spec.build(k)
         _maybe_dump(sdp_prob, dump_dir)
-        sol = solve(sdp_prob, settings)
+        sol = solve(sdp_prob)
         report.orders.append(OrderOutcome.of(k, sol, sdp_prob))
         if sol.status is not Status.OPTIMAL:
             continue
@@ -241,7 +240,6 @@ def minimize(
     k_start: int | None = None,
     k_max: int = DEFAULT_K_MAX,
     stab_tol: float = DEFAULT_STAB_TOL,
-    settings: SolverSettings | None = None,
     arch_report: HierarchyReport | None = None,
     dump_dir: str | None = None,
 ) -> HierarchyReport:
@@ -260,13 +258,12 @@ def minimize(
         statement("hierarchy", problem).min_order(), k_start, k_max,
         stab_tol=stab_tol, notes=caveats,
     )
-    return run_hierarchy(spec, settings, dump_dir)
+    return run_hierarchy(spec, dump_dir)
 
 
 def check_archimedean(
     problem: PopProblem,
     k_max: int = DEFAULT_K_MAX,
-    settings: SolverSettings | None = None,
     cert_tol: float = DEFAULT_RESIDUAL_TOL,
     dump_dir: str | None = None,
     k_start: int | None = None,
@@ -284,7 +281,7 @@ def check_archimedean(
         certify_if=lambda value: True,
         fail_note="optimal value found but certificate failed verification", cert_tol=cert_tol,
     )
-    return run_hierarchy(spec, settings, dump_dir)
+    return run_hierarchy(spec, dump_dir)
 
 
 def _diagonal_top_form(f: Polynomial) -> bool:
@@ -310,7 +307,6 @@ def check_coercive(
     f: Polynomial,
     k_max: int = DEFAULT_K_MAX,
     pos_tol: float = DEFAULT_POS_TOL,
-    settings: SolverSettings | None = None,
     cert_tol: float = DEFAULT_RESIDUAL_TOL,
     dump_dir: str | None = None,
     k_start: int | None = None,
@@ -338,7 +334,7 @@ def check_coercive(
         fail_note="positive value but certificate failed verification", cert_tol=cert_tol,
         notes=notes, subject="objective",
     )
-    return run_hierarchy(spec, settings, dump_dir)
+    return run_hierarchy(spec, dump_dir)
 
 
 def check_archimedean_sufficient(
@@ -348,7 +344,6 @@ def check_archimedean_sufficient(
     h_multipliers: Sequence[float] | None = None,
     k_max: int = DEFAULT_K_MAX,
     pos_tol: float = DEFAULT_POS_TOL,
-    settings: SolverSettings | None = None,
 ) -> HierarchyReport:
     """Sufficient Archimedean test via a user-supplied multiplier combination.
 
@@ -374,7 +369,7 @@ def check_archimedean_sufficient(
 
     if combo.is_zero():
         return _not_applicable("multiplier combination is the zero polynomial", "combination")
-    report = check_coercive(combo, k_max=k_max, pos_tol=pos_tol, settings=settings)
+    report = check_coercive(combo, k_max=k_max, pos_tol=pos_tol)
     report.subject = "combination"
     report.notes.append(
         "certified coercivity of the combination implies the Archimedean property "

@@ -11,14 +11,16 @@ block keeps its constraint coefficients sparse, as row, position and value
 arrays; no (p, d, d) tensor is formed for a block stored that way.  Problems
 are checked as they are converted, reading each matrix once.
 
-Free variables are eliminated in a presolve step by an SVD of B restricted
-to the rows where B is nonzero.  Rows outside that support pass through
-unchanged; the rows on it are replaced by a basis U2 of the orthogonal
-complement of range(B) there, which is never multiplied into A: the IPM
-applies U2 to vectors and forms its Schur matrix as U2' M U2 on those rows.
-A program whose only free variable sits in one row just loses that row.
-After elimination, rows left without coefficients are dropped when their
-right-hand side is zero and answer with a Farkas ray when it is not.
+One presolve step makes the problem pure-PSD.  It eliminates the free
+variables by an SVD of B restricted to the rows where B is nonzero.  Rows
+outside that support pass through unchanged; the rows on it are replaced by
+a basis U2 of the orthogonal complement of range(B) there, which is never
+multiplied into A: the IPM applies U2 to vectors and forms its Schur matrix
+as U2' M U2 on those rows.  A program whose only free variable sits in one
+row just loses that row.  The presolve then scales each constraint to unit
+norm, drops the constraints left without coefficients when their right-hand
+side is zero and answers with a Farkas ray when it is not, and maps the
+IPM's duals back to the caller's rows once.
 
 The reduced pure-PSD problem is then solved by a primal-dual path-following
 interior-point method on the homogeneous self-dual embedding
@@ -40,7 +42,7 @@ factorization and blocked triangular substitution.
 
 Classification follows the embedding: tau bounded away from kappa yields an
 optimal solution; tau -> 0 with kappa > 0 (ratio threshold
-``infeas_ratio``) yields an infeasibility certificate, which is checked
+``_INFEAS_RATIO``) yields an infeasibility certificate, which is checked
 explicitly before either PrimalInfeasible (Farkas ray y with A'(y) <= 0,
 b'y > 0) or DualInfeasible (improving ray X with A(X) = 0, <C,X> < 0) is
 declared.  Anything else, including hitting the iteration limit, is reported
@@ -94,8 +96,6 @@ class SolverSettings:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    infeas_ratio: float = 1e6
-    step_frac: float = 0.98
 
 
 @dataclass
@@ -125,6 +125,11 @@ class SdpSolution:
 # d = 35, 210 rows: low-rank 2.6 ms, dense 5.1 ms; d = 7, 924 rows: low-rank
 # 9 ms, dense 3 ms; d = 84, 924 rows: low-rank 25-30 ms, dense 340-450 ms.
 _SPARSE_ROW_COST = 2e5
+
+# An infeasibility certificate is tried once kappa / tau reaches _INFEAS_RATIO;
+# each step goes _STEP_FRAC of the way to the boundary of the cones.
+_INFEAS_RATIO = 1e6
+_STEP_FRAC = 0.98
 
 # Block size of the triangular solves.  Up to 64 unknowns a single LAPACK
 # solve is as fast; at 924 unknowns a forward and back substitution take
@@ -421,18 +426,18 @@ def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSol
 
 
 def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
-    p = len(data.b)
-    q = data.B.shape[1]
+    """Presolve, then the interior-point loop; duals are mapped back once."""
+    p, q = data.B.shape
     dims = data.dims
 
     # -- eliminate free variables -----------------------------------------
     # Only the rows where B is nonzero take part: the others pass through.
     on_support = np.any(data.B != 0, axis=1)
     supp, rest = np.flatnonzero(on_support), np.flatnonzero(~on_support)
-    U, sig, Vt = np.linalg.svd(data.B[supp], full_matrices=True)
+    Q, sig, Vt = np.linalg.svd(data.B[supp], full_matrices=True)
     tol = max(data.B.shape) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
     r = int(np.sum(sig > max(tol, 1e-13)))
-    U1, U2 = U[:, :r], U[:, r:]
+    U1, U2 = Q[:, :r], Q[:, r:]
     V1 = Vt[:r].T
     V2 = Vt[r:].T
     c_null = V2.T @ data.c if V2.size else np.zeros(0)
@@ -464,57 +469,81 @@ def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
     w = np.zeros(p)
     if r:
         w[supp] = U1 @ ((V1.T @ data.c) / sig[:r])
-    if U2.shape[1]:
-        order, Umap = np.concatenate((rest, supp)), U2
-    else:
-        order, Umap = rest, None
-    reduced = _Reduced(
-        dims,
-        [blk.select(order) for blk in data.A] if q else data.A,
-        rest.size,
-        Umap,
-        np.concatenate((data.b[rest], U2.T @ data.b[supp])),
-        [Cb - Wb for Cb, Wb in zip(data.C, (blk.adjoint(w) for blk in data.A))] if r else data.C,
-        data.offset + float(w @ data.b),
-    )
 
-    def recover_u(res: np.ndarray) -> np.ndarray:
-        """The free variables u with B u = res on range(B)."""
-        return V1 @ ((U1.T @ res[supp]) / sig[:r]) if r else np.zeros(q)
+    k = rest.size
+    U = U2 if U2.shape[1] else None
+    order = rest if U is None else np.concatenate((rest, supp))
+    n = order.size
+    A = [blk.select(order) for blk in data.A] if q else data.A
+    b = np.concatenate((data.b[rest], U2.T @ data.b[supp]))
+    C = [Cb - Wb for Cb, Wb in zip(data.C, (blk.adjoint(w) for blk in data.A))] if r else data.C
 
-    def recover_y(y_red: np.ndarray, with_w: bool) -> np.ndarray:
+    # -- scale each constraint to unit norm, for conditioning -------------
+    # The data rows on the support of B keep their scale: U carries it.
+    sq, absmax = np.zeros(n), np.zeros(n)
+    for blk in A:
+        sq += blk.row_sqnorm()
+        absmax = np.maximum(absmax, blk.row_absmax())
+    fro2, amax = sq[:k], absmax[:k]
+    rn = _row_norms(fro2, b[:k])
+    A = [blk.scaled(np.concatenate((rn, np.ones(n - k)))) for blk in A]
+    for blk in A:
+        blk.prepare()
+    if U is not None:
+        fro2_u, amax_u = _combination_norms(A, dims, k, U, b[k:], sq[k:])
+        rn = np.concatenate((rn, _row_norms(fro2_u, b[k:])))
+        fro2, amax = np.concatenate((fro2, fro2_u)), np.concatenate((amax, amax_u))
+
+    def to_rows(z: np.ndarray) -> np.ndarray:
+        """Weights z of the constraints before the screen as weights of the caller's rows."""
+        z = z / rn
         y = np.zeros(p)
-        y[rest] = y_red[:rest.size]
-        y[supp] = U2 @ y_red[rest.size:]
-        return y + w if with_w else y
+        y[rest] = z[:k]
+        y[supp] = U2 @ z[k:]
+        return y
 
-    inner = _solve_reduced(reduced, st)
+    # -- screen out constraints without coefficients ----------------------
+    keep = amax / rn > 1e-14
+    if not keep.all():
+        # a row without coefficients reads 0 = rhs: its rhs is weighed
+        # against the others before normalization, which would make it +-1
+        # whatever its size
+        inconsistent = np.flatnonzero(~keep & (np.abs(b) > 1e-10 * (1.0 + float(np.abs(b).max()))))
+        if inconsistent.size:
+            z = np.zeros(b.size)
+            z[inconsistent[0]] = np.sign(b[inconsistent[0]])
+            return SdpSolution(
+                status=Status.PRIMAL_INFEASIBLE,
+                X=[np.zeros((d, d)) for d in dims], free=np.zeros(q), y=to_rows(z),
+                obj_primal=float("nan"), obj_dual=float("nan"),
+                residuals={"farkas": 0.0}, iterations=0,
+                message="reduced constraints are inconsistent",
+            )
+        A = [blk.select(np.concatenate((np.flatnonzero(keep[:k]), np.arange(k, n)))) for blk in A]
+        for blk in A:
+            blk.prepare()
+        if U is not None:
+            U = U[:, keep[k:]]
+    nk = int(keep[:k].sum())
+    red = _Reduced(dims, A, nk, None if U is None else U / rn[keep][nk:], (b / rn)[keep], C,
+                   data.offset + float(w @ data.b))
+    Anorm = max(1.0, float((np.sqrt(fro2[keep]) / rn[keep]).max(initial=0.0)))
 
-    X = inner.X
-    if inner.status is Status.OPTIMAL:
-        u = recover_u(data.b - data.apply(X))
-        y = recover_y(inner.y, with_w=True)
-    elif inner.status is Status.DUAL_INFEASIBLE:
-        u = recover_u(-data.apply(X))
-        y = np.zeros(p)
-    else:
-        u = np.zeros(q)
-        y = recover_y(inner.y, with_w=False)
-
-    pobj = _inner_blocks(data.C, X) + float(data.c @ u) + data.offset if inner.status is Status.OPTIMAL else inner.obj_primal
-    dobj = float(data.b @ y) + data.offset if inner.status is Status.OPTIMAL else inner.obj_dual
-    return SdpSolution(
-        status=inner.status,
-        X=X,
-        free=u,
-        y=y,
-        obj_primal=pobj,
-        obj_dual=dobj,
-        residuals=inner.residuals,
-        iterations=inner.iterations,
-        trace=inner.trace,
-        message=inner.message,
-    )
+    sol = _solve_reduced(red, Anorm, st) if red.b.size else _solve_degenerate(red)
+    z = np.zeros(b.size)
+    z[keep] = sol.y
+    sol.free, sol.y = np.zeros(q), to_rows(z)
+    if r and sol.status in (Status.OPTIMAL, Status.DUAL_INFEASIBLE):
+        # the free variables u with B u = b - A(X), or -A(X) along a ray, on range(B)
+        res = data.b - data.apply(sol.X) if sol.status is Status.OPTIMAL else -data.apply(sol.X)
+        sol.free = V1 @ ((U1.T @ res[supp]) / sig[:r])
+    if sol.status is Status.OPTIMAL:
+        sol.y += w
+        sol.obj_primal = _inner_blocks(data.C, sol.X) + float(data.c @ sol.free) + data.offset
+        sol.obj_dual = float(data.b @ sol.y) + data.offset
+    elif sol.status is Status.DUAL_INFEASIBLE:
+        sol.y = np.zeros(p)
+    return sol
 
 
 def _max_step(D: list[np.ndarray], inv_chol: list[np.ndarray]) -> float:
@@ -536,6 +565,12 @@ def _nt_scaling(X: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     G = (Q * (d ** -0.5)) @ Q.T
     W = _sym(LX @ G @ LX.T)
     return W, LX
+
+
+def _row_norms(fro2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The norm of each constraint (A_i, b_i), or 1 where it vanishes."""
+    s = np.sqrt(fro2 + rhs ** 2)
+    return np.where(s > 1e-300, s, 1.0)
 
 
 def _combination_norms(A: list[_Block], dims: list[int], k: int, U: np.ndarray,
@@ -567,82 +602,12 @@ def _combination_norms(A: list[_Block], dims: list[int], k: int, U: np.ndarray,
     return fro2, amax
 
 
-def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
-    dims = red.dims
+def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSolution:
+    """The interior-point loop on a presolved problem; Anorm >= 1 bounds the
+    Frobenius norms of its constraints, and y weighs those constraints."""
+    dims, b, C = red.dims, red.b, red.C
     nu = sum(dims)
-    p = len(red.b)
-    k, n = red.nk, red.data_rows
-
-    # row normalization for conditioning; duals are rescaled on exit.  The
-    # data rows on the support of B stay as they are: U carries their scale.
-    sq, absmax = np.zeros(n), np.zeros(n)
-    for blk in red.A:
-        sq += blk.row_sqnorm()
-        absmax = np.maximum(absmax, blk.row_absmax())
-    divisor = np.ones(n)
-    s = np.sqrt(sq[:k] + red.b[:k] ** 2)
-    divisor[:k] = np.where(s > 1e-300, s, 1.0)
-    A = [blk.scaled(divisor) for blk in red.A]
-    for blk in A:
-        blk.prepare()
-    fro2, amax = sq[:k], absmax[:k]
-    U = red.U
-    if U is not None:
-        fro2_u, amax_u = _combination_norms(A, dims, k, U, red.b[k:], sq[k:])
-        fro2, amax = np.concatenate((fro2, fro2_u)), np.concatenate((amax, amax_u))
-    s = np.sqrt(fro2 + red.b ** 2)
-    rn = np.where(s > 1e-300, s, 1.0)
-    b = red.b / rn
-    C = red.C
-
-    def unscale_y(y: np.ndarray) -> np.ndarray:
-        return y / rn
-
-    keep = amax / rn > 1e-14
-    full_p = p
-    sel = None
-    if not keep.all():
-        # a row without coefficients reads 0 = rhs: its rhs is weighed
-        # against the others before normalization, which would make it +-1
-        # whatever its size
-        dropped_inconsistent = np.flatnonzero(
-            ~keep & (np.abs(red.b) > 1e-10 * (1.0 + float(np.abs(red.b).max()))))
-        if dropped_inconsistent.size:
-            i = dropped_inconsistent[0]
-            y = np.zeros(p)
-            y[i] = 1.0 if b[i] > 0 else -1.0
-            return SdpSolution(
-                status=Status.PRIMAL_INFEASIBLE,
-                X=[np.zeros((d, d)) for d in dims],
-                free=np.zeros(0),
-                y=unscale_y(y),
-                obj_primal=float("nan"), obj_dual=float("nan"),
-                residuals={"farkas": 0.0}, iterations=0,
-                message="reduced constraints are inconsistent",
-            )
-        sel = np.flatnonzero(keep)
-        A = [blk.select(np.concatenate((np.flatnonzero(keep[:k]), np.arange(k, n)))) for blk in A]
-        for blk in A:
-            blk.prepare()
-        if U is not None:
-            U = U[:, keep[k:]]
-        k = int(keep[:k].sum())
-        b = b[sel]
-        p = sel.size
-
-    def expand_y(y: np.ndarray) -> np.ndarray:
-        if sel is None:
-            return y
-        out = np.zeros(full_p)
-        out[sel] = y
-        return out
-
-    if p == 0:
-        return _solve_degenerate(red, expand_y, unscale_y)
-
-    kept = slice(None) if sel is None else sel
-    Anorm = max(1.0, float((np.sqrt(fro2[kept]) / rn[kept]).max()))
-    op = _Reduced(dims, A, k, None if U is None else U / rn[kept][k:], b, C, red.offset)
+    p = len(b)
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + _fro_blocks(C)
 
@@ -659,16 +624,16 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
     for it in range(st.max_iter):
         mu = (_inner_blocks(X, S) + tau * kappa) / (nu + 1)
 
-        rp = tau * b - op.apply(X)
-        AtY = op.adjoint(y)
+        rp = tau * b - red.apply(X)
+        AtY = red.adjoint(y)
         Rd = [tau * Cb - Sb - Ab for Cb, Sb, Ab in zip(C, S, AtY)]
         rg = kappa + _inner_blocks(C, X) - float(b @ y)
 
         # scaled candidate and user-facing tests
         Xs = [Xb / tau for Xb in X]
         ys = y / tau
-        pres = float(np.linalg.norm(op.apply(Xs) - b)) / bnorm
-        Zs = [Cb - Ab for Cb, Ab in zip(C, op.adjoint(ys))]
+        pres = float(np.linalg.norm(red.apply(Xs) - b)) / bnorm
+        Zs = [Cb - Ab for Cb, Ab in zip(C, red.adjoint(ys))]
         dcone = max(max(0.0, -float(np.linalg.eigvalsh(_sym(Zb)).min())) for Zb in Zs)
         dres = dcone / cnorm
         pobj = _inner_blocks(C, Xs) + red.offset
@@ -685,24 +650,24 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
         if pres <= st.feas_tol and dres <= st.feas_tol and gap <= st.gap_tol:
             return SdpSolution(
                 status=Status.OPTIMAL,
-                X=Xs, free=np.zeros(0), y=unscale_y(expand_y(ys)),
+                X=Xs, free=np.zeros(0), y=ys,
                 obj_primal=pobj, obj_dual=dobj,
                 residuals={"primal": pres, "dual": dres, "gap": gap},
                 iterations=it, trace=trace,
             )
 
-        if kappa / max(tau, 1e-300) >= st.infeas_ratio:
+        if kappa / max(tau, 1e-300) >= _INFEAS_RATIO:
             by = float(b @ y)
             if by > 1e-300:
                 yr = y / by
                 Sr = [Sb / by for Sb in S]
-                resid = _fro_blocks([Ab + Sb for Ab, Sb in zip(op.adjoint(yr), Sr)])
+                resid = _fro_blocks([Ab + Sb for Ab, Sb in zip(red.adjoint(yr), Sr)])
                 quality = resid / (1.0 + float(np.linalg.norm(yr)) * Anorm)
                 if quality <= st.feas_tol:
                     return SdpSolution(
                         status=Status.PRIMAL_INFEASIBLE,
                         X=[np.zeros((d, d)) for d in dims], free=np.zeros(0),
-                        y=unscale_y(expand_y(yr)),
+                        y=yr,
                         obj_primal=float("nan"), obj_dual=float("nan"),
                         residuals={"farkas": quality}, iterations=it, trace=trace,
                         message="Farkas certificate of primal infeasibility",
@@ -710,12 +675,12 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
             cx = _inner_blocks(C, X)
             if cx < -1e-300:
                 Xr = [Xb / (-cx) for Xb in X]
-                resid = float(np.linalg.norm(op.apply(Xr)))
+                resid = float(np.linalg.norm(red.apply(Xr)))
                 quality = resid / (1.0 + _fro_blocks(Xr) * Anorm)
                 if quality <= st.feas_tol:
                     return SdpSolution(
                         status=Status.DUAL_INFEASIBLE,
-                        X=Xr, free=np.zeros(0), y=np.zeros(full_p),
+                        X=Xr, free=np.zeros(0), y=np.zeros(p),
                         obj_primal=float("nan"), obj_dual=float("nan"),
                         residuals={"ray": quality}, iterations=it, trace=trace,
                         message="improving ray certificate of dual infeasibility",
@@ -743,7 +708,7 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
             break
         Sinv = [Li.T @ Li for Li in LSinv]
 
-        M = op.schur(W)
+        M = red.schur(W)
         L = None
         base = float(np.mean(np.diag(M))) + 1e-300
         for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
@@ -755,19 +720,22 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
         if L is None:
             message = "Schur complement factorization failed"
             break
+        diag = np.diag(L)
+        trace[-1]["schur_jitter"] = jit
+        trace[-1]["schur_cond_lb"] = float((diag.max() / diag.min()) ** 2)  # <= cond of the matrix factored
 
         def msolve(rhs: np.ndarray) -> np.ndarray:
             return _tri_solve(L, _tri_solve(L, rhs), trans=True)
 
         WCW = [Wb @ Cb @ Wb for Wb, Cb in zip(W, C)]
-        hc = op.apply(WCW)
+        hc = red.apply(WCW)
         cw = _inner_blocks(C, WCW)
         v0 = msolve(hc + b)
 
         def direction(sigma: float, eta: float):
             E = [sigma * mu * Si - Xb - eta * (Wb @ Rb @ Wb)
                  for Si, Xb, Wb, Rb in zip(Sinv, X, W, Rd)]
-            rhs1 = eta * rp - op.apply(E)
+            rhs1 = eta * rp - red.apply(E)
             u0 = msolve(rhs1)
             rhs2 = -eta * rg - _inner_blocks(C, E) - (sigma * mu - tau * kappa) / tau
             denom = float((hc - b) @ v0) - cw - kappa / tau
@@ -775,7 +743,7 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
                 return None
             dtau = (rhs2 - float((hc - b) @ u0)) / denom
             dy = u0 + v0 * dtau
-            AtDy = op.adjoint(dy)
+            AtDy = red.adjoint(dy)
             dS = [_sym(Cb * dtau - Ab + eta * Rb) for Cb, Ab, Rb in zip(C, AtDy, Rd)]
             dX = [_sym(Eb + (Wb @ Ab @ Wb) - WCWb * dtau)
                   for Eb, Wb, Ab, WCWb in zip(E, W, AtDy, WCW)]
@@ -783,11 +751,11 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
             return dX, dy, dS, dtau, dkappa
 
         def step(dX, dS, dtau: float, dkappa: float) -> float:
-            """step_frac of the longest step that stays in the cones, at most 1."""
+            """_STEP_FRAC of the longest step that stays in the cones, at most 1."""
             longest = min(_max_step(dX, LXinv), _max_step(dS, LSinv),
                           (-tau / dtau) if dtau < 0 else math.inf,
                           (-kappa / dkappa) if dkappa < 0 else math.inf)
-            return min(1.0, st.step_frac * longest)
+            return min(1.0, _STEP_FRAC * longest)
 
         aff = direction(0.0, 1.0)
         if aff is None:
@@ -835,7 +803,7 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
     ys = y / tau if tau > 1e-300 else np.zeros(p)
     return SdpSolution(
         status=Status.UNKNOWN,
-        X=Xs, free=np.zeros(0), y=unscale_y(expand_y(ys)),
+        X=Xs, free=np.zeros(0), y=ys,
         obj_primal=_inner_blocks(C, Xs) + red.offset,
         obj_dual=float(b @ ys) + red.offset,
         residuals={"tau": tau, "kappa": kappa},
@@ -843,7 +811,7 @@ def _solve_reduced(red: _Reduced, st: SolverSettings) -> SdpSolution:
     )
 
 
-def _solve_degenerate(red: _Reduced, expand_y, unscale_y) -> SdpSolution:
+def _solve_degenerate(red: _Reduced) -> SdpSolution:
     """No constraints left: solved in closed form.  Without PSD blocks no row
     has coefficients, so the zero-row screen leaves none and this case covers
     them too."""
@@ -853,7 +821,7 @@ def _solve_degenerate(red: _Reduced, expand_y, unscale_y) -> SdpSolution:
         return SdpSolution(
             status=Status.OPTIMAL,
             X=[np.zeros((d, d)) for d in dims], free=np.zeros(0),
-            y=unscale_y(expand_y(np.zeros(0))),
+            y=np.zeros(0),
             obj_primal=red.offset, obj_dual=red.offset,
             residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
             iterations=0, message="no active constraints",
@@ -865,7 +833,7 @@ def _solve_degenerate(red: _Reduced, expand_y, unscale_y) -> SdpSolution:
     X[bi] = np.outer(v, v)
     return SdpSolution(
         status=Status.DUAL_INFEASIBLE,
-        X=X, free=np.zeros(0), y=unscale_y(expand_y(np.zeros(0))),
+        X=X, free=np.zeros(0), y=np.zeros(0),
         obj_primal=float("nan"), obj_dual=float("nan"),
         residuals={"ray": 0.0}, iterations=0,
         message="objective block is indefinite with no constraints",

@@ -1,6 +1,9 @@
-"""Hand-built SDP suite with known statuses, shared by solver and acceptance tests."""
+"""Hand-built SDP suite with known statuses, shared by solver and acceptance tests,
+and checks of a solution against the caller's data."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -162,3 +165,76 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     ))
 
     return cases
+
+
+def recompute_residuals(problem: SdpProblem, sol):
+    """Independent feasibility/gap check from the returned (X, u, y) only."""
+    flip = -1.0 if problem.sense == "max" else 1.0
+    p = len(problem.constraints)
+    pres = 0.0
+    bmax = max((abs(c.rhs) for c in problem.constraints), default=0.0)
+    for i, con in enumerate(problem.constraints):
+        lhs = sum(float(np.tensordot(mat, sol.X[bi])) for bi, mat in con.blocks.items())
+        if problem.num_free:
+            lhs += float(np.dot(con.free, sol.free))
+        pres = max(pres, abs(lhs - con.rhs))
+    pres /= 1.0 + bmax
+
+    Z = []
+    cnorm = 0.0
+    for bi, d in enumerate(problem.block_dims):
+        Cb = flip * np.asarray(problem.obj_blocks.get(bi, np.zeros((d, d))), dtype=float)
+        cnorm += float(np.tensordot(Cb, Cb))
+        Zb = Cb.copy()
+        for i, con in enumerate(problem.constraints):
+            if bi in con.blocks:
+                Zb -= sol.y[i] * np.asarray(con.blocks[bi], dtype=float)
+        Z.append(0.5 * (Zb + Zb.T))
+    cnorm = 1.0 + cnorm**0.5
+    dres = max((max(0.0, -float(np.linalg.eigvalsh(Zb).min())) for Zb in Z), default=0.0) / cnorm
+
+    free_mismatch = 0.0
+    if problem.num_free:
+        cfree = flip * np.asarray(problem.obj_free, dtype=float)
+        acc = np.zeros(problem.num_free)
+        for i, con in enumerate(problem.constraints):
+            acc += sol.y[i] * con.free
+        free_mismatch = float(np.abs(acc - cfree).max()) / (1.0 + float(np.abs(cfree).max()))
+
+    gap = abs(sol.obj_primal - sol.obj_dual) / (1.0 + abs(sol.obj_primal) + abs(sol.obj_dual))
+    return pres, max(dres, free_mismatch), gap
+
+
+def check_certificate(problem: SdpProblem, sol) -> None:
+    """Assert that an infeasibility certificate holds on the caller's data.
+
+    A Farkas ray y has b'y > 0, B'y = 0 and sum y_i A_i <= 0; an improving
+    ray (X, u) has A(X) + B u = 0, X PSD and <C, X> + c'u < 0 in
+    minimization form.
+    """
+    flip = -1.0 if problem.sense == "max" else 1.0
+    rows = problem.constraints
+    if sol.status is Status.PRIMAL_INFEASIBLE:
+        y = np.asarray(sol.y)
+        scale = 1.0 + float(np.abs(y).max(initial=0.0))
+        assert sum(yi * con.rhs for yi, con in zip(y, rows)) > 0
+        Bty = sum((yi * con.free for yi, con in zip(y, rows)), np.zeros(problem.num_free))
+        assert float(np.abs(Bty).max(initial=0.0)) <= 1e-12 * scale
+        for bi, d in enumerate(problem.block_dims):
+            Aty = sum((yi * np.asarray(con.blocks[bi], dtype=float)
+                       for yi, con in zip(y, rows) if bi in con.blocks), np.zeros((d, d)))
+            assert float(np.linalg.eigvalsh(Aty).max()) <= 1e-9 * scale
+    elif sol.status is Status.DUAL_INFEASIBLE:
+        X, u = sol.X, np.asarray(sol.free)
+        resid = max((abs(sum(float(np.tensordot(mat, X[bi])) for bi, mat in con.blocks.items())
+                         + float(np.dot(con.free, u))) for con in rows), default=0.0)
+        assert resid <= 1e-6 * (1.0 + math.sqrt(sum(float(np.vdot(Xb, Xb)) for Xb in X)))
+        for Xb in X:
+            assert float(np.linalg.eigvalsh(Xb).min()) >= -1e-9
+        obj = sum(float(np.tensordot(np.asarray(mat, dtype=float), X[bi]))
+                  for bi, mat in problem.obj_blocks.items())
+        if problem.num_free and problem.obj_free is not None:
+            obj += float(np.dot(problem.obj_free, u))
+        assert flip * obj < 0
+    else:
+        raise AssertionError(f"{sol.status} carries no infeasibility certificate")

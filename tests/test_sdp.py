@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sdp_cases import build_cases
+from sdp_cases import build_cases, check_certificate, recompute_residuals
 
-from popnc import sdp
+from popnc import builder, sdp
 from popnc.builder import (
     Direction,
     build_coercivity_check,
@@ -25,44 +25,6 @@ from popnc.sdp import (
 )
 
 SETTINGS = SolverSettings()
-
-
-def recompute_residuals(problem: SdpProblem, sol):
-    """Independent feasibility/gap check from the returned (X, u, y) only."""
-    flip = -1.0 if problem.sense == "max" else 1.0
-    p = len(problem.constraints)
-    pres = 0.0
-    bmax = max((abs(c.rhs) for c in problem.constraints), default=0.0)
-    for i, con in enumerate(problem.constraints):
-        lhs = sum(float(np.tensordot(mat, sol.X[bi])) for bi, mat in con.blocks.items())
-        if problem.num_free:
-            lhs += float(np.dot(con.free, sol.free))
-        pres = max(pres, abs(lhs - con.rhs))
-    pres /= 1.0 + bmax
-
-    Z = []
-    cnorm = 0.0
-    for bi, d in enumerate(problem.block_dims):
-        Cb = flip * np.asarray(problem.obj_blocks.get(bi, np.zeros((d, d))), dtype=float)
-        cnorm += float(np.tensordot(Cb, Cb))
-        Zb = Cb.copy()
-        for i, con in enumerate(problem.constraints):
-            if bi in con.blocks:
-                Zb -= sol.y[i] * np.asarray(con.blocks[bi], dtype=float)
-        Z.append(0.5 * (Zb + Zb.T))
-    cnorm = 1.0 + cnorm**0.5
-    dres = max((max(0.0, -float(np.linalg.eigvalsh(Zb).min())) for Zb in Z), default=0.0) / cnorm
-
-    free_mismatch = 0.0
-    if problem.num_free:
-        cfree = flip * np.asarray(problem.obj_free, dtype=float)
-        acc = np.zeros(problem.num_free)
-        for i, con in enumerate(problem.constraints):
-            acc += sol.y[i] * con.free
-        free_mismatch = float(np.abs(acc - cfree).max()) / (1.0 + float(np.abs(cfree).max()))
-
-    gap = abs(sol.obj_primal - sol.obj_dual) / (1.0 + abs(sol.obj_primal) + abs(sol.obj_dual))
-    return pres, max(dres, free_mismatch), gap
 
 
 class TestStatusSuite:
@@ -352,6 +314,20 @@ class TestTriangularSolve:
             assert np.abs(x - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
+def _free_rows(b2: float) -> SdpProblem:
+    """Rows 1 and 2 read u = 2 and 2u = b2: after elimination their
+    combination has no PSD part, and is dropped when consistent."""
+    return SdpProblem(
+        block_dims=[1], num_free=1,
+        constraints=[
+            LinearConstraint({0: np.array([[1.0]])}, np.array([0.0]), 1.0),
+            LinearConstraint({}, np.array([1.0]), 2.0),
+            LinearConstraint({}, np.array([2.0]), b2),
+        ],
+        obj_blocks={0: np.array([[1.0]])}, obj_free=np.array([0.0]),
+    )
+
+
 class TestFreeVariableSupport:
     def test_matches_hand_elimination(self):
         # u appears in rows 0 and 1 only; the other rows pass through
@@ -387,19 +363,36 @@ class TestFreeVariableSupport:
 
     @pytest.mark.parametrize("b2,status", [(4.0, Status.OPTIMAL), (5.0, Status.PRIMAL_INFEASIBLE)])
     def test_rows_with_only_free_coefficients(self, b2, status):
-        # rows 1 and 2 read u = 2 and 2u = b2: after elimination their
-        # combination has no PSD part, and is dropped when consistent
-        prob = SdpProblem(
-            block_dims=[1], num_free=1,
-            constraints=[
-                LinearConstraint({0: np.array([[1.0]])}, np.array([0.0]), 1.0),
-                LinearConstraint({}, np.array([1.0]), 2.0),
-                LinearConstraint({}, np.array([2.0]), b2),
-            ],
-            obj_blocks={0: np.array([[1.0]])}, obj_free=np.array([0.0]),
-        )
+        prob = _free_rows(b2)
         sol = solve(prob)
         assert sol.status is status
         if status is Status.OPTIMAL:
             assert sol.obj_primal == pytest.approx(1.0, abs=1e-7)
             assert sol.free[0] == pytest.approx(2.0, abs=1e-7)
+
+
+class TestInfeasibilityCertificates:
+    CASES = [(name, prob) for name, prob, status, _ in build_cases() if status is not Status.OPTIMAL]
+    CASES.append(("free_rows_inconsistent", _free_rows(5.0)))
+
+    @pytest.mark.parametrize("name,prob", CASES, ids=[name for name, _ in CASES])
+    def test_ray_holds_on_caller_data(self, name, prob):
+        check_certificate(prob, solve(prob))
+
+
+class TestSchurConditioning:
+    def test_trace_keys_on_every_factored_iteration(self, sextic, monkeypatch):
+        # the sextic's coercivity program at k = 3: reduced by its joint
+        # sign flip, and built without it
+        largest = []
+        for flips in (True, False):
+            if not flips:
+                monkeypatch.setattr(builder, "sign_flips", lambda polys, num_vars: ())
+            sol = solve(build_coercivity_check(sextic, 3))
+            assert sol.status is Status.OPTIMAL and sol.iterations == len(sol.trace) - 1
+            for row in sol.trace[:-1]:
+                assert row["schur_jitter"] >= 0.0 and row["schur_cond_lb"] >= 1.0
+            assert "schur_jitter" not in sol.trace[-1] and "schur_cond_lb" not in sol.trace[-1]
+            largest.append(max(row["schur_cond_lb"] for row in sol.trace[:-1]))
+        reduced, unreduced = largest
+        assert unreduced >= 1e6 * reduced
