@@ -32,13 +32,21 @@ interior-point method on the homogeneous self-dual embedding
 
 with Nesterov-Todd scaling (the scaling point W with W S W = X) and a
 Mehrotra-style adaptive centering parameter.  The Schur complement
-M_ij = <A_i, W A_j W> is formed block by block with the cheaper of two
-formulas, chosen from the block's row count, dimension and nonzero count:
-the dense product over all rows, or the low-rank per-row products of
-Fujisawa, Kojima and Nakata, "Exploiting sparsity in primal-dual
-interior-point methods for semidefinite programming", Math. Prog. 79 (1997).
-The system is symmetric positive definite and solved by Cholesky
-factorization and blocked triangular substitution.
+M_ij = <A_i, W A_j W> is formed block by block with the cheapest of three
+formulas, chosen by one cost rule from the block's row count, dimension,
+nonzero count and monomial classes: the dense product over all rows; the
+low-rank per-row products of Fujisawa, Kojima and Nakata, "Exploiting
+sparsity in primal-dual interior-point methods for semidefinite
+programming", Math. Prog. 79 (1997); or the factored form.  Positions of a
+block whose columns of (row, value) pairs are equal form a class; with q
+classes the block's rows are A = G H, H the 0/1 class partition, and its
+Schur matrix is G M^H G' with M^H formed over q rows by one of the other
+two formulas.  A localizing block g_j sigma_j has one class per monomial of
+sigma_j's Gram matrix, far fewer than its rows (210 against 924 for the ball
+block at n = 6, k = 3).  The classes are found from the data, so every
+caller of `solve` gets the factored form.  The system is symmetric positive
+definite and solved by Cholesky factorization and blocked triangular
+substitution.
 
 Classification follows the embedding: tau bounded away from kappa yields an
 optimal solution; tau -> 0 with kappa > 0 (ratio threshold
@@ -116,22 +124,28 @@ class SdpSolution:
 # internal sparse form
 # ---------------------------------------------------------------------------
 
-# Fixed cost of one row of the low-rank Schur formula, counted in
-# multiply-adds of the dense formula's matrix products.  With one OpenBLAS
-# thread (Haswell kernels, 2-CPU VM) the dense products ran at 12-16 G
-# multiply-adds/s and one low-rank row cost 10-15 us on blocks with d <= 35,
-# hence 2e5.  The rule then picks the measured faster formula on every block
-# of an n = 4, k = 3 and an n = 6, k = 3 hierarchy step, for example
-# d = 35, 210 rows: low-rank 2.6 ms, dense 5.1 ms; d = 7, 924 rows: low-rank
-# 9 ms, dense 3 ms; d = 84, 924 rows: low-rank 25-30 ms, dense 340-450 ms.
-_SPARSE_ROW_COST = 2e5
+# Costs of the Schur formulas, counted in multiply-adds of the dense formula's
+# matrix products (13-18 G/s with one OpenBLAS thread, Haswell kernels, 2-CPU
+# VM, on blocks with d >= 20 and p >= 165).  Fitted over 67 blocks of
+# hierarchy programs with n = 2..6, one row of the low-rank formula costs
+# 8 us plus 60 ns for each later row with entries (its reduceat segment and
+# its entry of M): _SPARSE_ROW_COST for a row and 1/120 of it for each later
+# row.  The factored formula's two products run at about the dense rate, and
+# its fixed cost is about one row's.  The rule then picks the measured
+# fastest formula on those blocks, within noise.  At n = 6, k = 3 (924 rows),
+# each block alone: d = 84 low-rank 41 ms, dense 432 ms; the ball block
+# (d = 28, 210 classes) factored 22 ms, low-rank 40 ms, dense 48 ms; the
+# c - f block (d = 7, 28 classes) factored 6.2 ms, dense 7.3 ms.  Without the
+# later-row term the rule chose low-rank for the ball block.
+_SPARSE_ROW_COST = 1.2e5
 
 # An infeasibility certificate is tried once kappa / tau reaches _INFEAS_RATIO;
 # each step goes _STEP_FRAC of the way to the boundary of the cones.
 _INFEAS_RATIO = 1e6
 _STEP_FRAC = 0.98
 
-# Block size of the triangular solves.  Up to 64 unknowns a single LAPACK
+# Block size of the triangular solves and of the panels in which the Schur
+# matrix is averaged with its transpose.  Up to 64 unknowns a single LAPACK
 # solve is as fast; at 924 unknowns a forward and back substitution take
 # 1.4 ms against 35 ms for np.linalg.solve on the factor (one OpenBLAS thread).
 _TRI_BLOCK = 64
@@ -159,6 +173,7 @@ class _Block:
         self.rows, self.pos, self.val = rows, pos, val
         self.dense: np.ndarray | None = None  # (p, d*d): dense Schur formula
         self.plan: list[tuple] | None = None  # per row: index arrays of the low-rank formula
+        self.factor: tuple[np.ndarray, _Block] | None = None  # (G, H) of the factored formula
 
     def select(self, index: np.ndarray) -> _Block:
         """Rows index[0], index[1], ... as the new rows 0, 1, ...; the others dropped."""
@@ -182,30 +197,90 @@ class _Block:
         np.maximum.at(out, self.rows, np.abs(self.val))
         return out
 
+    def _direct_costs(self) -> tuple[float, float]:
+        """The (dense, low-rank) cost of forming this block's Schur matrix directly."""
+        d, p = self.d, self.p
+        active = np.count_nonzero(np.diff(self.rows, prepend=-1))
+        # a row has active / 2 later rows on average
+        low = active * _SPARSE_ROW_COST * (1.0 + active / 240) + d * d * self.val.size
+        return p * d * d * (d + p), low
+
+    def _classes(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Group the positions whose columns, the (row, value) pairs of every
+        row at that position, are equal.  Returns the number of classes, the
+        positions with entries and the class of each."""
+        o = np.lexsort((self.rows, self.pos))
+        pos, rows, bits = self.pos[o], self.rows[o], self.val[o].view(np.int64)
+        first = np.flatnonzero(np.diff(pos, prepend=-1))
+        count = np.diff(np.append(first, pos.size))
+        cls = np.empty(first.size, dtype=np.intp)
+        q = 0
+        # equal columns have equal lengths (bincount: np.unique imports numpy.ma)
+        for n in np.flatnonzero(np.bincount(count)).tolist():
+            same = np.flatnonzero(count == n)
+            at = first[same, None] + np.arange(n)
+            key = np.concatenate((rows[at], bits[at]), axis=1)
+            srt = np.lexsort(key.T)
+            new = np.ones(same.size, dtype=bool)
+            new[1:] = (key[srt[1:]] != key[srt[:-1]]).any(axis=1)
+            cls[same[srt]] = q + np.cumsum(new) - 1
+            q += int(np.count_nonzero(new))
+        return q, pos[first], cls
+
     def prepare(self) -> None:
-        """Choose the cheaper Schur formula and build what it needs.
+        """Choose the cheapest of three Schur formulas and build what it needs.
 
         Dense: p d^2 (d + p) multiply-adds for <A_i, W A_j W> over all rows.
         Low-rank (Fujisawa, Kojima and Nakata 1997): W A_i W is the product of
         the columns W[:, r] * v and the rows W[c, :] over row i's entries, so
-        the products cost d^2 nnz, plus a fixed cost per row with entries.
+        the products cost d^2 nnz, plus a cost per row with entries that
+        grows with the rows after it.
+        Factored: the positions whose columns are equal form a class.  With q
+        classes, A = G H for the 0/1 class partition H (q, d^2) and G (p, q)
+        holding each class's column, so M = G M^H G' with M^H formed over q
+        rows by the cheaper direct formula; the two products add p q (p + q).
+        A localizing block g sigma has one class per monomial of sigma's Gram
+        matrix, far fewer than its rows; in a block of sigma_0 each class is
+        one row, and the factored formula never pays.
         """
+        d, p = self.d, self.p
+        dense, low = self._direct_costs()
+        if _SPARSE_ROW_COST + p * (p + 1) < min(dense, low):  # else not even one class pays
+            q, pos, cls = self._classes()
+            order = np.lexsort((pos, cls))
+            H = _Block(d, q, cls[order], pos[order], np.ones(pos.size))
+            if _SPARSE_ROW_COST + min(H._direct_costs()) + p * q * (p + q) < min(dense, low):
+                H._prepare_direct(*H._direct_costs())
+                class_of = np.zeros(d * d, dtype=np.intp)
+                class_of[pos] = cls
+                G = np.zeros((p, q))
+                G[self.rows, class_of[self.pos]] = self.val
+                self.factor = (G, H)
+                return
+        self._prepare_direct(dense, low)
+
+    def _prepare_direct(self, dense: float, low: float) -> None:
         d, p, nnz = self.d, self.p, self.val.size
-        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-        active = self.rows[starts]
-        if active.size * _SPARSE_ROW_COST + d * d * nnz >= p * d * d * (d + p):
+        if low >= dense:
             self.dense = np.zeros((p, d * d))
             self.dense[self.rows, self.pos] = self.val
             return
+        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        active = self.rows[starts]
         r, c = np.divmod(self.pos, d)
         upper = r <= c
-        # <A_j, T> over the upper triangle of a symmetric T: off-diagonal entries count twice
+        # <A_j, T> over the upper triangle of a symmetric T: off-diagonal
+        # entries count twice, and twice again for M[i, j > i] (see _schur)
         upos = self.pos[upper]
-        uval = np.where(r == c, 1.0, 2.0)[upper] * self.val[upper]
+        uval = np.where(r == c, 2.0, 4.0)[upper] * self.val[upper]
         ustarts = np.flatnonzero(np.diff(self.rows[upper], prepend=-1))
         ends = np.append(starts[1:], nnz)
+        # W is symmetric, so one gather W[r ++ c] gives both W[:, r] and W[c]; when
+        # every row has entries, the rows j >= i are the slice i: of a row of M
+        every = active.size == p
         self.plan = [
-            (i, r[s:e], self.val[s:e], c[s:e], upos[u:], uval[u:], ustarts[k:] - u, active[k:])
+            (i, np.concatenate((r[s:e], c[s:e])), self.val[s:e], upos[u:], uval[u:],
+             ustarts[k:] - u, slice(i, None) if every else active[k:])
             for k, (i, s, e, u) in enumerate(zip(active.tolist(), starts.tolist(),
                                                  ends.tolist(), ustarts.tolist()))
         ]
@@ -223,16 +298,23 @@ class _Block:
             return (y @ self.dense).reshape(d, d)
         return _accumulate(self.pos, self.val * y[self.rows], d * d).reshape(d, d)
 
-    def add_schur(self, W: np.ndarray, M: np.ndarray, upper: np.ndarray) -> None:
-        """Add <A_i, W A_j W> to M[i, j]; the low-rank formula fills upper[i, j >= i]."""
-        if self.dense is not None:
-            A3 = self.dense.reshape(self.p, self.d, self.d)
-            T = np.matmul(np.matmul(W, A3), W)
-            M += self.dense @ T.reshape(self.p, -1).T
-            return
-        for i, r, v, c, upos, uval, seg, cols in self.plan:
-            T = (W[:, r] * v) @ W[c]
-            upper[i, cols] += np.add.reduceat(T.ravel()[upos] * uval, seg)
+    def schur_pair(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Y, G) with Y G' this block's Schur matrix, for the dense and the
+        factored formula: Y = (W A_i W)_i and G = A, or Y = G M^H."""
+        if self.factor is not None:
+            G, H = self.factor
+            return G @ _schur([H], [W], H.p), G
+        T = np.matmul(np.matmul(W, self.dense.reshape(self.p, self.d, self.d)), W)
+        return T.reshape(self.p, -1), self.dense
+
+    def add_schur(self, W: np.ndarray, M: np.ndarray) -> None:
+        """Add <A_i, W A_j W> to M[i, j], twice for j > i, by the low-rank formula."""
+        for i, rc, v, upos, uval, seg, cols in self.plan:
+            Wrc = W[rc]
+            T = (Wrc[:v.size].T * v) @ Wrc[v.size:]
+            row = np.add.reduceat(T.ravel()[upos] * uval, seg)
+            row[0] *= 0.5  # j = i
+            M[i, cols] += row
 
 
 def _apply(blocks: list[_Block], X: list[np.ndarray], p: int) -> np.ndarray:
@@ -243,14 +325,30 @@ def _apply(blocks: list[_Block], X: list[np.ndarray], p: int) -> np.ndarray:
 
 
 def _schur(blocks: list[_Block], W: list[np.ndarray], p: int) -> np.ndarray:
-    M = np.zeros((p, p))
-    upper = np.zeros((p, p)) if any(blk.plan is not None for blk in blocks) else None
+    """The Schur matrix M_ij = <A_i, W A_j W>.  The dense and the factored
+    formula add their products Y G'; the low-rank formula adds its rows
+    j >= i, off the diagonal twice, and M is then averaged with its
+    transpose."""
+    products = (Y @ G.T for Y, G in (blk.schur_pair(Wb) for blk, Wb in zip(blocks, W)
+                                      if blk.plan is None))
+    M = next(products, None)
+    if M is None:
+        M = np.zeros((p, p))
+    for P in products:
+        M += P
     for blk, Wb in zip(blocks, W):
-        blk.add_schur(Wb, M, upper)
-    if upper is not None:
-        M += upper
-        M += np.triu(upper, 1).T
-    return _sym(M)
+        if blk.plan is not None:
+            blk.add_schur(Wb, M)
+    # (M + M') / 2 by panels, which took 4 ms at p = 923 against 6 ms at once
+    for s in range(0, p, _TRI_BLOCK):
+        e = min(p, s + _TRI_BLOCK)
+        D = M[s:e, s:e]
+        D[...] = 0.5 * (D + D.T)
+        if e < p:
+            U = 0.5 * (M[s:e, e:] + M[e:, s:e].T)
+            M[s:e, e:] = U
+            M[e:, s:e] = U.T
+    return M
 
 
 def _inner_blocks(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
@@ -581,10 +679,11 @@ def _combination_norms(A: list[_Block], dims: list[int], k: int, U: np.ndarray,
     The norms come from the Gram matrix of those rows.  Where cancellation
     makes that inaccurate (a norm below 1e-7 of the combination's scale or
     of its right-hand side) the combination is formed entry by entry, and
-    entries all within 1e-14 of its scale, the zero-coefficient threshold,
-    count as zero: the combination is a dependency among the rows.  The
-    other largest entries are left at inf: such a norm already puts them
-    above the zero-row threshold.
+    entries all within 1e-12 of its scale count as zero: the combination is
+    a dependency among the rows, and what is left of it is the rounding of
+    the data and of U (a caller's rows that are dependent only up to their
+    own rounding left 3e-14 of the scale).  The other largest entries are
+    left at inf: such a norm already puts them above the zero-row threshold.
     """
     n = k + U.shape[0]
     G = _schur(A, [np.eye(d) for d in dims], n)[k:, k:]
@@ -597,7 +696,7 @@ def _combination_norms(A: list[_Block], dims: list[int], k: int, U: np.ndarray,
         mats = [blk.adjoint(z) for blk in A]
         fro2[j] = sum(float(np.vdot(m, m)) for m in mats)
         amax[j] = max((float(np.abs(m).max()) for m in mats), default=0.0)
-        if amax[j] <= 1e-14 * scale[j]:
+        if amax[j] <= 1e-12 * scale[j]:
             fro2[j] = amax[j] = 0.0
     return fro2, amax
 
@@ -712,8 +811,12 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
         L = None
         base = float(np.mean(np.diag(M))) + 1e-300
         for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            Mj = M
+            if jit:  # on the diagonal of a copy; M itself is factored first
+                Mj = M.copy()
+                Mj.flat[::p + 1] += jit * base
             try:
-                L = np.linalg.cholesky(M + jit * base * np.eye(p))
+                L = np.linalg.cholesky(Mj)
                 break
             except np.linalg.LinAlgError:
                 continue

@@ -1,5 +1,6 @@
 """Hand-built SDP suite with known statuses, shared by solver and acceptance tests,
-and checks of a solution against the caller's data."""
+random SDPs built around a witness of their status, and checks of a solution
+against the caller's data."""
 
 from __future__ import annotations
 
@@ -238,3 +239,64 @@ def check_certificate(problem: SdpProblem, sol) -> None:
         assert flip * obj < 0
     else:
         raise AssertionError(f"{sol.status} carries no infeasibility certificate")
+
+
+def _random_sym(rng, d):
+    G = rng.standard_normal((d, d))
+    return G + G.T
+
+
+def _random_pd(rng, d):
+    G = rng.standard_normal((d, d))
+    return G @ G.T / d + np.eye(d)
+
+
+def random_instance(seed: int, status: Status) -> SdpProblem:
+    """Blocks of size 1-3, 2-6 rows, 0-2 free variables on a random subset of
+    the rows, built to have the given status."""
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 4, size=rng.integers(1, 4))]
+    nu = sum(dims)
+    p, q = int(rng.integers(2, 7)), int(rng.integers(0, 3))
+    A = [[_random_sym(rng, d) for d in dims] for _ in range(p)]
+    B = np.zeros((p, q))
+    # with q >= p a subset of all rows could make range(B) everything, and
+    # leave no Farkas ray y0 with B'y0 = 0
+    rows = rng.choice(p, size=int(rng.integers(1, p + (q < p))), replace=False)
+    B[rows] = rng.standard_normal((rows.size, q))
+    C = [_random_sym(rng, d) for d in dims]
+    c = B.T @ rng.standard_normal(p)
+
+    if status is Status.PRIMAL_INFEASIBLE:
+        y0 = rng.standard_normal(p)
+        y0 -= B @ np.linalg.lstsq(B, y0, rcond=None)[0]
+        y0 /= y0[np.argmax(np.abs(y0))]
+        j = int(np.argmax(np.abs(y0)))  # y0[j] = 1
+        A[j] = [-np.eye(d) - sum((y0[i] * A[i][bi] for i in range(p) if i != j), np.zeros((d, d)))
+                for bi, d in enumerate(dims)]
+        b = rng.standard_normal(p)
+        b[j] = 1.0 - (b @ y0 - b[j])
+    else:
+        if status is Status.OPTIMAL:
+            y1 = rng.standard_normal(p)
+            C = [np.eye(d) + sum(y1[i] * A[i][bi] for i in range(p)) for bi, d in enumerate(dims)]
+            c = B.T @ y1
+        else:
+            u_r = rng.standard_normal(q)
+            for i in range(p):
+                t = (sum(np.trace(Ab) for Ab in A[i]) + B[i] @ u_r) / nu
+                A[i] = [Ab - t * np.eye(d) for Ab, d in zip(A[i], dims)]
+            c = rng.standard_normal(q)
+            t = (sum(np.trace(Cb) for Cb in C) + c @ u_r + 1.0) / nu
+            C = [Cb - t * np.eye(d) for Cb, d in zip(C, dims)]
+        X0 = [_random_pd(rng, d) for d in dims]
+        u0 = rng.standard_normal(q)
+        b = np.array([sum(np.vdot(Ab, Xb) for Ab, Xb in zip(A[i], X0)) for i in range(p)]) + B @ u0
+
+    flip = 1.0 if rng.integers(2) else -1.0
+    return SdpProblem(
+        block_dims=dims, num_free=q,
+        constraints=[LinearConstraint(dict(enumerate(A[i])), B[i], float(b[i])) for i in range(p)],
+        obj_blocks={bi: flip * Cb for bi, Cb in enumerate(C)}, obj_free=flip * c,
+        sense="min" if flip > 0 else "max",
+    )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sdp_cases import build_cases, check_certificate, recompute_residuals
+from sdp_cases import build_cases, check_certificate, random_instance, recompute_residuals
 
 from popnc import builder, sdp
 from popnc.builder import (
@@ -299,6 +299,72 @@ class TestSchurFormulas:
         assert np.allclose(blk.apply(X), A.reshape(p, -1) @ X.ravel(), rtol=1e-12, atol=1e-12)
         assert np.allclose(blk.adjoint(y), np.tensordot(y, A, axes=1), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("p,d,q", [(120, 12, 10), (300, 9, 24)])
+    def test_factored_matches_dense_product(self, p, d, q):
+        # A_i = sum_k G[i, k] H_k: q classes of unordered positions, and each
+        # row a combination of a few classes, with columns of varying length
+        rng = np.random.default_rng(p + q)
+        upper = np.triu_indices(d)
+        lab = rng.integers(-1, q, size=upper[0].size)  # -1: a position in no class
+        lab[rng.choice(lab.size, q, replace=False)] = np.arange(q)
+        label = np.full((d, d), -1)
+        label[upper] = lab
+        label.T[upper] = lab
+        H = np.stack([(label == k).astype(float) for k in range(q)])
+        G = np.zeros((p, q))
+        for i in range(p):
+            picks = rng.choice(q, size=int(rng.integers(1, 4)), replace=False)
+            G[i, picks] = rng.standard_normal(picks.size)
+        A = np.tensordot(G, H, axes=1)
+        Gw = rng.standard_normal((d, d))
+        W = Gw @ Gw.T / d + np.eye(d)
+        ref = A.reshape(p, -1) @ np.matmul(np.matmul(W, A), W).reshape(p, -1).T
+        blk = _internal_block(list(A), d)
+        blk.prepare()
+        assert blk.factor is not None and blk.factor[1].p == q
+        M = sdp._schur([blk], [W], p)
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+        X = rng.standard_normal((d, d))
+        y = rng.standard_normal(p)
+        assert np.allclose(blk.apply(X), A.reshape(p, -1) @ X.ravel(), rtol=1e-12, atol=1e-12)
+        assert np.allclose(blk.adjoint(y), np.tensordot(y, A, axes=1), rtol=1e-12, atol=1e-12)
+
+    def test_rule_factors_localizing_blocks_only(self):
+        # n = 4, k = 3: sigma_0 (35) over 210 rows, the ball block (15) and
+        # the c - f block (5); no sign flip fixes the objective
+        prob = build_hierarchy_step(parse_problem(
+            "vars: x1 x2 x3 x4\nobj: x1^4 + x2^4 + x3^4 + x4^4 + x1 + x2 + x3 + x4\n"
+            "ineq: 4 - x1^2 - x2^2 - x3^2 - x4^2\nc: 10\n"), 3)
+        assert prob.block_dims == [35, 15, 5] and len(prob.constraints) == 210
+        sigma0, ball, cf = sdp._to_internal(prob).A
+        for blk in (sigma0, ball, cf):
+            blk.prepare()
+        # one class per monomial of degree <= 4 of the ball multiplier's Gram
+        # matrix, and of degree <= 2 of the c - f one
+        assert ball.factor is not None and ball.factor[1].p == 70
+        assert cf.factor is not None and cf.factor[1].p == 15
+        # in sigma_0 each class is one row
+        assert sigma0.factor is None
+        assert sigma0._classes()[0] == np.unique(sigma0.rows).size
+
+    def test_low_rank_writes_rows_by_slice_or_index(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        p, d = 40, 8
+        mats = _random_sparse_rows(rng, p, d, 3)
+        for i in (3, 17, 30):  # rows without entries
+            mats[i] = np.zeros((d, d))
+        Gw = rng.standard_normal((d, d))
+        W = Gw @ Gw.T / d + np.eye(d)
+        monkeypatch.setattr(sdp, "_SPARSE_ROW_COST", 0.0)  # forces low-rank
+        for rows, write in ((mats, np.ndarray), ([m for m in mats if m.any()], slice)):
+            blk = _internal_block(rows, d)
+            blk.prepare()
+            assert all(isinstance(entry[-1], write) for entry in blk.plan)
+            A = np.stack(rows)
+            ref = A.reshape(len(rows), -1) @ np.matmul(np.matmul(W, A), W).reshape(len(rows), -1).T
+            M = sdp._schur([blk], [W], len(rows))
+            assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestTriangularSolve:
     @pytest.mark.parametrize("n", [sdp._TRI_BLOCK - 1, sdp._TRI_BLOCK, 2 * sdp._TRI_BLOCK + 5])
@@ -378,6 +444,16 @@ class TestInfeasibilityCertificates:
     @pytest.mark.parametrize("name,prob", CASES, ids=[name for name, _ in CASES])
     def test_ray_holds_on_caller_data(self, name, prob):
         check_certificate(prob, solve(prob))
+
+    def test_rows_dependent_up_to_rounding(self):
+        # one 1x1 block and three rows, the free variable on all of them, so
+        # that every row's PSD part lies in range(B) up to the rounding of
+        # the construction: what elimination leaves of the second combination
+        # is 3e-14 of its scale, and must count as no constraint at all
+        prob = random_instance(1441271, Status.DUAL_INFEASIBLE)
+        sol = solve(prob)
+        assert sol.status is Status.DUAL_INFEASIBLE, sol.message
+        check_certificate(prob, sol)
 
 
 class TestSchurConditioning:
