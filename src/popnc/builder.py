@@ -34,7 +34,7 @@ extraction undoes the scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -182,15 +182,17 @@ def min_order(gens: GeneratorSet, target: Polynomial) -> int:
 
 @dataclass
 class SosBlock:
-    """One SOS weight: its (scaled) generator, full Gram basis and the subset
-    of basis elements retained after structural reduction."""
+    """One SOS weight: its (scaled) generator, full Gram basis, the parity
+    class of each basis monomial and the subset of basis elements retained
+    after structural reduction."""
 
     tag: str  # "sigma0" | "ineq" | "cf"
     gen_index: int | None
     generator: Polynomial  # scaled by 1/scale
     scale: Coeff
     basis: list[Monomial]
-    kept: list[int] = field(default_factory=list)
+    classes: list[int]
+    kept: list[int]
     solver_block: int | None = None  # its block in the SdpProblem; None when nothing is kept
 
     @property
@@ -239,8 +241,19 @@ def _scaled(p: Polynomial) -> tuple[Polynomial, Coeff]:
     return p.scale(one / s), s
 
 
-def _reduce_bases(blocks: list[SosBlock], classes: list[list[int]], eq_blocks: list[EqBlock],
-                  target: Polynomial, lambda_sign: int) -> None:
+def _products(blk: SosBlock) -> list[tuple[int, int, Monomial, float]]:
+    """(a, b, monomial, coefficient) of every term of basis[a] * basis[b] *
+    generator, over the block's same-class pairs a <= b of basis positions."""
+    gen_terms = blk.generator.sorted_terms()
+    table = []
+    for a, b in _same_class_pairs(blk.classes):
+        mono_ab = monomial_mul(blk.basis[a], blk.basis[b])
+        table += [(a, b, monomial_mul(mono_ab, delta), float(co)) for delta, co in gen_terms]
+    return table
+
+
+def _reduce_bases(blocks: list[SosBlock], tables: list[list[tuple[int, int, Monomial, float]]],
+                  eq_blocks: list[EqBlock], target: Polynomial, lambda_sign: int) -> None:
     """Drop Gram-basis monomials whose diagonal entries are forced to zero.
 
     A coefficient-matching row whose only contributions are PSD diagonal
@@ -249,8 +262,7 @@ def _reduce_bases(blocks: list[SosBlock], classes: list[list[int]], eq_blocks: l
     zero whenever the matched target coefficient is zero.  Removing them
     never changes the feasible set, and it turns several structurally
     infeasible programs into strongly infeasible SDPs that the solver can
-    classify.  Runs to a fixpoint.  Only same-class pairs are products
-    (``classes`` holds each block's basis classes).
+    classify.  Runs to a fixpoint over each block's ``_products`` table.
     """
     free_reach: set[Monomial] = set()
     for eb in eq_blocks:
@@ -261,27 +273,17 @@ def _reduce_bases(blocks: list[SosBlock], classes: list[list[int]], eq_blocks: l
         free_reach.add(tuple([0] * target.num_vars))
 
     while True:
-        # diag[mono] -> list of (block index, basis position, summed coefficient)
+        # diag[mono] -> list of (block index, basis position, coefficient)
         diag: dict[Monomial, list[tuple[int, int, float]]] = {}
         offdiag: set[Monomial] = set()
-        for bi, blk in enumerate(blocks):
-            kept = blk.kept
-            gen_terms = blk.generator.sorted_terms()
-            for a, b in _same_class_pairs([classes[bi][i] for i in kept]):
-                ai, bj = kept[a], kept[b]
-                mono_ab = monomial_mul(blk.basis[ai], blk.basis[bj])
-                if ai == bj:
-                    acc: dict[Monomial, Coeff] = {}
-                    for delta, co in gen_terms:
-                        mono = monomial_mul(mono_ab, delta)
-                        acc[mono] = acc.get(mono, 0) + co
-                    for mono, co in acc.items():
-                        if co != 0:
-                            diag.setdefault(mono, []).append((bi, ai, float(co)))
-                else:
-                    for delta, co in gen_terms:
-                        if co != 0:
-                            offdiag.add(monomial_mul(mono_ab, delta))
+        for bi, (blk, table) in enumerate(zip(blocks, tables)):
+            kept = set(blk.kept)
+            for a, b, mono, co in table:
+                if a in kept and b in kept:
+                    if a == b:
+                        diag.setdefault(mono, []).append((bi, a, co))
+                    else:
+                        offdiag.add(mono)
 
         to_drop: set[tuple[int, int]] = set()
         for mono, entries in diag.items():
@@ -320,31 +322,19 @@ def build_membership_program(
         raise ValueError(f"order {k} is below the minimal order {kmin}")
     n = gens.num_vars
 
-    blocks: list[SosBlock] = [
-        SosBlock(
-            tag="sigma0",
-            gen_index=None,
-            generator=Polynomial.constant(n, 1),
-            scale=1,
-            basis=monomial_basis(n, k),
-        )
-    ]
+    flips = sign_flips((target, *gens.ineq, *gens.eq), n)
+
+    def sos_block(tag: str, j: int | None, generator: Polynomial, scale: Coeff, d: int) -> SosBlock:
+        basis = monomial_basis(n, d)
+        return SosBlock(tag, j, generator, scale, basis, parity_classes(basis, flips),
+                        list(range(len(basis))))
+
+    blocks = [sos_block("sigma0", None, Polynomial.constant(n, 1), 1, k)]
     for j, g in enumerate(gens.ineq):
         scaled, s = _scaled(g)
-        v = gens.half_degrees[j]
-        blocks.append(
-            SosBlock(
-                tag="cf" if j == gens.cf_index else "ineq",
-                gen_index=j,
-                generator=scaled,
-                scale=s,
-                basis=monomial_basis(n, k - v),
-            )
-        )
-    for blk in blocks:
-        blk.kept = list(range(len(blk.basis)))
-    flips = sign_flips((target, *gens.ineq, *gens.eq), n)
-    classes = [parity_classes(blk.basis, flips) for blk in blocks]
+        blocks.append(sos_block("cf" if j == gens.cf_index else "ineq", j, scaled, s,
+                                k - gens.half_degrees[j]))
+    tables = [_products(blk) for blk in blocks]
 
     eq_blocks: list[EqBlock] = []
     for l, h in enumerate(gens.eq):
@@ -355,7 +345,7 @@ def build_membership_program(
         eq_blocks.append(EqBlock(index=l, generator=scaled, scale=s, basis=basis))
 
     lam_sign = _LAMBDA_SIGN[direction]
-    _reduce_bases(blocks, classes, eq_blocks, target, lam_sign)
+    _reduce_bases(blocks, tables, eq_blocks, target, lam_sign)
 
     num_phi = sum(len(eb.basis) for eb in eq_blocks)
     has_lambda = direction is not Direction.FEASIBILITY
@@ -378,26 +368,23 @@ def build_membership_program(
             blk.solver_block = len(solver_block_dims)
             solver_block_dims.append(len(blk.kept))
 
-    for blk, cls in zip(blocks, classes):
+    for blk, table in zip(blocks, tables):
         sb = blk.solver_block
         if sb is None:
             continue
         dim = len(blk.kept)
-        kb = blk.kept_basis
-        gen_terms = blk.generator.sorted_terms()
-        for a, b in _same_class_pairs([cls[i] for i in blk.kept]):
-            mono_ab = monomial_mul(kb[a], kb[b])
-            for delta, co in gen_terms:
-                mono = monomial_mul(mono_ab, delta)
+        pos = {i: j for j, i in enumerate(blk.kept)}
+        for a, b, mono, cf in table:
+            if a in pos and b in pos:
                 mats, _ = row_for(mono)
                 mat = mats.get(sb)
                 if mat is None:
                     mat = np.zeros((dim, dim))
                     mats[sb] = mat
-                cf = float(co)
-                mat[a, b] += cf
-                if a != b:
-                    mat[b, a] += cf
+                i, j = pos[a], pos[b]
+                mat[i, j] += cf
+                if i != j:
+                    mat[j, i] += cf
 
     offset = 0
     for eb in eq_blocks:

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .builder import GeneratorSet, MembershipProgram, bound_statement, parity_classes
+from .builder import GeneratorSet, MembershipProgram, bound_statement
 from .polynomial import Coeff, Monomial, Polynomial, grlex_key, monomial_mul
 from .sdp import SdpSolution, Status
 
@@ -191,7 +191,7 @@ def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> Mo
             sub = solution.X[blk.solver_block]
             idx = np.asarray(blk.kept, dtype=int)
             gram[np.ix_(idx, idx)] = 0.5 * (sub + sub.T)
-        cls = np.asarray(parity_classes(blk.basis, program.sign_flips))
+        cls = np.asarray(blk.classes)
         gram[cls[:, None] != cls[None, :]] = 0.0
         gram /= float(blk.scale)
         weights.append(SosWeight(tag=blk.tag, index=blk.gen_index, basis=list(blk.basis), gram=gram))
@@ -433,9 +433,10 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
     """Read a certificate payload.  Raises ValueError, naming the field,
     weight or multiplier at fault, for an unknown tag, an ``ineq``/``cf``
     weight or a multiplier without an integer index, a Gram that is not
-    square over its basis, a number that is not finite, and a value of the
-    wrong kind (a null, a list or an object where a number, an integer, an
-    exponent vector, a weight or a term belongs)."""
+    square over its basis, a number that is not finite, a multiplier that
+    lists a monomial twice, and a value of the wrong kind (a null, a list or
+    an object where a number, an integer, an exponent vector, a weight or a
+    term belongs)."""
     where = "num_vars, order or lambda_sign"
     try:
         n, order, lam_sign = (int(payload[key]) for key in ("num_vars", "order", "lambda_sign"))
@@ -464,7 +465,12 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
             where = f"eq multiplier {i}"
             if type(m["index"]) is not int:
                 raise ValueError(f"the index must be an integer, got {m['index']!r}")
-            terms = {tuple(int(e) for e in mono): _num_from_payload(cv) for mono, cv in m["terms"]}
+            terms = {}
+            for mono, cv in m["terms"]:
+                mono = tuple(int(e) for e in mono)
+                if mono in terms:
+                    raise ValueError(f"the monomial {list(mono)} is listed twice")
+                terms[mono] = _num_from_payload(cv)
             mults.append((m["index"], Polynomial(n, terms)))
         where = "residual"
         residual = float(payload.get("residual", 0.0))

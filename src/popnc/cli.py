@@ -8,6 +8,7 @@ Exit codes: 0 success/certified, 2 inconclusive (or failed verification),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="popnc",

@@ -349,10 +349,10 @@ class PopProblem:
             "objective": format_polynomial(self.objective, self.variables),
             "inequalities": [format_polynomial(g, self.variables) for g in self.inequalities],
             "equalities": [format_polynomial(h, self.variables) for h in self.equalities],
-            "c": None if self.c is None else _jsonable(self.c),
-            "x0": None if self.x0 is None else [_jsonable(v) for v in self.x0],
-            "margin": _jsonable(self.margin),
-            "resolved_c": _jsonable(self.resolved_c()),
+            "c": _json_number(self.c),
+            "x0": None if self.x0 is None else [_json_number(v) for v in self.x0],
+            "margin": _json_number(self.margin),
+            "resolved_c": _json_number(self.resolved_c()),
         }
 
 
@@ -468,30 +468,21 @@ def parse_problem(document: str, rational: bool = False) -> PopProblem:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj: Any) -> Any:
-    import numpy as np
+def _json_number(value: Any) -> Any:
+    """A Fraction as the string "p/q"; any other value unchanged."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return value
 
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+
+def _json_default(obj: Any) -> str:
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(row) for row in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "to_payload"):
-        return _jsonable(obj.to_payload())
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    return str(obj)
+        return _json_number(obj)
+    raise TypeError(f"{type(obj).__name__} is not part of a report payload")
 
 
-def emit_report(result: Any) -> str:
-    """Serialize a driver report (or payload tree) deterministically as JSON."""
-    return json.dumps(_jsonable(result), sort_keys=True, indent=2)
+def emit_report(payload: Any) -> str:
+    """Serialize a payload tree (dicts with string keys, lists, strings,
+    numbers, booleans and None) deterministically as JSON; a Fraction is
+    written as the string "p/q".  Raises TypeError for any other value."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)

@@ -723,63 +723,59 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
     for it in range(st.max_iter):
         mu = (_inner_blocks(X, S) + tau * kappa) / (nu + 1)
 
-        rp = tau * b - red.apply(X)
+        AX = red.apply(X)
+        rp = tau * b - AX
         AtY = red.adjoint(y)
         Rd = [tau * Cb - Sb - Ab for Cb, Sb, Ab in zip(C, S, AtY)]
-        rg = kappa + _inner_blocks(C, X) - float(b @ y)
+        cx, by = _inner_blocks(C, X), float(b @ y)
+        rg = kappa + cx - by
+        xnorm, ynorm = _fro_blocks(X), float(np.linalg.norm(y))
 
-        # scaled candidate and user-facing tests
-        Xs = [Xb / tau for Xb in X]
-        ys = y / tau
-        pres = float(np.linalg.norm(red.apply(Xs) - b)) / bnorm
-        Zs = [Cb - Ab for Cb, Ab in zip(C, red.adjoint(ys))]
-        dcone = max(max(0.0, -float(np.linalg.eigvalsh(_sym(Zb)).min())) for Zb in Zs)
+        # user-facing tests of the scaled candidate (X/tau, y/tau)
+        pres = float(np.linalg.norm(rp)) / (tau * bnorm)
+        dcone = max(max(0.0, -float(np.linalg.eigvalsh(_sym(Cb - Ab / tau)).min()))
+                    for Cb, Ab in zip(C, AtY))
         dres = dcone / cnorm
-        pobj = _inner_blocks(C, Xs) + red.offset
-        dobj = float(b @ ys) + red.offset
+        pobj = cx / tau + red.offset
+        dobj = by / tau + red.offset
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
         trace.append({
             "iter": it, "mu": mu, "tau": tau, "kappa": kappa,
             "pobj": pobj, "dobj": dobj, "pres": pres, "dres": dres, "gap": gap,
-            "xnorm": _fro_blocks(Xs), "ynorm": float(np.linalg.norm(ys)),
+            "xnorm": xnorm / tau, "ynorm": ynorm / tau,
             "bnorm": bnorm, "cnorm": cnorm,
         })
 
         if pres <= st.feas_tol and dres <= st.feas_tol and gap <= st.gap_tol:
             return SdpSolution(
                 status=Status.OPTIMAL,
-                X=Xs, free=np.zeros(0), y=ys,
+                X=[Xb / tau for Xb in X], free=np.zeros(0), y=y / tau,
                 obj_primal=pobj, obj_dual=dobj,
                 residuals={"primal": pres, "dual": dres, "gap": gap},
                 iterations=it, trace=trace,
             )
 
         if kappa / max(tau, 1e-300) >= _INFEAS_RATIO:
-            by = float(b @ y)
+            # the rays y/by and X/(-cx), tested through the products above
             if by > 1e-300:
-                yr = y / by
-                Sr = [Sb / by for Sb in S]
-                resid = _fro_blocks([Ab + Sb for Ab, Sb in zip(red.adjoint(yr), Sr)])
-                quality = resid / (1.0 + float(np.linalg.norm(yr)) * Anorm)
+                resid = _fro_blocks([Ab + Sb for Ab, Sb in zip(AtY, S)]) / by
+                quality = resid / (1.0 + ynorm / by * Anorm)
                 if quality <= st.feas_tol:
                     return SdpSolution(
                         status=Status.PRIMAL_INFEASIBLE,
                         X=[np.zeros((d, d)) for d in dims], free=np.zeros(0),
-                        y=yr,
+                        y=y / by,
                         obj_primal=float("nan"), obj_dual=float("nan"),
                         residuals={"farkas": quality}, iterations=it, trace=trace,
                         message="Farkas certificate of primal infeasibility",
                     )
-            cx = _inner_blocks(C, X)
             if cx < -1e-300:
-                Xr = [Xb / (-cx) for Xb in X]
-                resid = float(np.linalg.norm(red.apply(Xr)))
-                quality = resid / (1.0 + _fro_blocks(Xr) * Anorm)
+                quality = float(np.linalg.norm(AX)) / -cx / (1.0 + xnorm / -cx * Anorm)
                 if quality <= st.feas_tol:
                     return SdpSolution(
                         status=Status.DUAL_INFEASIBLE,
-                        X=Xr, free=np.zeros(0), y=np.zeros(p),
+                        X=[Xb / (-cx) for Xb in X], free=np.zeros(0), y=np.zeros(p),
                         obj_primal=float("nan"), obj_dual=float("nan"),
                         residuals={"ray": quality}, iterations=it, trace=trace,
                         message="improving ray certificate of dual infeasibility",
@@ -831,20 +827,21 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
             return _tri_solve(L, _tri_solve(L, rhs), trans=True)
 
         WCW = [Wb @ Cb @ Wb for Wb, Cb in zip(W, C)]
+        WRW = [Wb @ Rb @ Wb for Wb, Rb in zip(W, Rd)]
         hc = red.apply(WCW)
-        cw = _inner_blocks(C, WCW)
+        hb = hc - b
         v0 = msolve(hc + b)
+        denom = float(hb @ v0) - _inner_blocks(C, WCW) - kappa / tau
+        if abs(denom) < 1e-300:
+            message = "singular Newton system"
+            break
 
         def direction(sigma: float, eta: float):
-            E = [sigma * mu * Si - Xb - eta * (Wb @ Rb @ Wb)
-                 for Si, Xb, Wb, Rb in zip(Sinv, X, W, Rd)]
+            E = [sigma * mu * Si - Xb - eta * WRWb for Si, Xb, WRWb in zip(Sinv, X, WRW)]
             rhs1 = eta * rp - red.apply(E)
             u0 = msolve(rhs1)
             rhs2 = -eta * rg - _inner_blocks(C, E) - (sigma * mu - tau * kappa) / tau
-            denom = float((hc - b) @ v0) - cw - kappa / tau
-            if abs(denom) < 1e-300:
-                return None
-            dtau = (rhs2 - float((hc - b) @ u0)) / denom
+            dtau = (rhs2 - float(hb @ u0)) / denom
             dy = u0 + v0 * dtau
             AtDy = red.adjoint(dy)
             dS = [_sym(Cb * dtau - Ab + eta * Rb) for Cb, Ab, Rb in zip(C, AtDy, Rd)]
@@ -860,11 +857,7 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
                           (-kappa / dkappa) if dkappa < 0 else math.inf)
             return min(1.0, _STEP_FRAC * longest)
 
-        aff = direction(0.0, 1.0)
-        if aff is None:
-            message = "singular Newton system"
-            break
-        dXa, dya, dSa, dtaua, dkappaa = aff
+        dXa, _, dSa, dtaua, dkappaa = direction(0.0, 1.0)
         alpha_a = step(dXa, dSa, dtaua, dkappaa)
         mu_aff = (
             _inner_blocks([Xb + alpha_a * D for Xb, D in zip(X, dXa)],
@@ -873,11 +866,7 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
         ) / (nu + 1)
         sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        combo = direction(sigma, 1.0 - sigma)
-        if combo is None:
-            message = "singular Newton system"
-            break
-        dX, dy, dS, dtau, dkappa = combo
+        dX, dy, dS, dtau, dkappa = direction(sigma, 1.0 - sigma)
         alpha = step(dX, dS, dtau, dkappa)
         if not math.isfinite(alpha) or alpha <= 1e-10:
             stalls += 1

@@ -29,6 +29,8 @@ def _payload(family, lam, sign, *weights):
 
 # f - (-1) = x1^2 = sigma_0 for SHIFTED: a hierarchy certificate of the bound -1
 SHIFTED_CERT = _payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[1.0]]))
+# x1^2 - 1 on the line x2 = 0: the same certificate holds with multiplier 0
+ON_LINE = "vars: x1 x2\nobj: x1^2 - 1\neq: x2\nc: 0\n"
 
 
 def _module_cert(sigma0, w, psi=None):
@@ -205,7 +207,11 @@ class TestVerifyRoundTrip:
         ({**SHIFTED_CERT, "family": "foo"}, SHIFTED, "unknown certificate family 'foo'"),
         # x1^2 + 1 = 1 + (4/3) x1^2 (g1 + g2): valid against f, but without psi
         (_module_cert("1", "4/3"), EX31, "a module certificate must carry its SOS weight psi"),
-    ], ids=["forged sign", "unknown family", "module without psi"])
+        # x2 - x2 = 0 as the multiplier of x2; keeping one of the two terms would
+        # read -x2 or x2 and fail the identity
+        ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 1], 1.0], [[0, 1], -1.0]]}]},
+         ON_LINE, "eq multiplier 0: the monomial [0, 1] is listed twice"),
+    ], ids=["forged sign", "unknown family", "module without psi", "repeated multiplier monomial"])
     def test_refused_payloads(self, tmp_path, capsys, payload, problem, message):
         code = self._verify(tmp_path, payload, problem)
         assert code == 3

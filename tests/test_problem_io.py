@@ -240,6 +240,10 @@ class TestEmitReport:
         assert tree["bounds"] == [0.999999]
         assert tree["frac"] == "1/3"
 
+    def test_refuses_values_outside_a_payload_tree(self):
+        with pytest.raises(TypeError):
+            emit_report({"problem": object()})
+
     def test_bounds_substring(self):
         out = emit_report({"bounds": [0.999999]})
         assert '"bounds"' in out and "0.999999" in out
