@@ -153,19 +153,18 @@ def verify_certificate(
     target: Polynomial,
     gens: GeneratorSet,
     tol: float = DEFAULT_RESIDUAL_TOL,
-    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> VerificationResult:
     """Recompute the certificate identity and Gram PSD-ness from scratch.
 
     Passes iff the l1 coefficient residual is <= tol * (1 + ||target||_1) and
-    every Gram matrix has minimum eigenvalue >= -eig_tol.  Failure is a
+    every Gram matrix has minimum eigenvalue >= -DEFAULT_EIG_TOL.  Failure is a
     result, not an exception.
     """
     mismatch = cert.reconstruct(gens) - cert.expected(target)
     residual = mismatch.l1_norm()
     min_eig = min((w.min_eigenvalue() for w in cert.sos_weights), default=0.0)
     bound = tol * float(1 + target.l1_norm())
-    passed = float(residual) <= bound and min_eig >= -eig_tol
+    passed = float(residual) <= bound and min_eig >= -DEFAULT_EIG_TOL
     return VerificationResult(passed=passed, residual=residual, min_gram_eig=min_eig, tol=tol)
 
 
@@ -332,15 +331,13 @@ def sos_decompose(
     gram: Any,
     basis: Sequence[Monomial],
     num_vars: int | None = None,
-    eig_tol: float = DEFAULT_EIG_TOL,
-    clip_ratio: float = 1e-7,
 ) -> SosDecomposition:
     """Split v'Qv into explicit squares via eigendecomposition.
 
-    Eigenvalues below clip_ratio * lambda_max are dropped; the reported
+    Eigenvalues below 1e-7 * lambda_max are dropped; the reported
     truncation error bounds the l1 distance between v'Qv and the returned
     sum of squares.  Raises NotPsdError when the matrix is not PSD within
-    eig_tol.
+    DEFAULT_EIG_TOL.
     """
     g = _gram_float(gram)
     if g.shape[0] != g.shape[1] or g.shape[0] != len(basis):
@@ -349,10 +346,10 @@ def sos_decompose(
         num_vars = len(basis[0]) if basis else 1
     g = 0.5 * (g + g.T)
     vals, vecs = np.linalg.eigh(g)
-    if vals.size and vals[0] < -eig_tol:
-        raise NotPsdError(f"minimum eigenvalue {vals[0]:.3e} is below -eig_tol")
+    if vals.size and vals[0] < -DEFAULT_EIG_TOL:
+        raise NotPsdError(f"minimum eigenvalue {vals[0]:.3e} is below -{DEFAULT_EIG_TOL:g}")
     lam_max = float(vals.max(initial=0.0))
-    clip = clip_ratio * max(lam_max, 0.0)
+    clip = 1e-7 * max(lam_max, 0.0)
     squares: list[Polynomial] = []
     dropped = 0.0
     s = len(basis)
@@ -488,15 +485,15 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
     )
 
 
-def format_certificate(cert: ModuleCertificate, digits: int = 6, drop_below: float = 1e-9) -> str:
+def format_certificate(cert: ModuleCertificate, drop_below: float = 1e-9) -> str:
     """Printable certificate; near-zero weight blocks are omitted from the text
     (they remain part of the stored certificate and of verification)."""
     from .problem_io import format_polynomial
 
     def rounded(p: Polynomial) -> Polynomial:
-        return Polynomial(p.num_vars, {m: float(f"%.{digits}g" % float(cv)) for m, cv in p.terms.items()})
+        return Polynomial(p.num_vars, {m: float("%.6g" % float(cv)) for m, cv in p.terms.items()})
 
-    lines = [f"order k = {cert.order}", f"lambda = {float(cert.lam):.{digits}g}"]
+    lines = [f"order k = {cert.order}", f"lambda = {float(cert.lam):.6g}"]
     for w in cert.sos_weights:
         if w.frobenius() < drop_below:
             continue

@@ -154,6 +154,7 @@ def _dispatch(args) -> int:
             cert, claim.target, claim.gens,
             tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
         )
+        cert.residual = result.residual  # echo the recomputed residual, not the payload's claim
         payload = {
             "command": "verify",
             "problem": problem.to_payload(),

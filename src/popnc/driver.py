@@ -307,7 +307,6 @@ def check_coercive(
     f: Polynomial,
     k_max: int = DEFAULT_K_MAX,
     pos_tol: float = DEFAULT_POS_TOL,
-    cert_tol: float = DEFAULT_RESIDUAL_TOL,
     dump_dir: str | None = None,
     k_start: int | None = None,
 ) -> HierarchyReport:
@@ -331,8 +330,7 @@ def check_coercive(
         "coercive-check", lambda k: build_coercivity_check(f, k),
         statement("coercivity", f).min_order(), k_start, k_max,
         certify_if=lambda value: value > pos_tol,
-        fail_note="positive value but certificate failed verification", cert_tol=cert_tol,
-        notes=notes, subject="objective",
+        fail_note="positive value but certificate failed verification", notes=notes, subject="objective",
     )
     return run_hierarchy(spec, dump_dir)
 

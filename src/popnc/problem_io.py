@@ -46,162 +46,16 @@ class ProblemFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# expression tokenizer / parser
+# expression parser
 # ---------------------------------------------------------------------------
 
+# one token per match, its leading whitespace skipped; ``bad`` is any other character
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^/])"
+    r"|(?P<bad>\S))"
 )
-
-
-@dataclass
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    col: int
-
-
-def _tokenize(text: str, line: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text) + 1))
-    return tokens
-
-
-class _ExprParser:
-    def __init__(self, text: str, variables: Sequence[str], rational: bool, line: int = 1):
-        self.tokens = _tokenize(text, line)
-        self.idx = 0
-        self.line = line
-        self.var_index = {name: i for i, name in enumerate(variables)}
-        self.n = len(variables)
-        self.rational = rational
-
-    def _peek(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def _take(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def _error(self, msg: str, tok: _Token) -> ParseError:
-        return ParseError(msg, self.line, tok.col)
-
-    def _number(self, text: str, tok: _Token) -> Coeff:
-        try:
-            if self.rational:
-                return Fraction(Decimal(text))
-            return float(text)
-        except (InvalidOperation, ValueError):
-            raise self._error(f"malformed number {text!r}", tok)
-
-    def parse(self) -> Polynomial:
-        terms: dict[Monomial, Coeff] = {}
-        sign = 1
-        tok = self._peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self._take()
-            sign = -1 if tok.text == "-" else 1
-        elif tok.kind == "end":
-            raise self._error("empty expression", tok)
-        self._term(terms, sign)
-        while True:
-            tok = self._peek()
-            if tok.kind == "end":
-                break
-            if tok.kind == "op" and tok.text in "+-":
-                self._take()
-                sign = -1 if tok.text == "-" else 1
-                self._term(terms, sign)
-            else:
-                raise self._error(f"expected '+' or '-', got {tok.text!r}", tok)
-        return Polynomial(self.n, terms)
-
-    def _term(self, terms: dict[Monomial, Coeff], sign: int) -> None:
-        coeff: Coeff = Fraction(1) if self.rational else 1.0
-        exponents = [0] * self.n
-        tok = self._peek()
-        saw_factor = False
-
-        if tok.kind == "num":
-            self._take()
-            coeff = self._number(tok.text, tok)
-            saw_factor = True
-            nxt = self._peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self._take()
-                den_tok = self._take()
-                if den_tok.kind != "num":
-                    raise self._error("expected a number after '/'", den_tok)
-                den = self._number(den_tok.text, den_tok)
-                if den == 0:
-                    raise self._error("division by zero in coefficient", den_tok)
-                coeff = coeff / den
-                nxt = self._peek()
-            # optional '*' between leading coefficient and the first variable
-            if nxt.kind == "op" and nxt.text == "*":
-                self._take()
-                self._var_factor(exponents)
-                self._more_factors(exponents)
-            elif nxt.kind == "ident":
-                self._var_factor(exponents)
-                self._more_factors(exponents)
-        elif tok.kind == "ident":
-            self._var_factor(exponents)
-            self._more_factors(exponents)
-            saw_factor = True
-        else:
-            raise self._error(f"expected a number or variable, got {tok.text!r}", tok)
-
-        if not saw_factor:
-            raise self._error("empty term", tok)
-        mono = tuple(exponents)
-        terms[mono] = terms.get(mono, 0) + sign * coeff
-
-    def _more_factors(self, exponents: list[int]) -> None:
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text == "*":
-                self._take()
-                self._var_factor(exponents)
-            elif tok.kind in ("ident", "num"):
-                raise self._error(
-                    "implicit multiplication is not allowed; use '*' between factors", tok
-                )
-            else:
-                return
-
-    def _var_factor(self, exponents: list[int]) -> None:
-        tok = self._take()
-        if tok.kind != "ident":
-            raise self._error(f"expected a variable name, got {tok.text!r}", tok)
-        if tok.text not in self.var_index:
-            raise self._error(f"unknown variable {tok.text!r}", tok)
-        idx = self.var_index[tok.text]
-        power = 1
-        nxt = self._peek()
-        if nxt.kind == "op" and nxt.text == "^":
-            self._take()
-            exp_tok = self._take()
-            if exp_tok.kind == "op" and exp_tok.text == "-":
-                raise self._error("negative exponents are not allowed", exp_tok)
-            if exp_tok.kind != "num" or not re.fullmatch(r"\d+", exp_tok.text):
-                raise self._error(
-                    f"exponent must be a non-negative integer, got {exp_tok.text!r}", exp_tok
-                )
-            power = int(exp_tok.text)
-        exponents[idx] += power
 
 
 def parse_polynomial(
@@ -210,11 +64,91 @@ def parse_polynomial(
     """Parse an expression over the named variables into a Polynomial.
 
     With ``rational=True`` every literal (including decimals) is stored as an
-    exact Fraction.
+    exact Fraction.  Error columns count from the start of ``text``.
     """
     if not variables:
         raise ProblemFormatError("variable list must not be empty")
-    return _ExprParser(text, variables, rational, line).parse()
+    tokens = []  # (kind, text, 1-based column); kind is "num", "ident", "op" or "end"
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) + 1)
+        tokens.append((kind, m[kind], m.start(kind) + 1))
+    tokens.append(("end", "", len(text) + 1))
+    index = {name: i for i, name in enumerate(variables)}
+
+    def number(tok: tuple[str, str, int]) -> Coeff:
+        try:
+            return Fraction(Decimal(tok[1])) if rational else float(tok[1])
+        except (InvalidOperation, ValueError):  # a Decimal exponent beyond its range
+            raise ParseError(f"malformed number {tok[1]!r}", line, tok[2]) from None
+
+    terms: dict[Monomial, Coeff] = {}
+    pos, sign = 0, 1
+    while True:
+        kind, tok, col = tokens[pos]
+        if tok in ("+", "-"):  # optional before the first term, required before the others
+            sign = -1 if tok == "-" else 1
+            pos += 1
+            kind, tok, col = tokens[pos]
+        elif kind == "end":
+            if pos:
+                return Polynomial(len(variables), terms)
+            raise ParseError("empty expression", line, col)
+        elif pos:
+            raise ParseError(f"expected '+' or '-', got {tok!r}", line, col)
+        # a term: number ['/' number] [['*'] factors], or factors; factors are
+        # variables with optional '^' exponents, joined by '*'
+        coeff: Coeff = Fraction(1) if rational else 1.0
+        exponents = [0] * len(variables)
+        factors = True
+        if kind == "num":
+            coeff = number(tokens[pos])
+            pos += 1
+            kind, tok, col = tokens[pos]
+            if tok == "/":
+                den_tok = tokens[pos + 1]
+                if den_tok[0] != "num":
+                    raise ParseError("expected a number after '/'", line, den_tok[2])
+                den = number(den_tok)
+                if den == 0:
+                    raise ParseError("division by zero in coefficient", line, den_tok[2])
+                coeff = coeff / den
+                pos += 2
+                kind, tok, col = tokens[pos]
+            if tok == "*":
+                pos += 1
+            else:
+                factors = kind == "ident"
+        elif kind != "ident":
+            raise ParseError(f"expected a number or variable, got {tok!r}", line, col)
+        while factors:
+            kind, name, col = tokens[pos]
+            if kind != "ident":
+                raise ParseError(f"expected a variable name, got {name!r}", line, col)
+            if name not in index:
+                raise ParseError(f"unknown variable {name!r}", line, col)
+            power = 1
+            if tokens[pos + 1][1] == "^":
+                kind, tok, col = tokens[pos + 2]
+                if tok == "-":
+                    raise ParseError("negative exponents are not allowed", line, col)
+                if kind != "num" or not tok.isdecimal():
+                    raise ParseError(f"exponent must be a non-negative integer, got {tok!r}", line, col)
+                power = int(tok)
+                pos += 2
+            exponents[index[name]] += power
+            pos += 1
+            kind, tok, col = tokens[pos]
+            if tok == "*":
+                pos += 1
+            elif kind in ("ident", "num"):
+                raise ParseError("implicit multiplication is not allowed; use '*' between factors",
+                                 line, col)
+            else:
+                factors = False
+        mono = tuple(exponents)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +311,17 @@ def _parse_number(text: str, rational: bool, line: int) -> Coeff:
 
 
 def parse_problem(document: str, rational: bool = False) -> PopProblem:
-    """Parse and fully validate a problem document."""
+    """Parse and fully validate a problem document.
+
+    A ParseError's column counts from the start of the file line."""
     variables: list[str] | None = None
     objective: Polynomial | None = None
     inequalities: list[Polynomial] = []
     equalities: list[Polynomial] = []
     c: Coeff | None = None
     x0: list[Coeff] | None = None
-    margin: Coeff | None = None
+    margin: Coeff = 1
+    seen: set[str] = set()  # the single-valued directives read so far
 
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -394,7 +331,12 @@ def parse_problem(document: str, rational: bool = False) -> PopProblem:
             raise ProblemFormatError(f"line {lineno}: expected 'key: value', got {line!r}")
         key, _, value = line.partition(":")
         key = key.strip().lower()
+        offset = raw.index(":") + 1 + len(value) - len(value.lstrip())  # of value in raw
         value = value.strip()
+        if key in seen:
+            raise ProblemFormatError(f"line {lineno}: duplicate '{key}:' directive")
+        if key not in ("ineq", "eq"):
+            seen.add(key)
 
         if variables is None:
             if key != "vars":
@@ -412,38 +354,29 @@ def parse_problem(document: str, rational: bool = False) -> PopProblem:
             variables = names
             continue
 
-        if key == "vars":
-            raise ProblemFormatError(f"line {lineno}: duplicate 'vars:' directive")
-        if key == "obj":
-            if objective is not None:
-                raise ProblemFormatError(f"line {lineno}: duplicate 'obj:' directive")
-            objective = parse_polynomial(value, variables, rational, line=lineno)
-        elif key == "ineq":
-            m = _INEQ_SUFFIX_RE.match(value)
-            if m:
-                body, rel = m.group("body"), m.group("rel")
+        try:
+            if key == "obj":
+                objective = parse_polynomial(value, variables, rational, line=lineno)
+            elif key == "ineq":
+                m = _INEQ_SUFFIX_RE.match(value)
+                g = parse_polynomial(m["body"] if m else value, variables, rational, line=lineno)
+                # g <= 0 is normalized to -g >= 0
+                inequalities.append(-g if m and m["rel"] == "<=" else g)
+            elif key == "eq":
+                equalities.append(parse_polynomial(value, variables, rational, line=lineno))
+            elif key == "c":
+                c = _parse_number(value, rational, lineno)
+            elif key == "x0":
+                parts = value.replace(",", " ").split()
+                if not parts:
+                    raise ProblemFormatError(f"line {lineno}: empty x0")
+                x0 = [_parse_number(p, rational, lineno) for p in parts]
+            elif key == "margin":
+                margin = _parse_number(value, rational, lineno)
             else:
-                body, rel = value, ">="
-            g = parse_polynomial(body, variables, rational, line=lineno)
-            # g <= 0 is normalized to -g >= 0
-            inequalities.append(-g if rel == "<=" else g)
-        elif key == "eq":
-            equalities.append(parse_polynomial(value, variables, rational, line=lineno))
-        elif key == "c":
-            if c is not None:
-                raise ProblemFormatError(f"line {lineno}: duplicate 'c:' directive")
-            c = _parse_number(value, rational, lineno)
-        elif key == "x0":
-            if x0 is not None:
-                raise ProblemFormatError(f"line {lineno}: duplicate 'x0:' directive")
-            parts = value.replace(",", " ").split()
-            if not parts:
-                raise ProblemFormatError(f"line {lineno}: empty x0")
-            x0 = [_parse_number(p, rational, lineno) for p in parts]
-        elif key == "margin":
-            margin = _parse_number(value, rational, lineno)
-        else:
-            raise ProblemFormatError(f"line {lineno}: unknown directive {key!r}")
+                raise ProblemFormatError(f"line {lineno}: unknown directive {key!r}")
+        except ParseError as err:
+            raise ParseError(err.reason, lineno, offset + err.col) from None
 
     if variables is None:
         raise ProblemFormatError("missing 'vars:' directive")
@@ -457,7 +390,7 @@ def parse_problem(document: str, rational: bool = False) -> PopProblem:
         equalities=equalities,
         c=c,
         x0=x0,
-        margin=1 if margin is None else margin,
+        margin=margin,
     )
     problem.validate()
     return problem

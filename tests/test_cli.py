@@ -261,6 +261,17 @@ class TestVerifyRoundTrip:
         code = self._verify(tmp_path, _module_cert("1/2", "2/3", psi="-1/2"), EX31)
         assert code == 2 and "verification: FAIL" in capsys.readouterr().out
 
+    def test_echoes_the_recomputed_residual(self, tmp_path, capsys):
+        # the payload claims residual 0, but against f = x1^2 - 3/2 its identity
+        # f + 1 = x1^2 misses by 1/2
+        wrong = SHIFTED.replace("x1^2 - 1", "x1^2 - 3/2")
+        assert self._verify(tmp_path, SHIFTED_CERT, wrong, "--json") == 2
+        tree = json.loads(capsys.readouterr().out)
+        assert tree["verification"]["residual"] == tree["certificate"]["residual"] == 0.5
+        assert self._verify(tmp_path, SHIFTED_CERT, wrong) == 2
+        out = capsys.readouterr().out
+        assert "residual: 5.000000e-01" in out and "identity residual (l1) = 5.000e-01" in out
+
     def test_json_verify_does_not_format(self, tmp_path, capsys, monkeypatch):
         def unused(cert):
             raise AssertionError("verify --json formatted the certificate")

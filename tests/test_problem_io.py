@@ -62,6 +62,34 @@ class TestParsePolynomial:
         assert err.value.line == 1
         assert err.value.col == 6
 
+    @pytest.mark.parametrize("text, rational, message, col", [
+        ("x1 + 2 ) - x2", False, "unexpected character ')'", 8),
+        ("   ", False, "empty expression", 4),
+        ("2 ^ 3", False, "expected '+' or '-', got '^'", 3),
+        ("2 3", False, "expected '+' or '-', got '3'", 3),
+        ("x1 + * x2", False, "expected a number or variable, got '*'", 6),
+        ("x1 -", False, "expected a number or variable, got ''", 5),
+        ("x1*x2 x1", False, "implicit multiplication is not allowed; use '*' between factors", 7),
+        ("x1 3", False, "implicit multiplication is not allowed; use '*' between factors", 4),
+        ("2 * + x1", False, "expected a variable name, got '+'", 5),
+        ("x1 *", False, "expected a variable name, got ''", 5),
+        ("x1 + 3*y", False, "unknown variable 'y'", 8),
+        ("x1^-2", False, "negative exponents are not allowed", 4),
+        ("x1^1.5", False, "exponent must be a non-negative integer, got '1.5'", 4),
+        ("x2^x1", False, "exponent must be a non-negative integer, got 'x1'", 4),
+        ("x1^", False, "exponent must be a non-negative integer, got ''", 4),
+        ("1/x1", False, "expected a number after '/'", 3),
+        ("1 /", False, "expected a number after '/'", 4),
+        ("3/0*x1", False, "division by zero in coefficient", 3),
+        ("1/1e-400", False, "division by zero in coefficient", 3),
+        ("x1 + 1e99999999999999999999", True, "malformed number '1e99999999999999999999'", 6),
+    ])
+    def test_error_messages_and_positions(self, text, rational, message, col):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, V2, rational=rational, line=3)
+        assert (err.value.reason, err.value.line, err.value.col) == (message, 3, col)
+        assert str(err.value) == f"line 3, col {col}: {message}"
+
     def test_repeated_variable_collects(self):
         p = parse_polynomial("x1^2*x1", V2)
         assert p.terms == {(3, 0): 1.0}
@@ -150,6 +178,25 @@ class TestParseProblem:
     def test_vars_must_come_first(self):
         with pytest.raises(ProblemFormatError):
             parse_problem("obj: x\nvars: x\nc: 1\n")
+
+    @pytest.mark.parametrize("doc, line, col", [
+        ("vars: x1\nobj: x1 + ?\nc: 1\n", 2, 11),
+        ("vars: x1\nineq:    1 - x1 >= 1\nobj: x1\nc: 1\n", 2, 17),
+        ("vars: x1\n  eq:\tx1^-1  # comment\nobj: x1\nc: 1\n", 2, 10),
+        ("vars: x1 x2\nobj: x1\nineq: x2*y <= 0\nc: 1\n", 3, 10),
+    ])
+    def test_error_columns_count_from_the_file_line(self, doc, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_problem(doc)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("key, value", [
+        ("vars", "x"), ("obj", "x"), ("c", "1"), ("x0", "0"), ("margin", "2"),
+    ])
+    def test_single_valued_directive_repeated(self, key, value):
+        doc = "vars: x\nobj: x^2\nc: 1\nx0: 0\nmargin: 1\n" + f"{key}: {value}\n"
+        with pytest.raises(ProblemFormatError, match=f"^line 6: duplicate '{key}:' directive$"):
+            parse_problem(doc)
 
     def test_equality_directive(self):
         p = parse_problem("vars: x y\nobj: x\neq: x^2 + y^2 - 1\nx0: 1 0\n")
