@@ -33,11 +33,9 @@ from .builder import (
     statement,
 )
 from .sdp import (
-    LinearConstraint,
     SdpProblem,
     SdpSolution,
     SdpStructureError,
-    SolverSettings,
     Status,
     dump_sdp,
     solve,
@@ -75,7 +73,6 @@ __all__ = [
     "Direction",
     "GeneratorSet",
     "HierarchyReport",
-    "LinearConstraint",
     "MembershipProgram",
     "ModuleCertificate",
     "Monomial",
@@ -88,7 +85,6 @@ __all__ = [
     "SdpProblem",
     "SdpSolution",
     "SdpStructureError",
-    "SolverSettings",
     "SosDecomposition",
     "SosWeight",
     "Statement",

@@ -10,7 +10,9 @@ the constant generator) and free polynomial multipliers phi_l of degree
 holds as a polynomial identity of degree <= 2k.  Coefficient matching over
 the monomials of degree <= 2k yields the linear constraints of a
 block-diagonal semidefinite program; the decision scalar lambda (when
-present) and the phi coefficients enter as free variables.
+present) and the phi coefficients enter as free variables.  The builder
+writes the constraints as the solver reads them: per block the (row, r, c,
+value) entries of its Gram pairs r <= c, and the free-variable matrix B.
 
 What each certificate family proves -- its target, generators and the
 sign of lambda -- is defined once, by ``statement``; the hierarchy step, the
@@ -37,6 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +52,7 @@ from .polynomial import (
     monomial_mul,
     sum_of_squared_variables,
 )
-from .sdp import LinearConstraint, SdpProblem
+from .sdp import SdpProblem
 
 
 class Direction(str, Enum):
@@ -64,27 +67,22 @@ _LAMBDA_SIGN = {Direction.MAXIMIZE: 1, Direction.MINIMIZE: -1, Direction.FEASIBI
 def monomial_basis(num_vars: int, max_degree: int) -> list[Monomial]:
     """All monomials of total degree <= max_degree in graded-lex order.
 
-    Length is C(num_vars + max_degree, num_vars).
+    Length is C(num_vars + max_degree, num_vars).  Within a degree, the
+    multisets of variables in lexicographic order are the monomials in
+    graded-lex order: x1^2, x1*x2, x2^2, ...
     """
     if num_vars < 1:
         raise ValueError("num_vars must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     basis: list[Monomial] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            basis.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    out: list[Monomial] = []
     for d in range(max_degree + 1):
-        basis.clear()
-        rec([], d, num_vars)
-        out.extend(sorted(basis, key=grlex_key))
-    return out
+        for factors in combinations_with_replacement(range(num_vars), d):
+            exponents = [0] * num_vars
+            for i in factors:
+                exponents[i] += 1
+            basis.append(tuple(exponents))
+    return basis
 
 
 def basis_size(num_vars: int, max_degree: int) -> int:
@@ -253,7 +251,7 @@ def _products(blk: SosBlock) -> list[tuple[int, int, Monomial, float]]:
 
 
 def _reduce_bases(blocks: list[SosBlock], tables: list[list[tuple[int, int, Monomial, float]]],
-                  eq_blocks: list[EqBlock], target: Polynomial, lambda_sign: int) -> None:
+                  free_reach: set[Monomial], target: Polynomial) -> None:
     """Drop Gram-basis monomials whose diagonal entries are forced to zero.
 
     A coefficient-matching row whose only contributions are PSD diagonal
@@ -262,16 +260,9 @@ def _reduce_bases(blocks: list[SosBlock], tables: list[list[tuple[int, int, Mono
     zero whenever the matched target coefficient is zero.  Removing them
     never changes the feasible set, and it turns several structurally
     infeasible programs into strongly infeasible SDPs that the solver can
-    classify.  Runs to a fixpoint over each block's ``_products`` table.
+    classify.  Runs to a fixpoint over each block's ``_products`` table;
+    ``free_reach`` holds the monomials of the free-variable terms.
     """
-    free_reach: set[Monomial] = set()
-    for eb in eq_blocks:
-        for beta in eb.basis:
-            for delta in eb.generator.terms:
-                free_reach.add(monomial_mul(beta, delta))
-    if lambda_sign != 0:
-        free_reach.add(tuple([0] * target.num_vars))
-
     while True:
         # diag[mono] -> list of (block index, basis position, coefficient)
         diag: dict[Monomial, list[tuple[int, int, float]]] = {}
@@ -344,75 +335,49 @@ def build_membership_program(
         basis = [m for m, c in zip(basis, parity_classes(basis, flips)) if c == 0]
         eq_blocks.append(EqBlock(index=l, generator=scaled, scale=s, basis=basis))
 
-    lam_sign = _LAMBDA_SIGN[direction]
-    _reduce_bases(blocks, tables, eq_blocks, target, lam_sign)
-
-    num_phi = sum(len(eb.basis) for eb in eq_blocks)
+    free_terms: list[tuple[Monomial, int, float]] = []  # (monomial, free variable, coefficient)
+    num_phi = 0
+    for eb in eq_blocks:
+        gen_terms = eb.generator.sorted_terms()
+        for beta in eb.basis:
+            free_terms += [(monomial_mul(beta, delta), num_phi, float(co)) for delta, co in gen_terms]
+            num_phi += 1
     has_lambda = direction is not Direction.FEASIBILITY
     num_free = num_phi + (1 if has_lambda else 0)
     lambda_index = num_phi if has_lambda else None
+    if has_lambda:
+        free_terms.append((tuple([0] * n), lambda_index, float(_LAMBDA_SIGN[direction])))
 
-    # rows[mono] = (per-block symmetric coefficient matrices, free-var row)
-    rows: dict[Monomial, tuple[dict[int, np.ndarray], np.ndarray]] = {}
+    _reduce_bases(blocks, tables, {mono for mono, _, _ in free_terms}, target)
 
-    def row_for(mono: Monomial) -> tuple[dict[int, np.ndarray], np.ndarray]:
-        row = rows.get(mono)
-        if row is None:
-            row = ({}, np.zeros(num_free))
-            rows[mono] = row
-        return row
-
+    # per kept block: (monomial, r, c) -> coefficient of the Gram entry
+    # (r, c), r <= c, in that monomial's row, summed in table order
     solver_block_dims: list[int] = []
-    for blk in blocks:
-        if blk.kept:
-            blk.solver_block = len(solver_block_dims)
-            solver_block_dims.append(len(blk.kept))
-
+    block_terms: list[dict[tuple[Monomial, int, int], float]] = []
     for blk, table in zip(blocks, tables):
-        sb = blk.solver_block
-        if sb is None:
+        if not blk.kept:
             continue
-        dim = len(blk.kept)
+        blk.solver_block = len(solver_block_dims)
+        solver_block_dims.append(len(blk.kept))
         pos = {i: j for j, i in enumerate(blk.kept)}
+        terms: dict[tuple[Monomial, int, int], float] = {}
         for a, b, mono, cf in table:
             if a in pos and b in pos:
-                mats, _ = row_for(mono)
-                mat = mats.get(sb)
-                if mat is None:
-                    mat = np.zeros((dim, dim))
-                    mats[sb] = mat
-                i, j = pos[a], pos[b]
-                mat[i, j] += cf
-                if i != j:
-                    mat[j, i] += cf
+                key = (mono, pos[a], pos[b])
+                terms[key] = terms.get(key, 0.0) + cf
+        block_terms.append(terms)
 
-    offset = 0
-    for eb in eq_blocks:
-        gen_terms = eb.generator.sorted_terms()
-        for pos, beta in enumerate(eb.basis):
-            col = offset + pos
-            for delta, co in gen_terms:
-                mono = monomial_mul(beta, delta)
-                _, free_row = row_for(mono)
-                free_row[col] += float(co)
-        offset += len(eb.basis)
-
-    if has_lambda:
-        _, free_row = row_for(tuple([0] * n))
-        free_row[lambda_index] += float(lam_sign)
-
-    for mono in target.terms:
-        row_for(mono)
-
-    constraint_index = sorted(rows, key=grlex_key)
-    constraints = [
-        LinearConstraint(
-            blocks=rows[mono][0],
-            free=rows[mono][1],
-            rhs=float(target.coefficient(mono)),
-        )
-        for mono in constraint_index
-    ]
+    constraint_index = sorted({mono for terms in block_terms for mono, _, _ in terms}
+                              | {mono for mono, _, _ in free_terms} | set(target.terms), key=grlex_key)
+    row_of = {mono: i for i, mono in enumerate(constraint_index)}
+    entries = []
+    for terms in block_terms:
+        keys = np.array([(row_of[mono], i, j) for mono, i, j in terms], dtype=np.intp).reshape(-1, 3)
+        entries.append((*keys.T, np.fromiter(terms.values(), dtype=float, count=len(terms))))
+    B = np.zeros((len(constraint_index), num_free))
+    for mono, col, co in free_terms:
+        B[row_of[mono], col] += co
+    b = np.array([float(target.coefficient(mono)) for mono in constraint_index])
 
     obj_free = np.zeros(num_free)
     if has_lambda:
@@ -434,9 +399,9 @@ def build_membership_program(
     )
     return SdpProblem(
         block_dims=solver_block_dims,
-        num_free=num_free,
-        constraints=constraints,
-        obj_blocks={},
+        entries=entries,
+        B=B,
+        b=b,
         obj_free=obj_free,
         sense=sense,
         meta=meta,

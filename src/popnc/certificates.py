@@ -21,7 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .builder import GeneratorSet, MembershipProgram, bound_statement
-from .polynomial import Coeff, Monomial, Polynomial, grlex_key, monomial_mul
+from .polynomial import Coeff, Monomial, Polynomial, exact_decimal, grlex_key, monomial_mul
 from .sdp import SdpSolution, Status
 
 
@@ -232,16 +232,11 @@ def _merge_sigma0(w0: SosWeight, wcf: SosWeight, c: Coeff) -> SosWeight:
     pos = {m: i for i, m in enumerate(basis)}
     s = len(basis)
     merged: list[list[Coeff]] = [[0] * s for _ in range(s)]
-    rows0 = w0.gram.tolist() if isinstance(w0.gram, np.ndarray) else w0.gram
-    rowsc = wcf.gram.tolist() if isinstance(wcf.gram, np.ndarray) else wcf.gram
-    for i, mi in enumerate(w0.basis):
-        pi = pos[mi]
-        for j, mj in enumerate(w0.basis):
-            merged[pi][pos[mj]] += rows0[i][j]
-    for i, mi in enumerate(wcf.basis):
-        pi = pos[mi]
-        for j, mj in enumerate(wcf.basis):
-            merged[pi][pos[mj]] += c * rowsc[i][j]
+    for w, factor in ((w0, 1), (wcf, c)):
+        rows = w.gram.tolist() if isinstance(w.gram, np.ndarray) else w.gram
+        for i, mi in enumerate(w.basis):
+            for j, mj in enumerate(w.basis):
+                merged[pos[mi]][pos[mj]] += factor * rows[i][j]
     exact = any(isinstance(v, Fraction) for row in merged for v in row)
     gram = merged if exact else np.array([[float(v) for v in row] for row in merged])
     return SosWeight(tag="sigma0", index=None, basis=basis, gram=gram)
@@ -379,12 +374,12 @@ def _num_to_payload(v: Coeff):
 
 
 def _num_from_payload(v) -> Coeff:
-    """A payload number; raises ValueError for a float that is not finite."""
+    """A payload number; ValueError for a float that is not finite or a decimal exact_decimal refuses."""
     if isinstance(v, str):
         if "/" in v:
             num, den = v.split("/", 1)
             return Fraction(int(num), int(den))
-        return Fraction(v)
+        return exact_decimal(v)
     v = float(v)
     if not math.isfinite(v):
         raise ValueError(f"{v} is not a finite number")

@@ -55,22 +55,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_orders=True):
+    def common(p, solve=True, tol=True):  # solve: the order range and --dump-sdp
         p.add_argument("problem", help="problem file (see README for the format)")
-        if with_orders:
+        if solve:
             p.add_argument("--k-max", type=int, default=driver.DEFAULT_K_MAX,
                            help="highest relaxation order to try")
             p.add_argument("--k-start", type=int, default=None,
                            help="first relaxation order (defaults to the minimal valid order)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="main tolerance of the subcommand (stabilization, "
-                            "positivity or verification depending on the command)")
+            p.add_argument("--dump-sdp", metavar="DIR", default=None,
+                           help="write each order's SDP in the debug dump format to DIR")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="main tolerance of the subcommand (stabilization, "
+                                "positivity or verification depending on the command)")
         p.add_argument("--c", type=float, default=None, help="override the level bound c")
         p.add_argument("--margin", type=float, default=None,
                        help="override the margin used when c is derived from x0")
         p.add_argument("--json", action="store_true", help="emit the full report as JSON on stdout")
-        p.add_argument("--dump-sdp", metavar="DIR", default=None,
-                       help="write each order's SDP in the debug dump format to DIR")
 
     common(sub.add_parser("minimize", help="run the lower-bound hierarchy"))
     common(sub.add_parser("arch-check", help="certify the Archimedean property numerically"))
@@ -78,10 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="verify a certificate file against a problem file")
     pv.add_argument("certificate", help="certificate JSON file (report payload schema)")
-    common(pv, with_orders=False)
+    common(pv, solve=False)
 
     pp = sub.add_parser("parse", help="validate a problem file and print a summary")
-    common(pp, with_orders=False)
+    common(pp, solve=False, tol=False)
     return ap
 
 

@@ -64,7 +64,7 @@ class OrderOutcome:
     def of(cls, order: int, sol: SdpSolution, sdp_prob: SdpProblem) -> OrderOutcome:
         value = sol.obj_primal if sol.status is Status.OPTIMAL else None
         return cls(order, sol.status.value, value, sol.iterations, sol.message,
-                   list(sdp_prob.block_dims), len(sdp_prob.constraints), sdp_prob.num_free,
+                   list(sdp_prob.block_dims), len(sdp_prob.b), sdp_prob.num_free,
                    [list(flip) for flip in sdp_prob.meta.sign_flips])
 
     @property
@@ -163,13 +163,6 @@ class HierarchySpec:
     subject: str | None = None
 
 
-def _maybe_dump(problem_sdp: SdpProblem, dump_dir: str | None) -> None:
-    if dump_dir:
-        os.makedirs(dump_dir, exist_ok=True)
-        meta = problem_sdp.meta
-        dump_sdp(problem_sdp, os.path.join(dump_dir, f"{meta.family}_k{meta.order}.sdp"))
-
-
 def _stabilized(orders: list[OrderOutcome], tol: float) -> bool:
     """|f_k - f_prev| <= tol * (1 + |f_k|) at each of the last two orders,
     both optimal, f_prev being the optimal value before f_k."""
@@ -202,7 +195,9 @@ def run_hierarchy(
     last = None  # (k, solution, program) of the last optimal order
     for k in range(k0, spec.k_max + 1):
         sdp_prob = spec.build(k)
-        _maybe_dump(sdp_prob, dump_dir)
+        if dump_dir:
+            os.makedirs(dump_dir, exist_ok=True)
+            dump_sdp(sdp_prob, os.path.join(dump_dir, f"{sdp_prob.meta.family}_k{sdp_prob.meta.order}.sdp"))
         sol = solve(sdp_prob)
         report.orders.append(OrderOutcome.of(k, sol, sdp_prob))
         if sol.status is not Status.OPTIMAL:

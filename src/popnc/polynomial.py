@@ -9,11 +9,27 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
 Coeff = Union[int, float, Fraction]
+
+
+def exact_decimal(text: str) -> Fraction:
+    """The exact value of a decimal literal such as "-1.25e-3".  A malformed
+    or infinite one, and one beyond the float range (1.8e308 to 4.9e-324),
+    raise ValueError; the last before 10^exponent is built, which can take seconds."""
+    try:
+        d = Decimal(text)
+    except InvalidOperation:  # also an exponent beyond Decimal's own range
+        raise ValueError(f"malformed number {text!r}") from None
+    if not d.is_finite():
+        raise ValueError(f"{text} is not a finite number")
+    if d and abs(d.adjusted()) > 400:
+        raise ValueError(f"{text} lies beyond the float range")
+    return Fraction(d)
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:

@@ -24,11 +24,10 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .polynomial import Coeff, Monomial, Polynomial
+from .polynomial import Coeff, Monomial, Polynomial, exact_decimal
 
 
 class ParseError(ValueError):
@@ -79,9 +78,9 @@ def parse_polynomial(
 
     def number(tok: tuple[str, str, int]) -> Coeff:
         try:
-            return Fraction(Decimal(tok[1])) if rational else float(tok[1])
-        except (InvalidOperation, ValueError):  # a Decimal exponent beyond its range
-            raise ParseError(f"malformed number {tok[1]!r}", line, tok[2]) from None
+            return exact_decimal(tok[1]) if rational else float(tok[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), line, tok[2]) from None
 
     terms: dict[Monomial, Coeff] = {}
     pos, sign = 0, 1
@@ -135,7 +134,10 @@ def parse_polynomial(
                     raise ParseError("negative exponents are not allowed", line, col)
                 if kind != "num" or not tok.isdecimal():
                     raise ParseError(f"exponent must be a non-negative integer, got {tok!r}", line, col)
-                power = int(tok)
+                try:
+                    power = int(tok)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"exponent of {len(tok)} digits is too large", line, col) from None
                 pos += 2
             exponents[index[name]] += power
             pos += 1
@@ -200,7 +202,8 @@ def format_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> 
 # problem documents
 # ---------------------------------------------------------------------------
 
-DEFAULT_FEAS_TOL = 1e-8
+# how far x0 may violate an inequality or an equality
+FEAS_TOL = 1e-8
 
 
 @dataclass
@@ -242,7 +245,7 @@ class PopProblem:
             raise ProblemFormatError(f"x0 is out of range: {name} at x0 does not fit in a float")
         return value
 
-    def validate(self, feas_tol: float = DEFAULT_FEAS_TOL) -> None:
+    def validate(self) -> None:
         n = self.num_vars
         if n == 0:
             raise ProblemFormatError("empty variable list")
@@ -269,11 +272,11 @@ class PopProblem:
                 raise ProblemFormatError(f"x0 has {len(self.x0)} entries, expected {n}")
             for j, g in enumerate(self.inequalities):
                 value = float(self._at_x0(g, f"inequality {j + 1}"))
-                if value < -feas_tol:
+                if value < -FEAS_TOL:
                     raise ProblemFormatError(f"x0 violates inequality {j + 1}: g(x0) = {value:.6g}")
             for l, h in enumerate(self.equalities):
                 value = float(self._at_x0(h, f"equality {l + 1}"))
-                if abs(value) > feas_tol:
+                if abs(value) > FEAS_TOL:
                     raise ProblemFormatError(f"x0 violates equality {l + 1}: h(x0) = {value:.6g}")
             self.resolved_c()
 
@@ -298,10 +301,12 @@ def _parse_number(text: str, rational: bool, line: int) -> Coeff:
     m = re.fullmatch(r"(?P<num>[-+]?[\d.]+(?:[eE][+-]?\d+)?)(?:\s*/\s*(?P<den>\d+))?", text)
     if m is None:
         raise ProblemFormatError(f"line {line}: malformed number {text!r}")
+    num_text = m.group("num")
     try:
-        num = Fraction(Decimal(m.group("num"))) if rational else float(m.group("num"))
-    except (InvalidOperation, ValueError):
-        raise ProblemFormatError(f"line {line}: malformed number {text!r}")
+        num = exact_decimal(num_text) if rational else float(num_text)
+    except ValueError as exc:  # float() refuses only what exact_decimal calls malformed
+        reason = exc if rational else f"malformed number {num_text!r}"
+        raise ProblemFormatError(f"line {line}: {reason}") from None
     if m.group("den"):
         den = int(m.group("den"))
         if den == 0:

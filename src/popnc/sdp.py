@@ -6,10 +6,11 @@ Problems are given in primal standard form with optional free variables:
     subject to  <A_i, X> + B_i u = b_i,   i = 1..p
                 X  block-diagonal PSD,  u free
 
-(`sense="max"` negates the objective internally).  Internally each PSD
-block keeps its constraint coefficients sparse, as row, position and value
-arrays; no (p, d, d) tensor is formed for a block stored that way.  Problems
-are checked as they are converted, reading each matrix once.
+(`sense="max"` negates the objective internally).  An `SdpProblem` stores
+each PSD block's constraints as the (row, r, c, value) arrays of their
+upper-triangle entries, and B and b dense; no dense matrix is formed per
+row.  The solver checks the entries once as it mirrors them into its
+internal form: row, flat position and value arrays per block.
 
 One presolve step makes the problem pure-PSD.  It eliminates the free
 variables by an SVD of B restricted to the rows where B is nonzero.  Rows
@@ -75,12 +76,12 @@ class Status(str, Enum):
 
 
 class SdpStructureError(ValueError):
-    """Malformed problem data (dimensions, symmetry)."""
+    """Malformed problem data (dimensions, indices, symmetry, values)."""
 
 
 @dataclass
 class LinearConstraint:
-    """One equality row: sum_b <blocks[b], X_b> + free . u = rhs."""
+    """One equality row as dense matrices: sum_b <blocks[b], X_b> + free . u = rhs."""
 
     blocks: dict[int, np.ndarray]
     free: np.ndarray
@@ -89,21 +90,40 @@ class LinearConstraint:
 
 @dataclass
 class SdpProblem:
+    """The program above.  Row i's coefficient matrix of block b holds
+    value[k] at (r[k], c[k]) and its mirror for each k with row[k] == i,
+    where ``entries[b] = (row, r, c, value)`` and r <= c.  ``B`` (p, q) holds
+    the free-variable coefficients and ``b`` (p,) the right-hand side."""
+
     block_dims: list[int]
-    num_free: int
-    constraints: list[LinearConstraint]
+    entries: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    B: np.ndarray
+    b: np.ndarray
     obj_blocks: dict[int, np.ndarray] = field(default_factory=dict)
     obj_free: np.ndarray | None = None
     sense: str = "min"
     obj_offset: float = 0.0
     meta: Any = None
 
+    @property
+    def num_free(self) -> int:
+        return self.B.shape[1]
 
-@dataclass
-class SolverSettings:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
+    @property
+    def constraints(self) -> list[LinearConstraint]:
+        """The rows with a dense matrix per block, built on each call."""
+        rows = [LinearConstraint({}, self.B[i], float(self.b[i])) for i in range(len(self.b))]
+        for bi, (row, r, c, val) in enumerate(self.entries):
+            for i, rr, cc, v in zip(row.tolist(), r.tolist(), c.tolist(), val.tolist()):
+                mat = rows[i].blocks.setdefault(bi, np.zeros((self.block_dims[bi],) * 2))
+                mat[rr, cc] = mat[cc, rr] = v
+        return rows
+
+
+# The interior-point method's bounds on the relative gap and residuals, and its iteration limit
+GAP_TOL = 1e-8
+FEAS_TOL = 1e-8
+MAX_ITER = 200
 
 
 @dataclass
@@ -393,9 +413,6 @@ class _Data:
     c: np.ndarray  # (q,)
     offset: float
 
-    def apply(self, X: list[np.ndarray]) -> np.ndarray:
-        return _apply(self.A, X, len(self.b))
-
 
 @dataclass
 class _Reduced:
@@ -441,22 +458,47 @@ class _Reduced:
         return _sym(np.block([[M[:k, :k], MU[:k]], [MU[:k].T, U.T @ MU[k:]]]))
 
 
-def _block_matrix(dims: list[int], b: int, mat, where: str) -> np.ndarray:
-    """mat as a float array, checked as the coefficients of block b.  Symmetric
+def _block_matrix(dims: list[int], b: int, mat) -> np.ndarray:
+    """mat as a float array, checked as the objective of block b.  Symmetric
     means finite and |M - M'| <= 1e-12 (1 + max|M|) + 1e-5 |M'| entrywise; a
     NaN or infinite entry makes M - M' nonzero, so the exact test finds it."""
     if not 0 <= b < len(dims):
-        raise SdpStructureError(f"{where}: block index {b} out of range")
+        raise SdpStructureError(f"objective: block index {b} out of range")
     M = np.asarray(mat, dtype=float)
     d = dims[b]
     if M.shape != (d, d):
-        raise SdpStructureError(f"{where}: block {b} has shape {M.shape}, expected {(d, d)}")
+        raise SdpStructureError(f"objective: block {b} has shape {M.shape}, expected {(d, d)}")
     diff = M - M.T
     if diff.any():
         amax = np.abs(M).max()
         if not (np.isfinite(amax) and np.all(np.abs(diff) <= 1e-12 * (1.0 + amax) + 1e-5 * np.abs(M.T))):
-            raise SdpStructureError(f"{where}: block {b} coefficient matrix is not symmetric")
+            raise SdpStructureError(f"objective: block {b} coefficient matrix is not symmetric")
     return M
+
+
+def _entry_block(d: int, p: int, bi: int, entries) -> _Block:
+    """Block bi's (row, r, c, value) entries, checked, as a _Block: the
+    off-diagonal entries mirrored, exact zeros dropped, sorted by (row, pos)."""
+    row, r, c, val = entries
+    row, r, c = (np.asarray(a, dtype=np.intp) for a in (row, r, c))
+    val = np.asarray(val, dtype=float)
+    if not row.shape == r.shape == c.shape == val.shape == (row.size,):
+        raise SdpStructureError(f"block {bi}: its row, r, c and value arrays differ in length")
+    if row.size and (row.min() < 0 or row.max() >= p):
+        raise SdpStructureError(f"block {bi}: a row index lies outside [0, {p})")
+    if np.any(r < 0) or np.any(r > c) or np.any(c >= d):
+        raise SdpStructureError(f"block {bi}: an entry (r, c) has not 0 <= r <= c < {d}")
+    if not np.isfinite(val).all():
+        raise SdpStructureError(f"block {bi}: a value is not finite")
+    off = r != c
+    rows, pos, val = (np.concatenate(pair) for pair in
+                      ((row, row[off]), (r * d + c, (c * d + r)[off]), (val, val[off])))
+    key = rows * (d * d) + pos
+    order = np.argsort(key, kind="stable")
+    if np.any(key[order[1:]] == key[order[:-1]]):
+        raise SdpStructureError(f"block {bi}: an entry (row, r, c) is listed twice")
+    order = order[val[order] != 0]
+    return _Block(d, p, rows[order], pos[order], val[order])
 
 
 @np.errstate(invalid="ignore")  # inf - inf in a symmetry test is a refusal, not a warning
@@ -466,37 +508,21 @@ def _to_internal(problem: SdpProblem) -> _Data:
     dims = list(problem.block_dims)
     if any(d < 1 for d in dims):
         raise SdpStructureError("block dimensions must be >= 1")
-    q = problem.num_free
-    if q < 0:
-        raise SdpStructureError("num_free must be >= 0")
+    b = np.asarray(problem.b, dtype=float)
+    B = np.asarray(problem.B, dtype=float)
+    p = b.size
+    if b.ndim != 1 or B.ndim != 2 or B.shape[0] != p:
+        raise SdpStructureError(f"B has shape {B.shape}, expected ({p}, q) for {p} right-hand sides")
+    q = B.shape[1]
     if problem.obj_free is not None and len(problem.obj_free) != q:
         raise SdpStructureError("objective free-vector length mismatch")
     flip = -1.0 if problem.sense == "max" else 1.0
     C = [np.zeros((d, d)) for d in dims]
     for bi, mat in problem.obj_blocks.items():
-        C[bi] = flip * _sym(_block_matrix(dims, bi, mat, "objective"))
-    p = len(problem.constraints)
-    parts: list[tuple[list, list, list]] = [([], [], []) for _ in dims]
-    B = np.zeros((p, q))
-    b = np.zeros(p)
-    for i, con in enumerate(problem.constraints):
-        if len(con.free) != q:
-            raise SdpStructureError(f"constraint {i}: free-vector length mismatch")
-        for bi, mat in con.blocks.items():
-            M = _block_matrix(dims, bi, mat, f"constraint {i}")
-            twice = M + M.T
-            flat = np.flatnonzero(twice)
-            rows, pos, val = parts[bi]
-            rows.append(np.full(flat.size, i))
-            pos.append(flat)
-            val.append(0.5 * twice.ravel()[flat])
-        B[i] = con.free
-        b[i] = con.rhs
-    A = [
-        _Block(d, p, np.concatenate(rows or [np.zeros(0, dtype=int)]),
-               np.concatenate(pos or [np.zeros(0, dtype=int)]), np.concatenate(val or [np.zeros(0)]))
-        for d, (rows, pos, val) in zip(dims, parts)
-    ]
+        C[bi] = flip * _sym(_block_matrix(dims, bi, mat))
+    if len(problem.entries) != len(dims):
+        raise SdpStructureError(f"{len(problem.entries)} entry lists for {len(dims)} blocks")
+    A = [_entry_block(d, p, bi, ent) for bi, (d, ent) in enumerate(zip(dims, problem.entries))]
     c = np.zeros(q)
     if q and problem.obj_free is not None:
         c = flip * np.asarray(problem.obj_free, dtype=float)
@@ -508,22 +534,21 @@ def _to_internal(problem: SdpProblem) -> _Data:
 # ---------------------------------------------------------------------------
 
 
-def solve(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSolution:
-    """Solve an SdpProblem; deterministic for identical inputs and settings.
+def solve(problem: SdpProblem) -> SdpSolution:
+    """Solve an SdpProblem; deterministic for identical inputs.
 
     Never raises on numerical failure; iteration-limit and ill-posed cases
     come back with status Unknown.  Structural errors do raise.
     """
-    st = settings or SolverSettings()
     data = _to_internal(problem)
     flip = -1.0 if problem.sense == "max" else 1.0
-    sol = _solve_eliminated(data, st)
+    sol = _solve_eliminated(data)
     sol.obj_primal = flip * sol.obj_primal
     sol.obj_dual = flip * sol.obj_dual
     return sol
 
 
-def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
+def _solve_eliminated(data: _Data) -> SdpSolution:
     """Presolve, then the interior-point loop; duals are mapped back once."""
     p, q = data.B.shape
     dims = data.dims
@@ -544,7 +569,7 @@ def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
         # of the problem is feasible at all
         feas = _Data(dims, data.A, data.B, data.b, [np.zeros_like(Cb) for Cb in data.C],
                      np.zeros(q), 0.0)
-        probe = _solve_eliminated(feas, st)
+        probe = _solve_eliminated(feas)
         if probe.status is Status.OPTIMAL:
             ray_dir = V2 @ c_null
             ray = -ray_dir / np.linalg.norm(ray_dir)
@@ -627,13 +652,14 @@ def _solve_eliminated(data: _Data, st: SolverSettings) -> SdpSolution:
                    data.offset + float(w @ data.b))
     Anorm = max(1.0, float((np.sqrt(fro2[keep]) / rn[keep]).max(initial=0.0)))
 
-    sol = _solve_reduced(red, Anorm, st) if red.b.size else _solve_degenerate(red)
+    sol = _solve_reduced(red, Anorm) if red.b.size else _solve_degenerate(red)
     z = np.zeros(b.size)
     z[keep] = sol.y
     sol.free, sol.y = np.zeros(q), to_rows(z)
     if r and sol.status in (Status.OPTIMAL, Status.DUAL_INFEASIBLE):
         # the free variables u with B u = b - A(X), or -A(X) along a ray, on range(B)
-        res = data.b - data.apply(sol.X) if sol.status is Status.OPTIMAL else -data.apply(sol.X)
+        AX = _apply(data.A, sol.X, p)
+        res = data.b - AX if sol.status is Status.OPTIMAL else -AX
         sol.free = V1 @ ((U1.T @ res[supp]) / sig[:r])
     if sol.status is Status.OPTIMAL:
         sol.y += w
@@ -701,7 +727,7 @@ def _combination_norms(A: list[_Block], dims: list[int], k: int, U: np.ndarray,
     return fro2, amax
 
 
-def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSolution:
+def _solve_reduced(red: _Reduced, Anorm: float) -> SdpSolution:
     """The interior-point loop on a presolved problem; Anorm >= 1 bounds the
     Frobenius norms of its constraints, and y weighs those constraints."""
     dims, b, C = red.dims, red.b, red.C
@@ -720,7 +746,7 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
     stalls = 0
     message = ""
 
-    for it in range(st.max_iter):
+    for it in range(MAX_ITER):
         mu = (_inner_blocks(X, S) + tau * kappa) / (nu + 1)
 
         AX = red.apply(X)
@@ -747,7 +773,7 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
             "bnorm": bnorm, "cnorm": cnorm,
         })
 
-        if pres <= st.feas_tol and dres <= st.feas_tol and gap <= st.gap_tol:
+        if pres <= FEAS_TOL and dres <= FEAS_TOL and gap <= GAP_TOL:
             return SdpSolution(
                 status=Status.OPTIMAL,
                 X=[Xb / tau for Xb in X], free=np.zeros(0), y=y / tau,
@@ -761,7 +787,7 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
             if by > 1e-300:
                 resid = _fro_blocks([Ab + Sb for Ab, Sb in zip(AtY, S)]) / by
                 quality = resid / (1.0 + ynorm / by * Anorm)
-                if quality <= st.feas_tol:
+                if quality <= FEAS_TOL:
                     return SdpSolution(
                         status=Status.PRIMAL_INFEASIBLE,
                         X=[np.zeros((d, d)) for d in dims], free=np.zeros(0),
@@ -772,7 +798,7 @@ def _solve_reduced(red: _Reduced, Anorm: float, st: SolverSettings) -> SdpSoluti
                     )
             if cx < -1e-300:
                 quality = float(np.linalg.norm(AX)) / -cx / (1.0 + xnorm / -cx * Anorm)
-                if quality <= st.feas_tol:
+                if quality <= FEAS_TOL:
                     return SdpSolution(
                         status=Status.DUAL_INFEASIBLE,
                         X=[Xb / (-cx) for Xb in X], free=np.zeros(0), y=np.zeros(p),
@@ -934,35 +960,35 @@ def _solve_degenerate(red: _Reduced) -> SdpSolution:
 
 def dump_sdp(problem: SdpProblem, stream) -> None:
     """Write the problem in the plain-text exchange format (docs/sdp_dump_format.md)."""
-    close = False
     if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", encoding="utf-8")
-        close = True
-    try:
-        w = stream.write
-        w("popnc-sdp 1\n")
-        w(f"sense {problem.sense}\n")
-        w(f"blocks {len(problem.block_dims)}\n")
-        for i, d in enumerate(problem.block_dims):
-            w(f"block {i} psd {d}\n")
-        w(f"free {problem.num_free}\n")
-        w(f"offset {problem.obj_offset!r}\n")
-        w("objective\n")
-        for bi, mat in sorted(problem.obj_blocks.items()):
-            for (r, c) in zip(*np.nonzero(np.triu(mat))):
-                w(f"  obj {bi} {r} {c} {mat[r, c]!r}\n")
-        if problem.obj_free is not None:
-            for j in np.nonzero(problem.obj_free)[0]:
-                w(f"  objfree {j} {problem.obj_free[j]!r}\n")
-        for i, con in enumerate(problem.constraints):
-            w(f"constraint {i} rhs {con.rhs!r}\n")
-            for bi in sorted(con.blocks):
-                mat = con.blocks[bi]
-                for (r, c) in zip(*np.nonzero(np.triu(mat))):
-                    w(f"  entry {bi} {r} {c} {mat[r, c]!r}\n")
-            for j in np.nonzero(con.free)[0]:
-                w(f"  freecoef {j} {con.free[j]!r}\n")
-        w("end\n")
-    finally:
-        if close:
-            stream.close()
+        with open(stream, "w", encoding="utf-8") as fh:
+            return dump_sdp(problem, fh)
+    w = stream.write
+    w("popnc-sdp 1\n")
+    w(f"sense {problem.sense}\n")
+    w(f"blocks {len(problem.block_dims)}\n")
+    for i, d in enumerate(problem.block_dims):
+        w(f"block {i} psd {d}\n")
+    w(f"free {problem.num_free}\n")
+    w(f"offset {problem.obj_offset!r}\n")
+    w("objective\n")
+    for bi, mat in sorted(problem.obj_blocks.items()):
+        for (r, c) in zip(*np.nonzero(np.triu(mat))):
+            w(f"  obj {bi} {r} {c} {mat[r, c]!r}\n")
+    if problem.obj_free is not None:
+        for j in np.nonzero(problem.obj_free)[0]:
+            w(f"  objfree {j} {problem.obj_free[j]!r}\n")
+    # the stored entries, by row, block, r and c
+    parts = [(np.full(len(ent[0]), bi), *ent) for bi, ent in enumerate(problem.entries)]
+    bi, row, r, c, val = ([np.concatenate(a) for a in zip(*parts)] if parts
+                          else [np.zeros(0)] * 5)
+    order = np.lexsort((c, r, bi, row))
+    order = order[val[order] != 0]
+    bounds = np.searchsorted(row[order], np.arange(len(problem.b) + 1)).tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        w(f"constraint {i} rhs {float(problem.b[i])!r}\n")
+        for k in order[lo:hi]:
+            w(f"  entry {bi[k]} {r[k]} {c[k]} {val[k]!r}\n")
+        for j in np.nonzero(problem.B[i])[0]:
+            w(f"  freecoef {j} {problem.B[i, j]!r}\n")
+    w("end\n")

@@ -15,6 +15,22 @@ def _c(blocks, free, rhs):
     return LinearConstraint(blocks, np.asarray(free, dtype=float), rhs)
 
 
+def dense_problem(block_dims, num_free, constraints, **kw) -> SdpProblem:
+    """An SdpProblem from rows written with a dense matrix per block: each
+    matrix's nonzero upper-triangle entries, the free coefficients as B."""
+    parts = [[] for _ in block_dims]
+    for i, con in enumerate(constraints):
+        for bi, mat in con.blocks.items():
+            mat = np.asarray(mat, dtype=float)
+            r, c = np.nonzero(np.triu(mat))
+            parts[bi].append((np.full(r.size, i), r, c, mat[r, c]))
+    entries = [tuple(np.concatenate(a) for a in zip(*part)) if part
+               else (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),) for part in parts]
+    B = np.array([con.free for con in constraints], dtype=float).reshape(len(constraints), num_free)
+    b = np.array([con.rhs for con in constraints], dtype=float)
+    return SdpProblem(block_dims=list(block_dims), entries=entries, B=B, b=b, **kw)
+
+
 def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     """(name, problem, expected status, expected objective or None)."""
     cases: list[tuple[str, SdpProblem, Status, float | None]] = []
@@ -22,7 +38,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 1. min x s.t. [[x,1],[1,x]] PSD  (x* = 1, from the determinant condition)
     cases.append((
         "toeplitz_min",
-        SdpProblem(
+        dense_problem(
             block_dims=[2], num_free=0,
             constraints=[
                 _c({0: np.array([[1.0, 0.0], [0.0, -1.0]])}, [], 0.0),
@@ -37,7 +53,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 2. trace X = -1 with X PSD: infeasible
     cases.append((
         "negative_trace",
-        SdpProblem(
+        dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.eye(2)}, [], -1.0)],
             obj_blocks={}, obj_free=np.zeros(0),
@@ -48,7 +64,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 3. max lambda s.t. 1 - lambda >= 0 on a 1x1 block
     cases.append((
         "scalar_bound",
-        SdpProblem(
+        dense_problem(
             block_dims=[1], num_free=1,
             constraints=[_c({0: np.array([[1.0]])}, [1.0], 1.0)],
             obj_blocks={}, obj_free=np.array([1.0]), sense="max",
@@ -59,7 +75,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 4. feasibility: X11 = 1, zero objective
     cases.append((
         "feasibility",
-        SdpProblem(
+        dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], 1.0)],
             obj_blocks={}, obj_free=np.zeros(0),
@@ -70,7 +86,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 5. unbounded below: min X11 - X22 with X11 pinned
     cases.append((
         "unbounded_cone",
-        SdpProblem(
+        dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], 1.0)],
             obj_blocks={0: np.diag([1.0, -1.0])}, obj_free=np.zeros(0),
@@ -81,7 +97,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 6. diagonal entry forced negative
     cases.append((
         "negative_diagonal",
-        SdpProblem(
+        dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], -2.0)],
             obj_blocks={}, obj_free=np.zeros(0),
@@ -92,7 +108,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 7. free variable pinned by a second equation: min X11, X11 + u = 2, u = 1
     cases.append((
         "pinned_free",
-        SdpProblem(
+        dense_problem(
             block_dims=[1], num_free=1,
             constraints=[
                 _c({0: np.array([[1.0]])}, [1.0], 2.0),
@@ -106,7 +122,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 8. objective along an unconstrained free direction: unbounded
     cases.append((
         "free_unbounded",
-        SdpProblem(
+        dense_problem(
             block_dims=[1], num_free=1,
             constraints=[_c({0: np.array([[1.0]])}, [0.0], 1.0)],
             obj_blocks={}, obj_free=np.array([1.0]),
@@ -117,7 +133,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 9. zero-coefficient row with nonzero right-hand side
     cases.append((
         "zero_row",
-        SdpProblem(
+        dense_problem(
             block_dims=[1], num_free=0,
             constraints=[_c({}, [], 1.0)],
             obj_blocks={}, obj_free=np.zeros(0),
@@ -128,7 +144,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 10. two blocks coupled through two equations
     cases.append((
         "two_blocks",
-        SdpProblem(
+        dense_problem(
             block_dims=[1, 1], num_free=0,
             constraints=[
                 _c({0: np.array([[1.0]]), 1: np.array([[1.0]])}, [], 2.0),
@@ -143,7 +159,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 11. contradictory equations on the same entry
     cases.append((
         "contradictory_rows",
-        SdpProblem(
+        dense_problem(
             block_dims=[2], num_free=0,
             constraints=[
                 _c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], 1.0),
@@ -157,7 +173,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
     # 12. 1x1 linear program in disguise: max lambda s.t. lambda <= 3
     cases.append((
         "scalar_lp",
-        SdpProblem(
+        dense_problem(
             block_dims=[1], num_free=1,
             constraints=[_c({0: np.array([[1.0]])}, [1.0], 3.0)],
             obj_blocks={}, obj_free=np.array([1.0]), sense="max",
@@ -294,7 +310,7 @@ def random_instance(seed: int, status: Status) -> SdpProblem:
         b = np.array([sum(np.vdot(Ab, Xb) for Ab, Xb in zip(A[i], X0)) for i in range(p)]) + B @ u0
 
     flip = 1.0 if rng.integers(2) else -1.0
-    return SdpProblem(
+    return dense_problem(
         block_dims=dims, num_free=q,
         constraints=[LinearConstraint(dict(enumerate(A[i])), B[i], float(b[i])) for i in range(p)],
         obj_blocks={bi: flip * Cb for bi, Cb in enumerate(C)}, obj_free=flip * c,

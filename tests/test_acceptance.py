@@ -27,7 +27,7 @@ from popnc.certificates import (
 from popnc.driver import check_archimedean, check_coercive, minimize
 from popnc.polynomial import Polynomial
 from popnc.problem_io import format_polynomial, parse_polynomial, parse_problem
-from popnc.sdp import SolverSettings, Status, solve
+from popnc.sdp import GAP_TOL, Status, solve
 
 EX31 = "vars: x1 x2\nobj: x1^2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"
 SEXTIC = "vars: x1 x2\nobj: x1^6 + x2^6 - x1^3*x2^3 + x1^4 - x2 + 1\nx0: 0 0\nmargin: 1\n"
@@ -171,7 +171,7 @@ def test_criterion_7a_monotonicity_and_7e_oracles():
         ("circle_linear", "vars: x1 x2\nobj: x1 + x2\neq: x1^2 + x2^2 - 1\nx0: 1 0\n",
          "circle", -math.sqrt(2)),
     ]
-    slack = 10 * SolverSettings().gap_tol
+    slack = 10 * GAP_TOL
     for name, doc, kind, exact in suite:
         problem = parse_problem(doc)
         oracle = circle_oracle(problem) if kind == "circle" else problem_oracle(problem)

@@ -83,7 +83,7 @@ class TestMembershipStructure:
         # both single flips: one row per monomial of degree <= 4 with even
         # exponents, 1, x1^2, x2^2, x1^4, x1^2 x2^2, x2^4
         assert meta.sign_flips == ((0,), (1,))
-        assert len(prob.constraints) == 6
+        assert len(prob.b) == 6
         assert len(meta.constraint_index) == 6
         assert meta.eq_blocks == []
         assert prob.num_free == 1  # the decision scalar only
@@ -93,7 +93,7 @@ class TestMembershipStructure:
         prob = build_hierarchy_step(parse_problem(EX31_ASYMMETRIC), 2)
         assert prob.meta.sign_flips == ()
         assert prob.block_dims == [6, 3, 3, 3]
-        assert len(prob.constraints) == 15  # every monomial of degree <= 4
+        assert len(prob.b) == 15  # every monomial of degree <= 4
         assert prob.num_free == 1
 
     def test_trivial_sos_program(self):
@@ -173,7 +173,7 @@ class TestCoercivityProgram:
         assert meta.sign_flips == ((0, 1),)
         assert [len(eb.basis) for eb in meta.eq_blocks] == [9]
         assert prob.num_free == 10  # phi coefficients plus the decision scalar
-        assert len(prob.constraints) == 16
+        assert len(prob.b) == 16
 
     def test_sextic_k3_sizes_without_sign_flips(self, sextic):
         # the coercivity program of the top form plus an odd term x1^5
@@ -184,7 +184,7 @@ class TestCoercivityProgram:
         assert prob.block_dims == [10]
         assert [len(eb.basis) for eb in prob.meta.eq_blocks] == [15]  # phi of degree <= 4
         assert prob.num_free == 16
-        assert len(prob.constraints) == 28
+        assert len(prob.b) == 28
 
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):

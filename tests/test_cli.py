@@ -1,6 +1,9 @@
 import json
 import os
+import re
+import time
 
+import numpy as np
 import pytest
 
 import popnc.cli
@@ -8,11 +11,12 @@ from popnc.builder import Direction, build_membership_program, hierarchy_generat
 from popnc.certificates import certificate_to_payload, corollary_transform, extract_certificate
 from popnc.cli import cli_main
 from popnc.problem_io import parse_problem
-from popnc.sdp import solve
+from popnc.sdp import SdpProblem, solve
 
 EX31 = "vars: x1 x2\nobj: x1^2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"
 SEXTIC = "vars: x1 x2\nobj: x1^6 + x2^6 - x1^3*x2^3 + x1^4 - x2 + 1\nx0: 0 0\n"
 LINE = "vars: x\nobj: x\nc: 0\n"
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 # EX31's constraints with objective x1^2 - 1, whose minimum is -1
 SHIFTED = "vars: x1 x2\nobj: x1^2 - 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 0\n"
 
@@ -211,9 +215,17 @@ class TestVerifyRoundTrip:
         # read -x2 or x2 and fail the identity
         ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 1], 1.0], [[0, 1], -1.0]]}]},
          ON_LINE, "eq multiplier 0: the monomial [0, 1] is listed twice"),
-    ], ids=["forged sign", "unknown family", "module without psi", "repeated multiplier monomial"])
+        # refused before 10^4000000 is built, which takes seconds
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [["1e4000000"]])),
+         SHIFTED, "sos weight 0 (sigma0), its gram: 1e4000000 lies beyond the float range"),
+        ({**SHIFTED_CERT, "lambda": "1e-4000000"}, SHIFTED,
+         "lambda: 1e-4000000 lies beyond the float range"),
+    ], ids=["forged sign", "unknown family", "module without psi", "repeated multiplier monomial",
+            "huge exponent", "tiny exponent"])
     def test_refused_payloads(self, tmp_path, capsys, payload, problem, message):
+        start = time.perf_counter()
         code = self._verify(tmp_path, payload, problem)
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert f"input error: {message}" in capsys.readouterr().err
 
@@ -288,6 +300,45 @@ class TestFlags:
         assert code == 0
         files = sorted(os.listdir(dump_dir))
         assert files and all(f.endswith(".sdp") for f in files)
+
+    # recorded before SdpProblem stored its rows as entries; numpy 2 prints
+    # each coefficient as np.float64(v), numpy 1 as v
+    @pytest.mark.parametrize("command, text, k, golden", [
+        ("minimize", EX31, 2, "dump_ex31_minimize_k2.sdp"),
+        ("coercive-check", SEXTIC, 3, "dump_sextic_coercive_k3.sdp"),
+    ])
+    def test_dump_matches_golden_file(self, tmp_path, capsys, command, text, k, golden):
+        path = tmp_path / "p.pop"
+        path.write_text(text)
+        cli_main([command, str(path), "--k-start", str(k), "--k-max", str(k),
+                  "--dump-sdp", str(tmp_path / "dumps")])
+        capsys.readouterr()
+        (dumped,) = os.listdir(tmp_path / "dumps")
+        with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+            expected = fh.read()
+        if int(np.__version__.split(".")[0]) < 2:
+            expected = re.sub(r"np\.float64\(([^)]*)\)", r"\1", expected)
+        with open(tmp_path / "dumps" / dumped, encoding="utf-8") as fh:
+            assert fh.read() == expected
+
+    def test_solve_path_never_builds_dense_rows(self, ex31_file, tmp_path, capsys, monkeypatch):
+        def dense_rows(problem):
+            raise AssertionError("SdpProblem.constraints was read")
+        monkeypatch.setattr(SdpProblem, "constraints", property(dense_rows))
+        for command in ("minimize", "arch-check", "coercive-check"):
+            code = cli_main([command, ex31_file, "--k-max", "2", "--dump-sdp", str(tmp_path / command)])
+            capsys.readouterr()
+            assert code in (0, 2) and os.listdir(tmp_path / command)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", ["--dump-sdp", "dumps"]), ("parse", ["--dump-sdp", "dumps"]), ("parse", ["--tol", "1e-6"]),
+    ], ids=["verify --dump-sdp", "parse --dump-sdp", "parse --tol"])
+    def test_flags_of_other_commands_are_usage_errors(self, ex31_file, tmp_path, capsys, command, flag):
+        args = [str(tmp_path / "cert.json")] if command == "verify" else []
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *args, ex31_file, *flag])
+        assert exc.value.code == 3
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_c_override(self, tmp_path, capsys):
         path = tmp_path / "p.pop"

@@ -14,7 +14,7 @@ from popnc.driver import (
 )
 from popnc.polynomial import Polynomial
 from popnc.problem_io import parse_polynomial, parse_problem
-from popnc.sdp import SolverSettings, Status, solve
+from popnc.sdp import GAP_TOL, Status, solve
 
 V2 = ["x1", "x2"]
 
@@ -252,7 +252,7 @@ class TestRegressionSuite:
 
         # monotone bounds within 10 * gap_tol
         vals = [o.value for o in rep.orders if o.value is not None]
-        slack = 10 * SolverSettings().gap_tol
+        slack = 10 * GAP_TOL
         for a, b in zip(vals, vals[1:]):
             assert b >= a - slack * (1 + abs(a)), name
 

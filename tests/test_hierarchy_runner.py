@@ -106,7 +106,7 @@ def _canned(statuses_values):
     k-th canned (status, value)."""
     outcomes = dict(enumerate(statuses_values, start=1))
 
-    def fake_solve(problem, settings=None):
+    def fake_solve(problem):
         status, value = outcomes[problem]
         return SdpSolution(status=status, X=[], free=np.zeros(0), y=np.zeros(0),
                            obj_primal=value, obj_dual=value, residuals={},
@@ -141,7 +141,7 @@ class _Meta:
 
 class _Built(int):
     meta = _Meta()
-    block_dims, constraints, num_free = [1], [], 0
+    block_dims, b, num_free = [1], [], 0
 
 
 def _spec(**kw):

@@ -83,6 +83,10 @@ class TestParsePolynomial:
         ("3/0*x1", False, "division by zero in coefficient", 3),
         ("1/1e-400", False, "division by zero in coefficient", 3),
         ("x1 + 1e99999999999999999999", True, "malformed number '1e99999999999999999999'", 6),
+        ("x1 + 1e4000000", True, "1e4000000 lies beyond the float range", 6),
+        ("x1 + 2.5e-4000000", True, "2.5e-4000000 lies beyond the float range", 6),
+        pytest.param("x1^" + "9" * 5000, False, "exponent of 5000 digits is too large", 4,
+                     id="5000-digit exponent"),
     ])
     def test_error_messages_and_positions(self, text, rational, message, col):
         with pytest.raises(ParseError) as err:

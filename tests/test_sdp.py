@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sdp_cases import build_cases, check_certificate, random_instance, recompute_residuals
+from sdp_cases import build_cases, check_certificate, dense_problem, random_instance, recompute_residuals
 
 from popnc import builder, sdp
 from popnc.builder import (
@@ -18,19 +18,16 @@ from popnc.sdp import (
     LinearConstraint,
     SdpProblem,
     SdpStructureError,
-    SolverSettings,
     Status,
     dump_sdp,
     solve,
 )
 
-SETTINGS = SolverSettings()
-
 
 class TestStatusSuite:
     @pytest.mark.parametrize("name,prob,status,value", build_cases(), ids=lambda v: v if isinstance(v, str) else "")
     def test_classification(self, name, prob, status, value):
-        sol = solve(prob, SETTINGS)
+        sol = solve(prob)
         assert sol.status is status, f"{name}: got {sol.status} ({sol.message})"
         if value is not None:
             assert abs(sol.obj_primal - value) <= 1e-6 * (1 + abs(value))
@@ -38,7 +35,7 @@ class TestStatusSuite:
     def test_zero_misclassifications(self):
         wrong = []
         for name, prob, status, _ in build_cases():
-            sol = solve(prob, SETTINGS)
+            sol = solve(prob)
             if sol.status is not status:
                 wrong.append((name, sol.status))
         assert wrong == []
@@ -49,24 +46,24 @@ class TestSolutionQuality:
         for name, prob, status, _ in build_cases():
             if status is not Status.OPTIMAL:
                 continue
-            sol = solve(prob, SETTINGS)
+            sol = solve(prob)
             pres, dres, gap = recompute_residuals(prob, sol)
-            assert pres <= 5 * SETTINGS.feas_tol, name
-            assert dres <= 5 * SETTINGS.feas_tol, name
-            assert gap <= 5 * SETTINGS.gap_tol, name
+            assert pres <= 5 * sdp.FEAS_TOL, name
+            assert dres <= 5 * sdp.FEAS_TOL, name
+            assert gap <= 5 * sdp.GAP_TOL, name
 
     def test_psd_blocks_at_optimum(self):
         for name, prob, status, _ in build_cases():
             if status is not Status.OPTIMAL:
                 continue
-            sol = solve(prob, SETTINGS)
+            sol = solve(prob)
             for Xb in sol.X:
                 assert float(np.linalg.eigvalsh(Xb).min()) >= -1e-9, name
 
     def test_determinism(self):
         for name, prob, _, _ in build_cases():
-            a = solve(prob, SETTINGS)
-            b = solve(prob, SETTINGS)
+            a = solve(prob)
+            b = solve(prob)
             assert a.status is b.status, name
             if a.status is Status.OPTIMAL:
                 assert abs(a.obj_primal - b.obj_primal) <= 1e-12
@@ -76,12 +73,12 @@ class TestSolutionQuality:
         # the trace records the internal minimization form: primal >= dual
         # up to residual-driven slack at every iterate
         prob = build_hierarchy_step(example31, 2)
-        sol = solve(prob, SETTINGS)
+        sol = solve(prob)
         assert sol.status is Status.OPTIMAL
         for row in sol.trace:
             pobj, dobj = row["pobj"], row["dobj"]
             slack = (
-                10 * SETTINGS.gap_tol * (1 + abs(pobj) + abs(dobj))
+                10 * sdp.GAP_TOL * (1 + abs(pobj) + abs(dobj))
                 + row["dres"] * row["cnorm"] * row["xnorm"]
                 + row["pres"] * row["bnorm"] * row["ynorm"]
             )
@@ -90,8 +87,15 @@ class TestSolutionQuality:
 
 def _one_row(mat, free=np.zeros(0), **kw):
     """A 2 x 2 block and one constraint row with coefficients mat."""
-    return SdpProblem(block_dims=[2], num_free=len(free),
-                      constraints=[LinearConstraint({0: mat}, free, 1.0)], **kw)
+    return dense_problem(block_dims=[2], num_free=len(free),
+                         constraints=[LinearConstraint({0: mat}, free, 1.0)], **kw)
+
+
+def _entries(row=(0,), r=(0,), c=(1,), val=(1.0,), dims=(2,), rhs=(1.0,), B=None, blocks=None):
+    """One 2 x 2 block whose entries are the given arrays, over len(rhs) rows."""
+    ent = (np.array(row), np.array(r), np.array(c), np.array(val, dtype=float))
+    return SdpProblem(block_dims=list(dims), entries=[ent] * (blocks or len(dims)),
+                      B=np.zeros((len(rhs), 0)) if B is None else B, b=np.array(rhs))
 
 
 ASYM = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -100,33 +104,31 @@ ASYM = np.array([[0.0, 1.0], [0.0, 0.0]])
 class TestStructuralErrors:
     CASES = {
         "bad sense": (_one_row(np.eye(2), sense="maximize"), "sense must be 'min' or 'max'"),
-        "block dim 0": (SdpProblem(block_dims=[2, 0], num_free=0, constraints=[]),
-                        "block dimensions must be >= 1"),
-        "negative num_free": (SdpProblem(block_dims=[2], num_free=-1, constraints=[]),
-                              "num_free must be >= 0"),
+        "block dim 0": (_entries(dims=(2, 0)), "block dimensions must be >= 1"),
         "objective free length": (_one_row(np.eye(2), np.zeros(1), obj_free=np.zeros(2)),
                                   "objective free-vector length mismatch"),
-        "constraint free length": (
-            SdpProblem(block_dims=[1], num_free=2, obj_free=np.zeros(2),
-                       constraints=[LinearConstraint({0: np.eye(1)}, np.zeros(1), 1.0)]),
-            "constraint 0: free-vector length mismatch"),
-        "constraint block index": (
-            SdpProblem(block_dims=[2], num_free=0,
-                       constraints=[LinearConstraint({1: np.eye(2)}, np.zeros(0), 1.0)]),
-            "constraint 0: block index 1 out of range"),
         "objective block index": (_one_row(np.eye(2), obj_blocks={-1: np.eye(2)}),
                                   "objective: block index -1 out of range"),
-        "constraint shape": (_one_row(np.eye(3)),
-                             r"constraint 0: block 0 has shape \(3, 3\), expected \(2, 2\)"),
         "objective shape": (_one_row(np.eye(2), obj_blocks={0: np.eye(3)}),
                             r"objective: block 0 has shape \(3, 3\), expected \(2, 2\)"),
-        "constraint asymmetry": (_one_row(ASYM), "constraint 0: block 0 coefficient matrix is not symmetric"),
         "objective asymmetry": (_one_row(np.eye(2), obj_blocks={0: ASYM}),
                                 "objective: block 0 coefficient matrix is not symmetric"),
-        "nan entry": (_one_row(np.array([[np.nan, 0.0], [0.0, 1.0]])),
-                      "constraint 0: block 0 coefficient matrix is not symmetric"),
-        "symmetric inf entry": (_one_row(np.array([[0.0, np.inf], [np.inf, 0.0]])),
-                                "constraint 0: block 0 coefficient matrix is not symmetric"),
+        # one row per refusal of the stored constraint entries
+        "unequal lengths": (_entries(row=(0, 0)), "block 0: its row, r, c and value arrays differ"),
+        "negative row": (_entries(row=(-1,)), r"block 0: a row index lies outside \[0, 1\)"),
+        "row beyond the rows": (_entries(row=(1,)), r"block 0: a row index lies outside \[0, 1\)"),
+        "entry below the diagonal": (_entries(r=(1,), c=(0,)),
+                                     "block 0: an entry .* has not 0 <= r <= c < 2"),
+        "negative r": (_entries(r=(-1,)), "block 0: an entry .* has not 0 <= r <= c < 2"),
+        "constraint shape": (_entries(c=(2,)), "block 0: an entry .* has not 0 <= r <= c < 2"),
+        "nan entry": (_entries(val=(np.nan,)), "block 0: a value is not finite"),
+        "inf entry": (_entries(val=(np.inf,)), "block 0: a value is not finite"),
+        "entry listed twice": (_entries(row=(0, 0), r=(0, 0), c=(1, 1), val=(1.0, 2.0)),
+                               r"block 0: an entry \(row, r, c\) is listed twice"),
+        "constraint free length": (_entries(B=np.zeros((2, 1))),
+                                   r"B has shape \(2, 1\), expected \(1, q\) for 1 right-hand sides"),
+        "free matrix not 2-D": (_entries(B=np.zeros(1)), r"B has shape \(1,\), expected \(1, q\)"),
+        "constraint block index": (_entries(blocks=2), "2 entry lists for 1 blocks"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -134,6 +136,12 @@ class TestStructuralErrors:
         prob, message = self.CASES[case]
         with pytest.raises(SdpStructureError, match=message):
             solve(prob)
+
+    def test_exact_zeros_are_dropped(self):
+        # a zero entry is no coefficient: the row reads 0 = 1
+        blk = sdp._to_internal(_entries(val=(0.0,))).A[0]
+        assert blk.val.size == 0
+        assert solve(_entries(val=(0.0,))).status is Status.PRIMAL_INFEASIBLE
 
     # |M - M'| <= 1e-12 (1 + max|M|) + 1e-5 |M'| entrywise is symmetric
     @pytest.mark.parametrize("mat, symmetric", [
@@ -143,31 +151,34 @@ class TestStructuralErrors:
         (np.array([[0.0, 0.0], [2.2e-12, 1.0]]), False),
     ])
     def test_symmetry_tolerance(self, mat, symmetric):
+        # of the objective, the one input still given as a dense matrix
+        prob = _one_row(np.eye(2), obj_blocks={0: mat})
         if symmetric:
-            assert solve(_one_row(mat)).status is Status.OPTIMAL
+            assert solve(prob).status is Status.OPTIMAL
         else:
             with pytest.raises(SdpStructureError):
-                solve(_one_row(mat))
+                solve(prob)
 
 
 class TestIterationLimit:
-    def test_max_iter_returns_unknown_not_exception(self):
+    def test_max_iter_returns_unknown_not_exception(self, monkeypatch):
         name, prob, _, _ = build_cases()[0]
-        sol = solve(prob, SolverSettings(max_iter=1))
+        monkeypatch.setattr(sdp, "MAX_ITER", 1)
+        sol = solve(prob)
         assert sol.status is Status.UNKNOWN
         assert "limit" in sol.message or sol.message
 
 
 class TestDegenerate:
     def test_empty_program_is_optimal_zero(self):
-        prob = SdpProblem(block_dims=[2], num_free=0, constraints=[])
+        prob = dense_problem(block_dims=[2], num_free=0, constraints=[])
         sol = solve(prob)
         assert sol.status is Status.OPTIMAL
         assert sol.obj_primal == 0.0
 
     def test_consistent_zero_row_keeps_dual_indexing(self):
         # a 0 = 0 row is dropped internally; y must still align with the rows
-        prob = SdpProblem(
+        prob = dense_problem(
             block_dims=[1], num_free=0,
             constraints=[
                 LinearConstraint({}, np.zeros(0), 0.0),
@@ -180,11 +191,11 @@ class TestDegenerate:
         assert sol.obj_primal == pytest.approx(2.0, abs=1e-7)
         assert len(sol.y) == 2
         pres, dres, gap = recompute_residuals(prob, sol)
-        assert max(pres, dres, gap) <= 5 * SETTINGS.feas_tol
+        assert max(pres, dres, gap) <= 5 * sdp.FEAS_TOL
 
     def test_free_only_problem(self):
         # no PSD blocks at all: u = 3 pinned by one equation, minimize u
-        prob = SdpProblem(
+        prob = dense_problem(
             block_dims=[], num_free=1,
             constraints=[LinearConstraint({}, np.array([1.0]), 3.0)],
             obj_free=np.array([1.0]),
@@ -195,7 +206,7 @@ class TestDegenerate:
         assert sol.free[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_no_blocks_no_constraints(self):
-        prob = SdpProblem(block_dims=[], num_free=0, constraints=[], obj_offset=3.5)
+        prob = dense_problem(block_dims=[], num_free=0, constraints=[], obj_offset=3.5)
         sol = solve(prob)
         assert sol.status is Status.OPTIMAL
         assert sol.obj_primal == 3.5
@@ -207,13 +218,13 @@ class TestBuiltSizes:
         assert prob.block_dims == [6, 3, 3, 3]
         # EX31 is even in x1 and in x2: the rows are the 6 monomials of
         # degree <= 4 with even exponents
-        assert len(prob.constraints) == 6
+        assert len(prob.b) == 6
 
     def test_example31_k2_with_odd_terms(self):
         prob = build_hierarchy_step(parse_problem(
             "vars: x1 x2\nobj: x1^2 + x1 + x2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"), 2)
         assert prob.block_dims == [6, 3, 3, 3]
-        assert len(prob.constraints) == 15
+        assert len(prob.b) == 15
 
     def test_coercivity_k3(self, sextic):
         prob = build_coercivity_check(sextic, 3)
@@ -222,7 +233,7 @@ class TestBuiltSizes:
         # coefficients of degree <= 4 and the decision scalar; 16 rows of degree <= 6
         assert prob.num_free == 10
         assert prob.meta.lambda_index is not None
-        assert len(prob.constraints) == 16
+        assert len(prob.b) == 16
 
     def test_coercivity_k3_with_odd_term(self, sextic):
         sym = build_coercivity_check(sextic, 3).meta
@@ -231,7 +242,7 @@ class TestBuiltSizes:
         assert prob.block_dims == [10]
         assert prob.num_free == 16  # 15 multiplier coefficients and the decision scalar
         assert prob.meta.lambda_index is not None
-        assert len(prob.constraints) == 28
+        assert len(prob.b) == 28
 
 
 class TestDump:
@@ -243,7 +254,7 @@ class TestDump:
         assert text.startswith("popnc-sdp 1")
         assert "sense max" in text
         assert text.rstrip().endswith("end")
-        assert text.count("constraint ") == len(prob.constraints)
+        assert text.count("constraint ") == len(prob.b)
 
 
 def _random_sparse_rows(rng, p, d, per_row):
@@ -264,7 +275,7 @@ def _sym_random(rng, d):
 
 
 def _internal_block(mats, d):
-    prob = SdpProblem(block_dims=[d], num_free=0,
+    prob = dense_problem(block_dims=[d], num_free=0,
                       constraints=[LinearConstraint({0: m}, np.zeros(0), 0.0) for m in mats])
     return sdp._to_internal(prob).A[0]
 
@@ -335,7 +346,7 @@ class TestSchurFormulas:
         prob = build_hierarchy_step(parse_problem(
             "vars: x1 x2 x3 x4\nobj: x1^4 + x2^4 + x3^4 + x4^4 + x1 + x2 + x3 + x4\n"
             "ineq: 4 - x1^2 - x2^2 - x3^2 - x4^2\nc: 10\n"), 3)
-        assert prob.block_dims == [35, 15, 5] and len(prob.constraints) == 210
+        assert prob.block_dims == [35, 15, 5] and len(prob.b) == 210
         sigma0, ball, cf = sdp._to_internal(prob).A
         for blk in (sigma0, ball, cf):
             blk.prepare()
@@ -383,7 +394,7 @@ class TestTriangularSolve:
 def _free_rows(b2: float) -> SdpProblem:
     """Rows 1 and 2 read u = 2 and 2u = b2: after elimination their
     combination has no PSD part, and is dropped when consistent."""
-    return SdpProblem(
+    return dense_problem(
         block_dims=[1], num_free=1,
         constraints=[
             LinearConstraint({0: np.array([[1.0]])}, np.array([0.0]), 1.0),
@@ -407,12 +418,12 @@ class TestFreeVariableSupport:
         free = [1.0, 2.0, 0.0, 0.0, 0.0]
         rhs = [float(np.tensordot(m, X0)) + f * u0 for m, f in zip(mats, free)]
         C = 2.0 * np.eye(d)
-        prob = SdpProblem(
+        prob = dense_problem(
             block_dims=[d], num_free=1,
             constraints=[LinearConstraint({0: m}, np.array([f]), r) for m, f, r in zip(mats, free, rhs)],
             obj_blocks={0: C}, obj_free=np.array([cu]),
         )
-        hand = SdpProblem(
+        hand = dense_problem(
             block_dims=[d], num_free=0,
             constraints=[
                 LinearConstraint({0: mats[1] - 2.0 * mats[0]}, np.zeros(0), rhs[1] - 2.0 * rhs[0]),
@@ -425,7 +436,7 @@ class TestFreeVariableSupport:
         assert sol.obj_primal == pytest.approx(ref.obj_primal, rel=1e-7, abs=1e-7)
         assert sol.free[0] == pytest.approx(rhs[0] - float(np.tensordot(mats[0], sol.X[0])), abs=1e-7)
         pres, dres, gap = recompute_residuals(prob, sol)
-        assert max(pres, dres, gap) <= 5 * SETTINGS.feas_tol
+        assert max(pres, dres, gap) <= 5 * sdp.FEAS_TOL
 
     @pytest.mark.parametrize("b2,status", [(4.0, Status.OPTIMAL), (5.0, Status.PRIMAL_INFEASIBLE)])
     def test_rows_with_only_free_coefficients(self, b2, status):

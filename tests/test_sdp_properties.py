@@ -14,10 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from sdp_cases import check_certificate, random_instance, recompute_residuals  # noqa: E402
 
-from popnc.sdp import SolverSettings, Status, solve  # noqa: E402
+from popnc.sdp import FEAS_TOL, GAP_TOL, Status, solve  # noqa: E402
 
 STATUSES = (Status.OPTIMAL, Status.PRIMAL_INFEASIBLE, Status.DUAL_INFEASIBLE)
-SETTINGS = SolverSettings()
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -28,6 +27,6 @@ def test_random_sdp_of_known_status(seed, status):
     assert sol.status is status, sol.message
     if status is Status.OPTIMAL:
         pres, dres, gap = recompute_residuals(prob, sol)
-        assert max(pres, dres) <= 5 * SETTINGS.feas_tol and gap <= 5 * SETTINGS.gap_tol
+        assert max(pres, dres) <= 5 * FEAS_TOL and gap <= 5 * GAP_TOL
     else:
         check_certificate(prob, sol)

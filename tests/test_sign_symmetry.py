@@ -135,7 +135,7 @@ def test_reduced_programs_match_unreduced(n, with_eq, monkeypatch):
                 patch.setattr(builder, "sign_flips", _no_flips)
                 full, full_sol, _ = _solved(build, k)
             assert full.meta.sign_flips == ()
-            assert len(prob.constraints) < len(full.constraints)
+            assert len(prob.b) < len(full.b)
             assert sol.status is full_sol.status, (family, k)
             if cert is None:
                 continue
