@@ -18,19 +18,14 @@ from .problem_io import (
     parse_problem,
 )
 from .builder import (
-    Direction,
-    GeneratorSet,
     MembershipProgram,
-    Statement,
     basis_size,
     build_archimedean_check,
     build_coercivity_check,
     build_hierarchy_step,
     build_membership_program,
-    hierarchy_generators,
-    min_order,
+    extract_certificate,
     monomial_basis,
-    statement,
 )
 from .sdp import (
     SdpProblem,
@@ -42,18 +37,21 @@ from .sdp import (
 )
 from .certificates import (
     CertificateError,
+    GeneratorSet,
     ModuleCertificate,
     NotPsdError,
     SosDecomposition,
     SosWeight,
+    Statement,
     VerificationResult,
     certificate_from_payload,
     certificate_to_payload,
     corollary_transform,
-    extract_certificate,
     format_certificate,
     gram_to_polynomial,
+    hierarchy_generators,
     sos_decompose,
+    statement,
     verify_certificate,
 )
 from .driver import (
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateError",
-    "Direction",
     "GeneratorSet",
     "HierarchyReport",
     "MembershipProgram",
@@ -110,7 +107,6 @@ __all__ = [
     "gram_to_polynomial",
     "grlex_key",
     "hierarchy_generators",
-    "min_order",
     "minimize",
     "monomial_basis",
     "parse_polynomial",

@@ -15,9 +15,10 @@ writes the constraints as the solver reads them: per block the (row, r, c,
 value) entries of its Gram pairs r <= c, and the free-variable matrix B.
 
 What each certificate family proves -- its target, generators and the
-sign of lambda -- is defined once, by ``statement``; the hierarchy step, the
+sign of lambda -- is a ``certificates.Statement``; the hierarchy step, the
 boundedness test and the coercivity test build their programs from it, and
-``popnc verify`` checks payloads against it.
+``extract_certificate`` maps an optimal solver point back to a certificate
+of it, which ``certificates.verify_certificate`` then checks.
 
 Sign symmetry: the sign flips x_i -> -x_i that leave the target and every
 generator unchanged form a group, given by a GF(2) basis (``sign_flips``).
@@ -37,31 +38,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .polynomial import (
-    Coeff,
-    Monomial,
-    Polynomial,
-    grlex_key,
-    monomial_mul,
-    sum_of_squared_variables,
+from .certificates import (
+    CertificateError,
+    ModuleCertificate,
+    SosWeight,
+    Statement,
+    statement,
 )
-from .sdp import SdpProblem
-
-
-class Direction(str, Enum):
-    MAXIMIZE = "maximize_lambda"
-    MINIMIZE = "minimize_lambda"
-    FEASIBILITY = "feasibility"
-
-
-_LAMBDA_SIGN = {Direction.MAXIMIZE: 1, Direction.MINIMIZE: -1, Direction.FEASIBILITY: 0}
+from .polynomial import Coeff, Monomial, Polynomial, grlex_key, monomial_mul
+from .sdp import SdpProblem, SdpSolution, Status
 
 
 def monomial_basis(num_vars: int, max_degree: int) -> list[Monomial]:
@@ -136,48 +127,6 @@ def _same_class_pairs(classes: Sequence[int]) -> Iterator[tuple[int, int]]:
                 yield a, b
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Inequality and equality generators with derived degree data.
-
-    ``cf_index`` marks the position (within ``ineq``) of a bound generator of
-    the form c - f when one has been appended; it is tagged separately in
-    certificates.
-    """
-
-    num_vars: int
-    ineq: tuple[Polynomial, ...] = ()
-    eq: tuple[Polynomial, ...] = ()
-    cf_index: int | None = None
-
-    def __post_init__(self):
-        for p in (*self.ineq, *self.eq):
-            if p.num_vars != self.num_vars:
-                raise ValueError("generator variable count does not match")
-        if self.cf_index is not None and not 0 <= self.cf_index < len(self.ineq):
-            raise ValueError("cf_index out of range")
-
-    @property
-    def half_degrees(self) -> list[int]:
-        """v_j = ceil(deg(g_j) / 2), recomputed from the generators."""
-        return [(g.degree() + 1) // 2 for g in self.ineq]
-
-    @property
-    def eq_degrees(self) -> list[int]:
-        """w_l = deg(h_l)."""
-        return [h.degree() for h in self.eq]
-
-
-def min_order(gens: GeneratorSet, target: Polynomial) -> int:
-    """Smallest order k at which the membership program is well formed."""
-    k = max(1, (target.degree() + 1) // 2)
-    for v in gens.half_degrees:
-        k = max(k, v)
-    for w in gens.eq_degrees:
-        k = max(k, (w + 1) // 2)
-    return k
-
-
 @dataclass
 class SosBlock:
     """One SOS weight: its (scaled) generator, full Gram basis, the parity
@@ -209,26 +158,22 @@ class EqBlock:
 @dataclass
 class MembershipProgram:
     """Structural description of a membership program; kept alongside the
-    numeric SdpProblem so that solutions can be mapped back to certificates.
-    ``gens`` is the caller's unscaled generator set; ``sign_flips`` the basis
-    of the sign flips that leave the program invariant (see ``sign_flips``)."""
+    numeric SdpProblem so that solutions can be mapped back to certificates
+    of ``statement``, whose generators are unscaled; ``sign_flips`` is the
+    basis of the sign flips that leave the program invariant (see
+    ``sign_flips``)."""
 
-    num_vars: int
+    statement: Statement
     order: int
-    target: Polynomial
-    gens: GeneratorSet
-    direction: Direction
     blocks: list[SosBlock]
     eq_blocks: list[EqBlock]
     constraint_index: list[Monomial]
     lambda_index: int | None  # position of lambda in the free-variable vector
-    family: str = "membership"
     sign_flips: tuple[tuple[int, ...], ...] = ()
 
     @property
-    def lambda_sign(self) -> int:
-        """Sign s in the identity  sum(...) + s*lambda = target."""
-        return _LAMBDA_SIGN[self.direction]
+    def family(self) -> str:
+        return self.statement.family
 
 
 def _scaled(p: Polynomial) -> tuple[Polynomial, Coeff]:
@@ -291,24 +236,20 @@ def _reduce_bases(blocks: list[SosBlock], tables: list[list[tuple[int, int, Mono
             blk.kept = [i for i in blk.kept if (bi, i) not in to_drop]
 
 
-def build_membership_program(
-    target: Polynomial,
-    gens: GeneratorSet,
-    k: int,
-    direction: Direction | str = Direction.FEASIBILITY,
-    family: str = "membership",
-) -> SdpProblem:
-    """Assemble the order-k membership SDP for ``target`` over ``gens``.
+def build_membership_program(claim: Statement, k: int) -> SdpProblem:
+    """Assemble the order-k SDP that searches for a certificate of ``claim``.
 
-    The returned SdpProblem carries the MembershipProgram as ``meta``.  Its
-    rows (``meta.constraint_index``) are the class-0 monomials only when the
+    lambda is a free variable when the claim's lambda sign is not 0; the SDP
+    maximizes it for sign +1 and minimizes it for sign -1.  The returned
+    SdpProblem carries the MembershipProgram as ``meta``.  Its rows
+    (``meta.constraint_index``) are the class-0 monomials only when the
     program has sign flips (see the module docstring).
     Raises ValueError when k is below the minimal well-formed order.
     """
-    direction = Direction(direction)
+    target, gens = claim.target, claim.gens
     if target.num_vars != gens.num_vars:
         raise ValueError("target variable count does not match generators")
-    kmin = min_order(gens, target)
+    kmin = claim.min_order()
     if k < kmin:
         raise ValueError(f"order {k} is below the minimal order {kmin}")
     n = gens.num_vars
@@ -342,11 +283,11 @@ def build_membership_program(
         for beta in eb.basis:
             free_terms += [(monomial_mul(beta, delta), num_phi, float(co)) for delta, co in gen_terms]
             num_phi += 1
-    has_lambda = direction is not Direction.FEASIBILITY
+    has_lambda = claim.lambda_sign != 0
     num_free = num_phi + (1 if has_lambda else 0)
     lambda_index = num_phi if has_lambda else None
     if has_lambda:
-        free_terms.append((tuple([0] * n), lambda_index, float(_LAMBDA_SIGN[direction])))
+        free_terms.append((tuple([0] * n), lambda_index, float(claim.lambda_sign)))
 
     _reduce_bases(blocks, tables, {mono for mono, _, _ in free_terms}, target)
 
@@ -382,19 +323,14 @@ def build_membership_program(
     obj_free = np.zeros(num_free)
     if has_lambda:
         obj_free[lambda_index] = 1.0
-    sense = "max" if direction is Direction.MAXIMIZE else "min"
 
     meta = MembershipProgram(
-        num_vars=n,
+        statement=claim,
         order=k,
-        target=target,
-        gens=gens,
-        direction=direction,
         blocks=blocks,
         eq_blocks=eq_blocks,
         constraint_index=constraint_index,
         lambda_index=lambda_index,
-        family=family,
         sign_flips=flips,
     )
     return SdpProblem(
@@ -403,97 +339,19 @@ def build_membership_program(
         B=B,
         b=b,
         obj_free=obj_free,
-        sense=sense,
+        sense="max" if claim.lambda_sign > 0 else "min",
         meta=meta,
     )
 
 
-def hierarchy_generators(problem) -> GeneratorSet:
-    """Generator set (g; h; c - f) with the bound generator appended last."""
-    c = problem.resolved_c()
-    n = problem.num_vars
-    cf = Polynomial.constant(n, c) - problem.objective
-    return GeneratorSet(
-        num_vars=n,
-        ineq=tuple(problem.inequalities) + (cf,),
-        eq=tuple(problem.equalities),
-        cf_index=len(problem.inequalities),
-    )
-
-
-@dataclass(frozen=True)
-class Statement:
-    """What a certificate of one family proves: target - s * lambda lies in
-    the quadratic module of ``gens``, s being ``lambda_sign``."""
-
-    family: str
-    target: Polynomial
-    gens: GeneratorSet
-    direction: Direction
-
-    @property
-    def lambda_sign(self) -> int:
-        return _LAMBDA_SIGN[self.direction]
-
-    def min_order(self) -> int:
-        return min_order(self.gens, self.target)
-
-    def program(self, k: int) -> SdpProblem:
-        """The order-k membership program that searches for such a certificate."""
-        return build_membership_program(self.target, self.gens, k, self.direction, self.family)
-
-
-def statement(family: str, subject, psi: Polynomial | None = None) -> Statement:
-    """What certificates of ``family`` prove about ``subject``:
-
-        hierarchy     f - lambda       in M(g; h; c - f)   subject: the problem
-        archimedean   lambda - |x|^2   in M(g; h; c - f)   subject: the problem
-        coercivity    f_d - mu         in M(|x|^2 - 1)     subject: f (of a problem: its objective)
-        module        (1 + psi) f      in M(g; h)          subject: the problem; psi SOS
-
-    Raises ValueError for an unknown family, a module statement without psi,
-    and a coercivity subject that is zero or not of even degree >= 2.
-    """
-    if family != "coercivity":
-        return bound_statement(family, subject.objective, hierarchy_generators(subject), psi)
-    f = subject if isinstance(subject, Polynomial) else subject.objective
-    if f.is_zero():
-        raise ValueError("coercivity test is undefined for the zero polynomial")
-    d = f.degree()
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"coercivity requires even degree >= 2, got degree {d}")
-    n = f.num_vars
-    sphere = sum_of_squared_variables(n) - Polynomial.constant(n, 1)
-    return Statement(family, f.top_component(), GeneratorSet(num_vars=n, eq=(sphere,)),
-                     Direction.MAXIMIZE)
-
-
-def bound_statement(family: str, f: Polynomial, gens: GeneratorSet,
-                    psi: Polynomial | None = None) -> Statement:
-    """The hierarchy, archimedean and module statements of ``statement``, for
-    f and a generator set (g; h; c - f) that carries its bound generator."""
-    if family == "hierarchy":
-        return Statement(family, f, gens, Direction.MAXIMIZE)
-    if family == "archimedean":
-        return Statement(family, -sum_of_squared_variables(f.num_vars), gens, Direction.MINIMIZE)
-    if family != "module":
-        raise ValueError(f"unknown certificate family {family!r}")
-    if psi is None:
-        raise ValueError("a module certificate must carry its SOS weight psi")
-    ineq = tuple(g for j, g in enumerate(gens.ineq) if j != gens.cf_index)
-    return Statement(family, (Polynomial.constant(f.num_vars, 1) + psi) * f,
-                     GeneratorSet(num_vars=gens.num_vars, ineq=ineq, eq=gens.eq),
-                     Direction.FEASIBILITY)
-
-
 def build_hierarchy_step(problem, k: int) -> SdpProblem:
     """Order-k lower-bound program: maximize lambda with f - lambda in M_k(g; h; c - f)."""
-    return statement("hierarchy", problem).program(k)
+    return build_membership_program(statement("hierarchy", problem), k)
 
 
 def build_archimedean_check(problem, k: int) -> SdpProblem:
     """Order-k boundedness program: minimize lambda with lambda - |x|^2 in M_k(g; h; c - f)."""
-    return statement("archimedean", problem).program(k)
+    return build_membership_program(statement("archimedean", problem), k)
 
 
 def build_coercivity_check(f: Polynomial, k: int) -> SdpProblem:
@@ -502,4 +360,55 @@ def build_coercivity_check(f: Polynomial, k: int) -> SdpProblem:
     f must have even degree >= 2; the sphere polynomial enters as an equality
     generator with a free multiplier of degree <= 2k - 2.
     """
-    return statement("coercivity", f).program(k)
+    return build_membership_program(statement("coercivity", f), k)
+
+
+def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> ModuleCertificate:
+    """Map an optimal solver point back to generator-level weights.
+
+    Gram entries pruned at build time are provably zero in every feasible
+    point, so they are restored as explicit zeros; entries between monomials
+    of different parity classes are set to exactly 0 (averaging over the
+    program's sign flips, which keeps a PSD matrix PSD and the identity
+    intact); generator scaling is undone.  The identity is not checked here:
+    ``certificates.verify_certificate`` recomputes it.
+    """
+    if solution.status is not Status.OPTIMAL:
+        raise CertificateError(f"cannot extract a certificate from status {solution.status.value}")
+    claim = program.statement
+    n = claim.gens.num_vars
+
+    weights: list[SosWeight] = []
+    for blk in program.blocks:
+        size = len(blk.basis)
+        gram = np.zeros((size, size))
+        if blk.solver_block is not None:
+            sub = solution.X[blk.solver_block]
+            idx = np.asarray(blk.kept, dtype=int)
+            gram[np.ix_(idx, idx)] = 0.5 * (sub + sub.T)
+        cls = np.asarray(blk.classes)
+        gram[cls[:, None] != cls[None, :]] = 0.0
+        gram /= float(blk.scale)
+        weights.append(SosWeight(tag=blk.tag, index=blk.gen_index, basis=list(blk.basis), gram=gram))
+
+    multipliers: list[tuple[int, Polynomial]] = []
+    offset = 0
+    for eb in program.eq_blocks:
+        coeffs = solution.free[offset : offset + len(eb.basis)]
+        offset += len(eb.basis)
+        terms = {mono: float(cv) / float(eb.scale) for mono, cv in zip(eb.basis, coeffs)}
+        multipliers.append((eb.index, Polynomial(n, terms)))
+
+    lam: Coeff = 0.0
+    if program.lambda_index is not None:
+        lam = float(solution.free[program.lambda_index])
+
+    return ModuleCertificate(
+        num_vars=n,
+        order=program.order,
+        lam=lam,
+        lam_sign=claim.lambda_sign,
+        sos_weights=weights,
+        eq_multipliers=multipliers,
+        family=claim.family,
+    )

@@ -1,14 +1,20 @@
-"""Positivity certificates: extraction from solver output and verification.
+"""What each certificate family proves, and the checker of certificates.
 
 A module certificate witnesses an identity
 
     sigma_0 + sum_j sigma_j g_j + sum_l phi_l h_l  =  target - s * lambda
 
 with each sigma given by a PSD Gram matrix over a monomial basis and each
-phi_l a free polynomial.  Verification recomputes the identity with the
-polynomial arithmetic of this package (exactly, when the data is rational)
-and checks the Gram matrices for positive semidefiniteness; nothing is
-trusted from solver bookkeeping.
+phi_l a free polynomial.  A ``Statement`` fixes the target, the generators
+and the sign s of one family (``statement``); the builder searches for
+certificates of a statement, and ``verify_certificate`` checks one against
+it.  Verification recomputes the identity with the polynomial arithmetic of
+this package (exactly, when the data is rational) and checks the Gram
+matrices for positive semidefiniteness.  This module imports neither the
+builder nor the solver, so nothing is trusted from solver bookkeeping.
+
+Also here: certificate payloads, the transformation that drops the bound
+generator c - f, and the splitting of a Gram matrix into squares.
 """
 
 from __future__ import annotations
@@ -20,9 +26,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .builder import GeneratorSet, MembershipProgram, bound_statement
-from .polynomial import Coeff, Monomial, Polynomial, exact_decimal, grlex_key, monomial_mul
-from .sdp import SdpSolution, Status
+from .polynomial import (
+    Coeff,
+    Monomial,
+    Polynomial,
+    exact_decimal,
+    grlex_key,
+    monomial_mul,
+    sum_of_squared_variables,
+)
 
 
 class CertificateError(ValueError):
@@ -31,6 +43,126 @@ class CertificateError(ValueError):
 
 class NotPsdError(ValueError):
     """A matrix expected to be PSD has a significantly negative eigenvalue."""
+
+
+# ---------------------------------------------------------------------------
+# what each certificate family proves
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Inequality and equality generators with derived degree data.
+
+    ``cf_index`` marks the position (within ``ineq``) of a bound generator of
+    the form c - f when one has been appended; it is tagged separately in
+    certificates.
+    """
+
+    num_vars: int
+    ineq: tuple[Polynomial, ...] = ()
+    eq: tuple[Polynomial, ...] = ()
+    cf_index: int | None = None
+
+    def __post_init__(self):
+        for p in (*self.ineq, *self.eq):
+            if p.num_vars != self.num_vars:
+                raise ValueError("generator variable count does not match")
+        if self.cf_index is not None and not 0 <= self.cf_index < len(self.ineq):
+            raise ValueError("cf_index out of range")
+
+    @property
+    def half_degrees(self) -> list[int]:
+        """v_j = ceil(deg(g_j) / 2), recomputed from the generators."""
+        return [(g.degree() + 1) // 2 for g in self.ineq]
+
+    @property
+    def eq_degrees(self) -> list[int]:
+        """w_l = deg(h_l)."""
+        return [h.degree() for h in self.eq]
+
+
+@dataclass(frozen=True)
+class Statement:
+    """What a certificate of one family proves: target - s * lambda lies in
+    the quadratic module of ``gens``, s being ``lambda_sign``: +1 when the
+    program maximizes lambda, -1 when it minimizes it, 0 when there is no
+    lambda."""
+
+    family: str
+    target: Polynomial
+    gens: GeneratorSet
+    lambda_sign: int
+
+    def min_order(self) -> int:
+        """Smallest order k at which the membership program is well formed."""
+        return max(1, (self.target.degree() + 1) // 2, *self.gens.half_degrees,
+                   *((w + 1) // 2 for w in self.gens.eq_degrees))
+
+    def expected(self, lam: Coeff) -> Polynomial:
+        """target - s * lambda, what the weights of a certificate sum to."""
+        if self.lambda_sign == 0 or lam == 0:
+            return self.target
+        return self.target - Polynomial.constant(self.target.num_vars, self.lambda_sign * lam)
+
+
+def hierarchy_generators(problem) -> GeneratorSet:
+    """Generator set (g; h; c - f) with the bound generator appended last."""
+    c = problem.resolved_c()
+    n = problem.num_vars
+    cf = Polynomial.constant(n, c) - problem.objective
+    return GeneratorSet(
+        num_vars=n,
+        ineq=tuple(problem.inequalities) + (cf,),
+        eq=tuple(problem.equalities),
+        cf_index=len(problem.inequalities),
+    )
+
+
+def statement(family: str, subject, psi: Polynomial | None = None) -> Statement:
+    """What certificates of ``family`` prove about ``subject``:
+
+        hierarchy     f - lambda       in M(g; h; c - f)   subject: the problem
+        archimedean   lambda - |x|^2   in M(g; h; c - f)   subject: the problem
+        coercivity    f_d - mu         in M(|x|^2 - 1)     subject: f (of a problem: its objective)
+        module        (1 + psi) f      in M(g; h)          subject: the problem; psi SOS
+
+    Raises ValueError for an unknown family, a module statement without psi,
+    and a coercivity subject that is zero or not of even degree >= 2.
+    """
+    if family != "coercivity":
+        return bound_statement(family, subject.objective, hierarchy_generators(subject), psi)
+    f = subject if isinstance(subject, Polynomial) else subject.objective
+    if f.is_zero():
+        raise ValueError("coercivity test is undefined for the zero polynomial")
+    d = f.degree()
+    if d < 2 or d % 2 != 0:
+        raise ValueError(f"coercivity requires even degree >= 2, got degree {d}")
+    n = f.num_vars
+    sphere = sum_of_squared_variables(n) - Polynomial.constant(n, 1)
+    return Statement(family, f.top_component(), GeneratorSet(num_vars=n, eq=(sphere,)), 1)
+
+
+def bound_statement(family: str, f: Polynomial, gens: GeneratorSet,
+                    psi: Polynomial | None = None) -> Statement:
+    """The hierarchy, archimedean and module statements of ``statement``, for
+    f and a generator set (g; h; c - f) that carries its bound generator."""
+    if family == "hierarchy":
+        return Statement(family, f, gens, 1)
+    if family == "archimedean":
+        return Statement(family, -sum_of_squared_variables(f.num_vars), gens, -1)
+    if family != "module":
+        raise ValueError(f"unknown certificate family {family!r}")
+    if psi is None:
+        raise ValueError("a module certificate must carry its SOS weight psi")
+    ineq = tuple(g for j, g in enumerate(gens.ineq) if j != gens.cf_index)
+    return Statement(family, (Polynomial.constant(f.num_vars, 1) + psi) * f,
+                     GeneratorSet(num_vars=gens.num_vars, ineq=ineq, eq=gens.eq), 0)
+
+
+# ---------------------------------------------------------------------------
+# certificates and their check
+# ---------------------------------------------------------------------------
 
 
 def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
@@ -84,7 +216,8 @@ def _generator(gens: tuple[Polynomial, ...], index: int, name: str) -> Polynomia
 
 @dataclass
 class ModuleCertificate:
-    """Bound plus weights witnessing membership of target - s*lambda in M_k."""
+    """Bound plus weights witnessing membership of target - s*lambda in M_k.
+    ``residual`` is the identity residual of its last verification."""
 
     num_vars: int
     order: int
@@ -118,12 +251,6 @@ class ModuleCertificate:
             total = total + phi * _generator(gens.eq, l, f"eq multiplier {i}")
         return total
 
-    def expected(self, target: Polynomial) -> Polynomial:
-        if self.lam_sign == 0 or self.lam == 0:
-            return target
-        shift = Polynomial.constant(self.num_vars, self.lam_sign * self.lam)
-        return target - shift
-
     def to_payload(self) -> dict:
         return certificate_to_payload(self)
 
@@ -150,75 +277,25 @@ DEFAULT_EIG_TOL = 1e-9
 
 def verify_certificate(
     cert: ModuleCertificate,
-    target: Polynomial,
-    gens: GeneratorSet,
+    claim: Statement,
     tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> VerificationResult:
-    """Recompute the certificate identity and Gram PSD-ness from scratch.
+    """Recompute the certificate identity of ``claim`` and Gram PSD-ness from scratch.
 
     Passes iff the l1 coefficient residual is <= tol * (1 + ||target||_1) and
     every Gram matrix has minimum eigenvalue >= -DEFAULT_EIG_TOL.  Failure is a
-    result, not an exception.
+    result, not an exception; a nonzero lambda whose sign contradicts the
+    claim's raises ValueError.
     """
-    mismatch = cert.reconstruct(gens) - cert.expected(target)
+    if cert.lam != 0 and cert.lam_sign != claim.lambda_sign:
+        raise ValueError(f"lambda_sign {cert.lam_sign} contradicts the {claim.family} family, "
+                         f"whose lambda_sign is {claim.lambda_sign}")
+    mismatch = cert.reconstruct(claim.gens) - claim.expected(cert.lam)
     residual = mismatch.l1_norm()
     min_eig = min((w.min_eigenvalue() for w in cert.sos_weights), default=0.0)
-    bound = tol * float(1 + target.l1_norm())
+    bound = tol * float(1 + claim.target.l1_norm())
     passed = float(residual) <= bound and min_eig >= -DEFAULT_EIG_TOL
     return VerificationResult(passed=passed, residual=residual, min_gram_eig=min_eig, tol=tol)
-
-
-def extract_certificate(solution: SdpSolution, program: MembershipProgram) -> ModuleCertificate:
-    """Map an optimal solver point back to generator-level weights.
-
-    Gram entries pruned at build time are provably zero in every feasible
-    point, so they are restored as explicit zeros; entries between monomials
-    of different parity classes are set to exactly 0 (averaging over the
-    program's sign flips, which keeps a PSD matrix PSD and the identity
-    intact); generator scaling is undone.  The residual is recomputed here
-    via polynomial arithmetic.
-    """
-    if solution.status is not Status.OPTIMAL:
-        raise CertificateError(f"cannot extract a certificate from status {solution.status.value}")
-    n = program.num_vars
-
-    weights: list[SosWeight] = []
-    for blk in program.blocks:
-        size = len(blk.basis)
-        gram = np.zeros((size, size))
-        if blk.solver_block is not None:
-            sub = solution.X[blk.solver_block]
-            idx = np.asarray(blk.kept, dtype=int)
-            gram[np.ix_(idx, idx)] = 0.5 * (sub + sub.T)
-        cls = np.asarray(blk.classes)
-        gram[cls[:, None] != cls[None, :]] = 0.0
-        gram /= float(blk.scale)
-        weights.append(SosWeight(tag=blk.tag, index=blk.gen_index, basis=list(blk.basis), gram=gram))
-
-    multipliers: list[tuple[int, Polynomial]] = []
-    offset = 0
-    for eb in program.eq_blocks:
-        coeffs = solution.free[offset : offset + len(eb.basis)]
-        offset += len(eb.basis)
-        terms = {mono: float(cv) / float(eb.scale) for mono, cv in zip(eb.basis, coeffs)}
-        multipliers.append((eb.index, Polynomial(n, terms)))
-
-    lam: Coeff = 0.0
-    if program.lambda_index is not None:
-        lam = float(solution.free[program.lambda_index])
-
-    cert = ModuleCertificate(
-        num_vars=n,
-        order=program.order,
-        lam=lam,
-        lam_sign=program.lambda_sign,
-        sos_weights=weights,
-        eq_multipliers=multipliers,
-        residual=0.0,
-        family=program.family,
-    )
-    cert.residual = (cert.reconstruct(program.gens) - cert.expected(program.target)).l1_norm()
-    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ import json
 import sys
 
 from . import driver
-from .builder import statement
 from .certificates import (
     DEFAULT_RESIDUAL_TOL,
     CertificateError,
     certificate_from_payload,
     format_certificate,
+    statement,
     verify_certificate,
 )
 from .problem_io import (
@@ -148,13 +148,7 @@ def _dispatch(args) -> int:
         cert = certificate_from_payload(payload_in)
         psi = cert.weight("psi")
         claim = statement(cert.family, problem, None if psi is None else psi.polynomial(cert.num_vars))
-        if cert.lam != 0 and cert.lam_sign != claim.lambda_sign:
-            raise ValueError(f"lambda_sign {cert.lam_sign} contradicts the {cert.family} family, "
-                             f"whose lambda_sign is {claim.lambda_sign}")
-        result = verify_certificate(
-            cert, claim.target, claim.gens,
-            tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL,
-        )
+        result = verify_certificate(cert, claim, tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL)
         cert.residual = result.residual  # echo the recomputed residual, not the payload's claim
         payload = {
             "command": "verify",

@@ -18,13 +18,13 @@ from .builder import (
     build_archimedean_check,
     build_coercivity_check,
     build_hierarchy_step,
-    statement,
+    extract_certificate,
 )
 from .certificates import (
     DEFAULT_RESIDUAL_TOL,
     ModuleCertificate,
     VerificationResult,
-    extract_certificate,
+    statement,
     verify_certificate,
 )
 from .polynomial import Polynomial
@@ -173,7 +173,9 @@ def _stabilized(orders: list[OrderOutcome], tol: float) -> bool:
 
 def _certify(sol: SdpSolution, program, tol: float) -> tuple[ModuleCertificate, VerificationResult]:
     cert = extract_certificate(sol, program)
-    return cert, verify_certificate(cert, program.target, program.gens, tol=tol)
+    result = verify_certificate(cert, program.statement, tol=tol)
+    cert.residual = result.residual
+    return cert, result
 
 
 def run_hierarchy(

@@ -307,8 +307,12 @@ def _parse_number(text: str, rational: bool, line: int) -> Coeff:
     except ValueError as exc:  # float() refuses only what exact_decimal calls malformed
         reason = exc if rational else f"malformed number {num_text!r}"
         raise ProblemFormatError(f"line {line}: {reason}") from None
-    if m.group("den"):
-        den = int(m.group("den"))
+    den_text = m.group("den")
+    if den_text:
+        try:
+            den = int(den_text)
+        except ValueError:  # more digits than int() converts
+            raise ProblemFormatError(f"line {line}: denominator of {len(den_text)} digits is too large") from None
         if den == 0:
             raise ProblemFormatError(f"line {line}: division by zero in {text!r}")
         num = num / den if rational else num / float(den)

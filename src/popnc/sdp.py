@@ -970,14 +970,14 @@ def dump_sdp(problem: SdpProblem, stream) -> None:
     for i, d in enumerate(problem.block_dims):
         w(f"block {i} psd {d}\n")
     w(f"free {problem.num_free}\n")
-    w(f"offset {problem.obj_offset!r}\n")
+    w(f"offset {float(problem.obj_offset)!r}\n")
     w("objective\n")
     for bi, mat in sorted(problem.obj_blocks.items()):
         for (r, c) in zip(*np.nonzero(np.triu(mat))):
-            w(f"  obj {bi} {r} {c} {mat[r, c]!r}\n")
+            w(f"  obj {bi} {r} {c} {float(mat[r, c])!r}\n")
     if problem.obj_free is not None:
         for j in np.nonzero(problem.obj_free)[0]:
-            w(f"  objfree {j} {problem.obj_free[j]!r}\n")
+            w(f"  objfree {j} {float(problem.obj_free[j])!r}\n")
     # the stored entries, by row, block, r and c
     parts = [(np.full(len(ent[0]), bi), *ent) for bi, ent in enumerate(problem.entries)]
     bi, row, r, c, val = ([np.concatenate(a) for a in zip(*parts)] if parts
@@ -988,7 +988,7 @@ def dump_sdp(problem: SdpProblem, stream) -> None:
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         w(f"constraint {i} rhs {float(problem.b[i])!r}\n")
         for k in order[lo:hi]:
-            w(f"  entry {bi[k]} {r[k]} {c[k]} {val[k]!r}\n")
+            w(f"  entry {bi[k]} {r[k]} {c[k]} {float(val[k])!r}\n")
         for j in np.nonzero(problem.B[i])[0]:
-            w(f"  freecoef {j} {problem.B[i, j]!r}\n")
+            w(f"  freecoef {j} {float(problem.B[i, j])!r}\n")
     w("end\n")

@@ -14,14 +14,16 @@ import numpy as np
 from oracles import circle_oracle, problem_oracle
 from sdp_cases import build_cases
 
-from popnc.builder import build_hierarchy_step, hierarchy_generators, monomial_basis
+from popnc.builder import build_hierarchy_step, extract_certificate, monomial_basis
 from popnc.certificates import (
+    GeneratorSet,
     ModuleCertificate,
     SosWeight,
+    Statement,
     corollary_transform,
-    extract_certificate,
     gram_to_polynomial,
     sos_decompose,
+    statement,
     verify_certificate,
 )
 from popnc.driver import check_archimedean, check_coercive, minimize
@@ -55,8 +57,6 @@ def test_criterion_2_hand_certificate_exact():
     g1 = parse_polynomial("1 - x2^2", V2, rational=True)
     g2 = parse_polynomial("x2^2 - 1/4", V2, rational=True)
     cf = Polynomial.constant(2, Fraction(2)) - f
-    from popnc.builder import GeneratorSet
-
     gens = GeneratorSet(num_vars=2, ineq=(g1, g2, cf), cf_index=2)
     cert = ModuleCertificate(
         num_vars=2, order=2, lam=0, lam_sign=0,
@@ -67,7 +67,7 @@ def test_criterion_2_hand_certificate_exact():
             SosWeight("cf", 2, [(0, 0)], [[Fraction(1, 2)]]),
         ],
     )
-    result = verify_certificate(cert, f, gens)
+    result = verify_certificate(cert, Statement("membership", f, gens, 0))
     assert result.passed
     assert result.residual == 0
     _report(2, "hand certificate verifies with residual exactly 0 in rational mode")
@@ -119,8 +119,6 @@ def test_criterion_5_corollary_transformation():
     g1 = parse_polynomial("1 - x2^2", V2, rational=True)
     g2 = parse_polynomial("x2^2 - 1/4", V2, rational=True)
     cf = Polynomial.constant(2, Fraction(2)) - f
-    from popnc.builder import GeneratorSet
-
     gens = GeneratorSet(num_vars=2, ineq=(g1, g2, cf), cf_index=2)
     cert = ModuleCertificate(
         num_vars=2, order=2, lam=0, lam_sign=0,
@@ -137,7 +135,7 @@ def test_criterion_5_corollary_transformation():
     sigma0 = qprime.weight("sigma0")
     assert gram_to_polynomial(sigma0.gram, sigma0.basis, 2) == Polynomial.constant(2, Fraction(3, 2))
     gens_plain = GeneratorSet(num_vars=2, ineq=(g1, g2))
-    result = verify_certificate(qprime, one_plus_psi * f, gens_plain)
+    result = verify_certificate(qprime, Statement("module", one_plus_psi * f, gens_plain, 0))
     assert result.passed and result.residual == 0
     _report(5, "corollary transform gives (3/2, q') with exact rational identity "
                "(3/2)(x1^2+1) = 3/2 + 2x1^2 g1 + 2x1^2 g2")
@@ -190,18 +188,15 @@ def test_criterion_7b_certificate_residuals():
     checked = 0
     for doc in (EX31, SEXTIC):
         problem = parse_problem(doc)
-        gens = hierarchy_generators(problem)
-        from popnc.builder import min_order
-
-        k0 = min_order(gens, problem.objective)
+        k0 = statement("hierarchy", problem).min_order()
         for k in range(k0, k0 + 3):
             prob = build_hierarchy_step(problem, k)
             sol = solve(prob)
             if sol.status is not Status.OPTIMAL:
                 continue
             cert = extract_certificate(sol, prob.meta)
-            bound = 1e-5 * (1 + float(prob.meta.target.l1_norm()))
-            assert float(cert.residual) <= bound, (doc[:20], k)
+            bound = 1e-5 * (1 + float(prob.meta.statement.target.l1_norm()))
+            assert float(verify_certificate(cert, prob.meta.statement).residual) <= bound, (doc[:20], k)
             checked += 1
     assert checked >= 4
     _report(7, f"certificate residual bound held on {checked} optimal solves (7b)")

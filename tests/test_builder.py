@@ -4,19 +4,16 @@ import random
 import pytest
 
 from popnc.builder import (
-    Direction,
-    GeneratorSet,
     basis_size,
     build_archimedean_check,
     build_coercivity_check,
     build_hierarchy_step,
     build_membership_program,
-    hierarchy_generators,
-    min_order,
+    extract_certificate,
     monomial_basis,
     parity_classes,
 )
-from popnc.certificates import extract_certificate
+from popnc.certificates import GeneratorSet, Statement, hierarchy_generators, verify_certificate
 from popnc.polynomial import Polynomial, sum_of_squared_variables
 from popnc.problem_io import parse_polynomial, parse_problem
 from popnc.sdp import Status, solve
@@ -43,16 +40,16 @@ class TestMonomialBasis:
 class TestMinOrder:
     def test_example31_hierarchy(self, example31):
         gens = hierarchy_generators(example31)
-        assert min_order(gens, example31.objective) == 1
+        assert Statement("hierarchy", example31.objective, gens, 1).min_order() == 1
 
     def test_coercivity_sextic(self, sextic):
         theta = sum_of_squared_variables(2) - Polynomial.constant(2, 1)
         gens = GeneratorSet(num_vars=2, eq=(theta,))
-        assert min_order(gens, sextic.top_component()) == 3
+        assert Statement("coercivity", sextic.top_component(), gens, 1).min_order() == 3
 
     def test_linear_unconstrained(self):
         gens = GeneratorSet(num_vars=2)
-        assert min_order(gens, parse_polynomial("x1", V2)) == 1
+        assert Statement("membership", parse_polynomial("x1", V2), gens, 0).min_order() == 1
 
 
 class TestGeneratorSet:
@@ -98,7 +95,7 @@ class TestMembershipStructure:
 
     def test_trivial_sos_program(self):
         x2 = parse_polynomial("x^2", ["x"])
-        prob = build_membership_program(x2, GeneratorSet(num_vars=1), 1, Direction.FEASIBILITY)
+        prob = build_membership_program(Statement("membership", x2, GeneratorSet(num_vars=1), 0), 1)
         meta = prob.meta
         assert [len(b.basis) for b in meta.blocks] == [2]
         assert meta.blocks[0].basis == [(0,), (1,)]
@@ -114,7 +111,7 @@ class TestMembershipStructure:
         h = parse_polynomial("x1", V2)
         gens = GeneratorSet(num_vars=2, eq=(h,))
         target = parse_polynomial("x1^2 + x1", V2)
-        prob = build_membership_program(target, gens, 1, Direction.FEASIBILITY)
+        prob = build_membership_program(Statement("membership", target, gens, 0), 1)
         # free multiplier of degree <= 2k - w = 1 in two variables, without x2:
         # x2 -> -x2 leaves x1^2 + x1 and x1 unchanged, so phi keeps 1 and x1
         assert prob.meta.sign_flips == ((1,),)
@@ -124,7 +121,7 @@ class TestMembershipStructure:
     def test_equality_multiplier_dimension_without_sign_flips(self):
         gens = GeneratorSet(num_vars=2, eq=(parse_polynomial("x1", V2),))
         target = parse_polynomial("x1^2 + x1 + x2", V2)
-        prob = build_membership_program(target, gens, 1, Direction.FEASIBILITY)
+        prob = build_membership_program(Statement("membership", target, gens, 0), 1)
         assert prob.meta.sign_flips == ()
         assert [len(eb.basis) for eb in prob.meta.eq_blocks] == [3]
         assert prob.num_free == 3
@@ -147,7 +144,7 @@ class TestMembershipStructure:
         prob = build_hierarchy_step(example31, 2)
         meta = prob.meta
         index = set(meta.constraint_index)
-        for mono in meta.target.terms:
+        for mono in meta.statement.target.terms:
             assert mono in index
         for blk in meta.blocks:
             kb = blk.kept_basis
@@ -178,8 +175,8 @@ class TestCoercivityProgram:
     def test_sextic_k3_sizes_without_sign_flips(self, sextic):
         # the coercivity program of the top form plus an odd term x1^5
         sym = build_coercivity_check(sextic, 3).meta
-        target = sym.target + parse_polynomial("x1^5", V2)
-        prob = build_membership_program(target, sym.gens, 3, Direction.MAXIMIZE)
+        target = sym.statement.target + parse_polynomial("x1^5", V2)
+        prob = build_membership_program(Statement("coercivity", target, sym.statement.gens, 1), 3)
         assert prob.meta.sign_flips == ()
         assert prob.block_dims == [10]
         assert [len(eb.basis) for eb in prob.meta.eq_blocks] == [15]  # phi of degree <= 4
@@ -196,7 +193,7 @@ class TestCoercivityProgram:
 
     def test_target_is_top_component(self, sextic):
         prob = build_coercivity_check(sextic, 3)
-        assert prob.meta.target == sextic.top_component()
+        assert prob.meta.statement.target == sextic.top_component()
 
 
 def random_generator_set(rng, n):
@@ -219,8 +216,9 @@ class TestBlockSizeFormula:
             n = rng.randint(1, 3)
             gens = random_generator_set(rng, n)
             target = Polynomial.constant(n, 1.0)
-            k = min_order(gens, target) + rng.randint(0, 1)
-            prob = build_membership_program(target, gens, k, Direction.FEASIBILITY)
+            claim = Statement("membership", target, gens, 0)
+            k = claim.min_order() + rng.randint(0, 1)
+            prob = build_membership_program(claim, k)
             meta = prob.meta
             vs = [0] + gens.half_degrees
             for blk, v in zip(meta.blocks, vs):
@@ -234,17 +232,15 @@ class TestIdentitySoundness:
             sol = solve(prob)
             assert sol.status is Status.OPTIMAL
             cert = extract_certificate(sol, prob.meta)
-            tol = 1e-6 * (1 + float(prob.meta.target.l1_norm()))
-            assert float(cert.residual) <= tol
+            tol = 1e-6 * (1 + float(prob.meta.statement.target.l1_norm()))
+            assert float(verify_certificate(cert, prob.meta.statement).residual) <= tol
 
     def test_exact_rational_scaling(self, example31_rational):
         # generator scaling is exact in rational mode
         gens = hierarchy_generators(example31_rational)
-        prob = build_membership_program(
-            example31_rational.objective, gens, 2, Direction.FEASIBILITY
-        )
+        prob = build_membership_program(Statement("membership", example31_rational.objective, gens, 0), 2)
         for blk, orig in zip(prob.meta.blocks[1:], gens.ineq):
             assert blk.scale == orig.l1_norm()
             assert blk.generator.scale(blk.scale) == orig
-        rebuilt = prob.meta.gens
+        rebuilt = prob.meta.statement.gens
         assert rebuilt.ineq == gens.ineq

@@ -1,31 +1,35 @@
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popnc.certificates
 from popnc.builder import (
-    Direction,
-    GeneratorSet,
     build_archimedean_check,
     build_coercivity_check,
     build_membership_program,
-    hierarchy_generators,
+    extract_certificate,
     monomial_basis,
 )
 from popnc.certificates import (
     CertificateError,
+    GeneratorSet,
     ModuleCertificate,
     NotPsdError,
     SosWeight,
+    Statement,
     certificate_from_payload,
     certificate_to_payload,
     corollary_transform,
-    extract_certificate,
     format_certificate,
     gram_to_polynomial,
+    hierarchy_generators,
     sos_decompose,
+    statement,
     verify_certificate,
 )
 from popnc.polynomial import Polynomial
@@ -49,6 +53,11 @@ def hand_certificate():
     )
 
 
+def membership(target, gens):
+    """The claim target in M(gens), without lambda."""
+    return Statement("membership", target, gens, 0)
+
+
 def example31_gens_rational():
     f = parse_polynomial("x1^2 + 1", V2, rational=True)
     g1 = parse_polynomial("1 - x2^2", V2, rational=True)
@@ -60,7 +69,7 @@ def example31_gens_rational():
 class TestVerifyCertificate:
     def test_hand_certificate_exact_zero_residual(self):
         f, gens = example31_gens_rational()
-        result = verify_certificate(hand_certificate(), f, gens)
+        result = verify_certificate(hand_certificate(), membership(f, gens))
         assert result.passed
         assert result.residual == 0
 
@@ -68,14 +77,14 @@ class TestVerifyCertificate:
         f, gens = example31_gens_rational()
         cert = hand_certificate()
         cert.sos_weights[0] = SosWeight("sigma0", None, [(0, 0)], [[Fraction(3, 5)]])
-        result = verify_certificate(cert, f, gens)
+        result = verify_certificate(cert, membership(f, gens))
         assert not result.passed
         assert result.residual == Fraction(1, 10)
 
     def test_rational_certificates_pass_at_any_positive_tol(self):
         f, gens = example31_gens_rational()
         for tol in (1e-12, 1e-9, 1e-3):
-            assert verify_certificate(hand_certificate(), f, gens, tol=tol).passed
+            assert verify_certificate(hand_certificate(), membership(f, gens), tol=tol).passed
 
     def test_indefinite_gram_fails(self):
         f, gens = example31_gens_rational()
@@ -85,9 +94,35 @@ class TestVerifyCertificate:
             "ineq", 0, [(0, 0), (1, 0)], [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(2)]]
         )
         cert.sos_weights[0] = SosWeight("sigma0", None, [(1, 0)], [[Fraction(0)]])
-        result = verify_certificate(cert, f, gens)
+        result = verify_certificate(cert, membership(f, gens))
         assert not result.passed
         assert result.min_gram_eig < -1e-6
+
+    def test_lambda_sign_is_read_from_the_claim(self, example31):
+        # f - 1 = x1^2 proves the bound 1 for EX31's objective; with sign -1
+        # the same weights would claim the identity f + 1 = x1^2
+        claim = statement("hierarchy", example31)
+        sigma0 = SosWeight("sigma0", None, [(1, 0)], np.eye(1))
+        cert = ModuleCertificate(num_vars=2, order=1, lam=1.0, lam_sign=1, sos_weights=[sigma0],
+                                 family="hierarchy")
+        assert verify_certificate(cert, claim).residual == 0
+        cert.lam_sign = -1
+        with pytest.raises(ValueError, match="^lambda_sign -1 contradicts the hierarchy family, "
+                                             "whose lambda_sign is 1$"):
+            verify_certificate(cert, claim)
+        cert.lam = 0.0  # no lambda, no claim about its sign
+        assert verify_certificate(cert, claim).residual == 1
+
+    def test_checker_imports_only_polynomial_arithmetic(self):
+        # the checker trusts nothing of the program that found a certificate:
+        # no builder, solver, driver or CLI; problem_io only to print
+        tree = ast.parse(Path(popnc.certificates.__file__).read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        relative = {(node in tree.body, node.module) for node in imports if getattr(node, "level", 0)}
+        absolute = [node.module or "" for node in imports if isinstance(node, ast.ImportFrom) and not node.level]
+        absolute += [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
+        assert relative == {(True, "polynomial"), (False, "problem_io")}  # (at module level, module)
+        assert not [name for name in absolute if name.split(".")[0] == "popnc"]
 
 
 class TestExtractCertificate:
@@ -98,18 +133,18 @@ class TestExtractCertificate:
         cert = extract_certificate(sol, prob.meta)
         assert abs(float(cert.lam) - 2.0) <= 1e-5
         assert len(cert.sos_weights) == 4
-        assert float(cert.residual) <= 1e-6
-        ver = verify_certificate(cert, prob.meta.target, prob.meta.gens)
+        ver = verify_certificate(cert, prob.meta.statement)
+        assert float(ver.residual) <= 1e-6
         assert ver.passed
 
     def test_trivial_square(self):
         x2 = parse_polynomial("x^2", ["x"])
-        prob = build_membership_program(x2, GeneratorSet(num_vars=1), 1, Direction.FEASIBILITY)
+        prob = build_membership_program(membership(x2, GeneratorSet(num_vars=1)), 1)
         sol = solve(prob)
         cert = extract_certificate(sol, prob.meta)
         gram = cert.sos_weights[0].gram
         assert np.allclose(gram, np.diag([0.0, 1.0]), atol=1e-7)
-        assert float(cert.residual) <= 1e-9
+        assert float(verify_certificate(cert, prob.meta.statement).residual) <= 1e-9
 
     def test_non_optimal_rejected(self):
         from popnc.problem_io import parse_problem
@@ -137,7 +172,7 @@ class TestCorollaryTransform:
         assert one_plus_psi == Polynomial.constant(2, Fraction(3, 2))
         assert q.residual == 0
         gens_no_cf = GeneratorSet(num_vars=2, ineq=gens.ineq[:2])
-        check = verify_certificate(q, one_plus_psi * f, gens_no_cf)
+        check = verify_certificate(q, membership(one_plus_psi * f, gens_no_cf))
         assert check.passed and check.residual == 0
         # folded constant block equals 3/2 = 1/2 + 2 * 1/2
         assert gram_to_polynomial(q.weight("sigma0").gram, q.weight("sigma0").basis, 2) == \
@@ -161,15 +196,13 @@ class TestCorollaryTransform:
 
     def test_machine_certificate_end_to_end(self, example31):
         gens = hierarchy_generators(example31)
-        prob = build_membership_program(
-            example31.objective, gens, 2, Direction.FEASIBILITY, family="hierarchy"
-        )
+        prob = build_membership_program(membership(example31.objective, gens), 2)
         sol = solve(prob)
         assert sol.status is Status.OPTIMAL
         cert = extract_certificate(sol, prob.meta)
         one_plus_psi, q = corollary_transform(cert, example31.objective, gens, 2.0)
         gens_no_cf = GeneratorSet(num_vars=2, ineq=gens.ineq[:2])
-        check = verify_certificate(q, one_plus_psi * example31.objective, gens_no_cf, tol=1e-5)
+        check = verify_certificate(q, membership(one_plus_psi * example31.objective, gens_no_cf), tol=1e-5)
         assert check.passed
 
     def test_negative_c_rejected(self):
@@ -251,9 +284,8 @@ class TestPayload:
         payload = certificate_to_payload(cert)
         text = json.dumps(payload)
         back = certificate_from_payload(json.loads(text))
-        gens = prob.meta.gens
-        a = verify_certificate(cert, prob.meta.target, gens)
-        b = verify_certificate(back, prob.meta.target, gens)
+        a = verify_certificate(cert, prob.meta.statement)
+        b = verify_certificate(back, prob.meta.statement)
         assert a.passed == b.passed
         assert abs(float(a.residual) - float(b.residual)) <= 1e-12
 
@@ -262,5 +294,5 @@ class TestPayload:
         payload = json.loads(json.dumps(certificate_to_payload(cert)))
         back = certificate_from_payload(payload)
         f, gens = example31_gens_rational()
-        result = verify_certificate(back, f, gens)
+        result = verify_certificate(back, membership(f, gens))
         assert result.passed and result.residual == 0

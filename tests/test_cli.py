@@ -1,14 +1,12 @@
 import json
 import os
-import re
 import time
 
-import numpy as np
 import pytest
 
 import popnc.cli
-from popnc.builder import Direction, build_membership_program, hierarchy_generators
-from popnc.certificates import certificate_to_payload, corollary_transform, extract_certificate
+from popnc.builder import build_membership_program, extract_certificate
+from popnc.certificates import Statement, certificate_to_payload, corollary_transform, hierarchy_generators
 from popnc.cli import cli_main
 from popnc.problem_io import parse_problem
 from popnc.sdp import SdpProblem, solve
@@ -188,8 +186,7 @@ class TestVerifyRoundTrip:
         # the module certificate of the library's corollary transform
         problem = parse_problem(EX31)
         gens = hierarchy_generators(problem)
-        prob = build_membership_program(problem.objective, gens, 2, Direction.FEASIBILITY,
-                                        family="hierarchy")
+        prob = build_membership_program(Statement("membership", problem.objective, gens, 0), 2)
         cert = extract_certificate(solve(prob), prob.meta)
         _, module = corollary_transform(cert, problem.objective, gens, problem.resolved_c())
         code = self._verify(tmp_path, certificate_to_payload(module), EX31)
@@ -301,8 +298,6 @@ class TestFlags:
         files = sorted(os.listdir(dump_dir))
         assert files and all(f.endswith(".sdp") for f in files)
 
-    # recorded before SdpProblem stored its rows as entries; numpy 2 prints
-    # each coefficient as np.float64(v), numpy 1 as v
     @pytest.mark.parametrize("command, text, k, golden", [
         ("minimize", EX31, 2, "dump_ex31_minimize_k2.sdp"),
         ("coercive-check", SEXTIC, 3, "dump_sextic_coercive_k3.sdp"),
@@ -316,8 +311,6 @@ class TestFlags:
         (dumped,) = os.listdir(tmp_path / "dumps")
         with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
             expected = fh.read()
-        if int(np.__version__.split(".")[0]) < 2:
-            expected = re.sub(r"np\.float64\(([^)]*)\)", r"\1", expected)
         with open(tmp_path / "dumps" / dumped, encoding="utf-8") as fh:
             assert fh.read() == expected
 

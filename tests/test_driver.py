@@ -4,8 +4,8 @@ import pytest
 
 from oracles import circle_oracle, problem_oracle
 
-from popnc.builder import build_hierarchy_step
-from popnc.certificates import extract_certificate, verify_certificate
+from popnc.builder import build_hierarchy_step, extract_certificate
+from popnc.certificates import verify_certificate
 from popnc.driver import (
     check_archimedean,
     check_archimedean_sufficient,
@@ -256,8 +256,10 @@ class TestRegressionSuite:
         for a, b in zip(vals, vals[1:]):
             assert b >= a - slack * (1 + abs(a)), name
 
-        # every certified bound ships a verifiable certificate
+        # every certified bound ships a verifiable certificate, which states
+        # the residual its verification computed
         assert rep.verification is not None and rep.verification.passed, name
+        assert rep.certificate.residual == rep.verification.residual != 0, name
 
     @pytest.mark.parametrize("name,doc,kind,exact", REGRESSION, ids=[r[0] for r in REGRESSION])
     def test_certificate_residual_for_every_optimal_order(self, name, doc, kind, exact):
@@ -270,7 +272,7 @@ class TestRegressionSuite:
             sol = solve(prob)
             assert sol.status is Status.OPTIMAL
             cert = extract_certificate(sol, prob.meta)
-            bound = 1e-5 * (1 + float(prob.meta.target.l1_norm()))
-            assert float(cert.residual) <= bound, (name, outcome.order)
-            ver = verify_certificate(cert, prob.meta.target, prob.meta.gens)
+            bound = 1e-5 * (1 + float(prob.meta.statement.target.l1_norm()))
+            ver = verify_certificate(cert, prob.meta.statement)
+            assert float(ver.residual) <= bound, (name, outcome.order)
             assert ver.passed

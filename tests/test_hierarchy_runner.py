@@ -1,6 +1,7 @@
 """The hierarchy runner: order range, per-order records and acceptance rules."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,7 @@ def _canned(statuses_values):
 
 class _Passed:
     passed = True
+    residual = 0.0
 
 
 @pytest.fixture
@@ -125,7 +127,7 @@ def canned(monkeypatch):
     def use(statuses_values):
         monkeypatch.setattr(driver, "solve", _canned(statuses_values))
         monkeypatch.setattr(driver, "extract_certificate",
-                            lambda sol, program: calls.append(sol.iterations) or object())
+                            lambda sol, program: calls.append(sol.iterations) or SimpleNamespace())
         monkeypatch.setattr(driver, "verify_certificate", lambda *a, **kw: _Passed())
         return calls
     return use
@@ -135,7 +137,7 @@ OPT, UNK, INF = Status.OPTIMAL, Status.UNKNOWN, Status.PRIMAL_INFEASIBLE
 
 
 class _Meta:
-    target = gens = None
+    statement = None
     sign_flips = ()
 
 

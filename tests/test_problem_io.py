@@ -202,6 +202,15 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match=f"^line 6: duplicate '{key}:' directive$"):
             parse_problem(doc)
 
+    @pytest.mark.parametrize("key, value", [("c", "1/"), ("x0", "0 1/"), ("margin", "2/")])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_denominator_longer_than_int_converts(self, key, value, rational):
+        doc = f"vars: x y\nobj: x^2\n{key}: {value}{'9' * 5000}\n"
+        if key == "margin":
+            doc += "x0: 0 0\n"
+        with pytest.raises(ProblemFormatError, match="^line 3: denominator of 5000 digits is too large$"):
+            parse_problem(doc, rational=rational)
+
     def test_equality_directive(self):
         p = parse_problem("vars: x y\nobj: x\neq: x^2 + y^2 - 1\nx0: 1 0\n")
         assert len(p.equalities) == 1

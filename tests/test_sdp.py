@@ -8,11 +8,11 @@ from sdp_cases import build_cases, check_certificate, dense_problem, random_inst
 
 from popnc import builder, sdp
 from popnc.builder import (
-    Direction,
     build_coercivity_check,
     build_hierarchy_step,
     build_membership_program,
 )
+from popnc.certificates import Statement
 from popnc.problem_io import parse_polynomial, parse_problem
 from popnc.sdp import (
     LinearConstraint,
@@ -237,8 +237,8 @@ class TestBuiltSizes:
 
     def test_coercivity_k3_with_odd_term(self, sextic):
         sym = build_coercivity_check(sextic, 3).meta
-        prob = build_membership_program(sym.target + parse_polynomial("x1^5", ["x1", "x2"]),
-                                        sym.gens, 3, Direction.MAXIMIZE)
+        odd = sym.statement.target + parse_polynomial("x1^5", ["x1", "x2"])
+        prob = build_membership_program(Statement("coercivity", odd, sym.statement.gens, 1), 3)
         assert prob.block_dims == [10]
         assert prob.num_free == 16  # 15 multiplier coefficients and the decision scalar
         assert prob.meta.lambda_index is not None

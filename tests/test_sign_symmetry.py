@@ -21,10 +21,10 @@ from popnc.builder import (
     build_hierarchy_step,
     monomial_basis,
     parity_classes,
+    extract_certificate,
     sign_flips,
-    statement,
 )
-from popnc.certificates import extract_certificate, verify_certificate
+from popnc.certificates import statement, verify_certificate
 from popnc.polynomial import Polynomial
 from popnc.problem_io import PopProblem, parse_problem
 from popnc.sdp import Status, solve
@@ -114,7 +114,7 @@ def _solved(build, k):
     cert = None
     if sol.status is Status.OPTIMAL:
         cert = extract_certificate(sol, prob.meta)
-        assert verify_certificate(cert, prob.meta.target, prob.meta.gens).passed
+        assert verify_certificate(cert, prob.meta.statement).passed
     return prob, sol, cert
 
 
@@ -143,7 +143,8 @@ def test_reduced_programs_match_unreduced(n, with_eq, monkeypatch):
             for w in cert.sos_weights:
                 cls = np.asarray(parity_classes(w.basis, flips))
                 assert np.all(w.gram[cls[:, None] != cls[None, :]] == 0.0), (family, k, w.tag)
-            mismatch = cert.reconstruct(prob.meta.gens) - cert.expected(prob.meta.target)
+            claim = prob.meta.statement
+            mismatch = cert.reconstruct(claim.gens) - claim.expected(cert.lam)
             assert set(parity_classes(mismatch.terms, flips)) <= {0}, (family, k)
             for _, phi in cert.eq_multipliers:
                 assert set(parity_classes(phi.terms, flips)) <= {0}
