@@ -10,8 +10,12 @@ and the sign s of one family (``statement``); the builder searches for
 certificates of a statement, and ``verify_certificate`` checks one against
 it.  Verification recomputes the identity with the polynomial arithmetic of
 this package (exactly, when the data is rational) and checks the Gram
-matrices for positive semidefiniteness.  This module imports neither the
-builder nor the solver, so nothing is trusted from solver bookkeeping.
+matrices for positive semidefiniteness.  Each Gram is expanded by grouping
+the pairs of its basis once per basis: exactly over the common denominator
+of a rational Gram, and for a float Gram with the floats of a pair-by-pair
+sum in row-major order, bit for bit.  This module imports neither the
+builder nor the solver, so nothing is trusted from solver bookkeeping, and
+``popnc verify`` loads neither.
 
 Also here: certificate payloads, the transformation that drops the bound
 generator c - f, and the splitting of a Gram matrix into squares.
@@ -30,9 +34,9 @@ from .polynomial import (
     Coeff,
     Monomial,
     Polynomial,
+    check_monomial,
     exact_decimal,
     grlex_key,
-    monomial_mul,
     sum_of_squared_variables,
 )
 
@@ -165,26 +169,85 @@ def bound_statement(family: str, f: Polynomial, gens: GeneratorSet,
 # ---------------------------------------------------------------------------
 
 
-def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
-    """Expand v' Q v over the monomial basis v.  Exact for Fraction entries."""
-    rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
+def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, list[Monomial]]:
+    """The s^2 pairs (i, j) of a monomial basis grouped by their product: the
+    group of each pair, in row-major order, and the monomial of each group.
+    Raises ValueError for a basis monomial that is no exponent vector of
+    num_vars variables, or that has an exponent of 2^62 or more (int64 sums)."""
+    for mono in basis:
+        check_monomial(mono, num_vars)
+        if any(e >= 2**62 for e in mono):
+            raise ValueError(f"exponent vector {mono} has an exponent beyond 2^62")
     s = len(basis)
-    terms: dict[Monomial, Coeff] = {}
-    for i in range(s):
-        row = rows[i]
-        for j in range(s):
-            q = row[j]
-            if q == 0:
-                continue
-            mono = monomial_mul(basis[i], basis[j])
-            terms[mono] = terms.get(mono, 0) + q
-    return Polynomial(num_vars, terms)
+    exps = np.array(basis, dtype=np.int64).reshape(s, num_vars)
+    sums = (exps[:, None, :] + exps[None, :, :]).reshape(s * s, num_vars)
+    order = np.lexsort(sums.T)
+    ordered = sums[order]
+    starts = np.ones(s * s, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(s * s, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return group, [tuple(m) for m in ordered[starts].tolist()]
+
+
+def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
+    """Expand v' Q v over the monomial basis v.
+
+    The coefficient of a monomial is the sum, in row-major order, of the
+    entries of the pairs whose product it is, and the monomials come in the
+    order of their first nonzero entry.  A float Gram is summed by
+    ``np.bincount``, which adds in that order, so its floats are those of a
+    loop over the pairs, bit for bit.  A Gram of ints and Fractions is summed
+    exactly as integers over its common denominator (a monomial without a
+    Fraction entry gets an int); any other mix is added entry by entry.
+    Raises ValueError for a Gram that is not s x s over the s monomials."""
+    s = len(basis)
+    group, monos = _pair_groups(basis, num_vars)
+    shape_error = ValueError(f"the Gram matrix is not {s} x {s}, the size of its basis")
+    if isinstance(gram, np.ndarray) and gram.dtype == float:
+        if gram.shape != (s, s):
+            raise shape_error
+        flat, kinds = gram.reshape(s * s), {float}
+    else:
+        rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
+        if len(rows) != s or any(len(row) != s for row in rows):
+            raise shape_error
+        flat = [q for row in rows for q in row]
+        kinds = set(map(type, flat))
+    if kinds <= {float}:
+        flat = np.asarray(flat, dtype=float)
+        present, first = np.unique(group[np.flatnonzero(flat)], return_index=True)
+        keys = present[np.argsort(first)].tolist()
+        sums = np.bincount(group, weights=flat, minlength=len(monos))[keys].tolist()
+        return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in zip(keys, sums)})
+    groups = group.tolist()
+    exact = kinds <= {int, Fraction}
+    if exact:  # every entry as an integer over the common denominator
+        ratios = [q.as_integer_ratio() for q in flat]
+        common = math.lcm(*{d for _, d in ratios})
+        if int not in kinds:  # the monomials whose sum is a Fraction
+            fractional = set(groups)
+        else:
+            fractional = {g for g, q in zip(groups, flat) if q and type(q) is Fraction}
+        flat = [a * (common // d) for a, d in ratios]
+    totals: dict[int, Coeff] = {}
+    for g, q in zip(groups, flat):
+        if q != 0:
+            totals[g] = totals.get(g, 0) + q
+    if exact:
+        totals = {g: Fraction(v, common) if g in fractional else v // common
+                  for g, v in totals.items()}
+    return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in totals.items()})
 
 
 def _gram_float(gram: Any) -> np.ndarray:
     if isinstance(gram, np.ndarray) and gram.dtype == float:
         return gram
-    return np.array([[float(v) for v in row] for row in (gram.tolist() if isinstance(gram, np.ndarray) else gram)])
+    rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
+    # numerator / denominator is float(v) for a Fraction, without its generic
+    # numbers.Rational path
+    return np.array([[v.numerator / v.denominator if type(v) is Fraction else float(v) for v in row]
+                     for row in rows])
 
 
 @dataclass
@@ -217,7 +280,8 @@ def _generator(gens: tuple[Polynomial, ...], index: int, name: str) -> Polynomia
 @dataclass
 class ModuleCertificate:
     """Bound plus weights witnessing membership of target - s*lambda in M_k.
-    ``residual`` is the identity residual of its last verification."""
+    ``residual`` is the identity residual of its last verification, None
+    until one has computed it."""
 
     num_vars: int
     order: int
@@ -225,7 +289,7 @@ class ModuleCertificate:
     lam_sign: int  # s in the identity above: +1 (maximize), -1 (minimize), 0 (feasibility)
     sos_weights: list[SosWeight]
     eq_multipliers: list[tuple[int, Polynomial]] = field(default_factory=list)
-    residual: Coeff = 0.0
+    residual: Coeff | None = None
     family: str = "membership"
 
     def weight(self, tag: str, index: int | None = None) -> SosWeight | None:
@@ -373,7 +437,7 @@ def corollary_transform(
     out.residual = (out.reconstruct(module.gens) - target).l1_norm()
     bound = max(
         DEFAULT_RESIDUAL_TOL * float(1 + target.l1_norm()),
-        10.0 * float(cert.residual) + 1e-12,
+        (0.0 if cert.residual is None else 10.0 * float(cert.residual)) + 1e-12,
     )
     if float(out.residual) > bound:
         raise CertificateError(
@@ -478,7 +542,7 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
         "order": cert.order,
         "lambda": _num_to_payload(cert.lam),
         "lambda_sign": cert.lam_sign,
-        "residual": float(cert.residual),
+        "residual": None if cert.residual is None else float(cert.residual),
         "sos_weights": [
             {
                 "tag": w.tag,
@@ -505,7 +569,7 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
     square over its basis, a number that is not finite, a multiplier that
     lists a monomial twice, and a value of the wrong kind (a null, a list or
     an object where a number, an integer, an exponent vector, a weight or a
-    term belongs)."""
+    term belongs).  A null or missing ``residual`` reads as None."""
     where = "num_vars, order or lambda_sign"
     try:
         n, order, lam_sign = (int(payload[key]) for key in ("num_vars", "order", "lambda_sign"))
@@ -542,7 +606,8 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
                 terms[mono] = _num_from_payload(cv)
             mults.append((m["index"], Polynomial(n, terms)))
         where = "residual"
-        residual = float(payload.get("residual", 0.0))
+        residual = payload.get("residual")
+        residual = None if residual is None else float(residual)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: {exc}") from None
     return ModuleCertificate(
@@ -575,5 +640,6 @@ def format_certificate(cert: ModuleCertificate, drop_below: float = 1e-9) -> str
         if float(phi.l1_norm()) < drop_below:
             continue
         lines.append(f"phi[{l + 1}] = {format_polynomial(rounded(phi))}")
-    lines.append(f"identity residual (l1) = {float(cert.residual):.3e}")
+    lines.append("identity residual (l1) = "
+                 + ("not computed" if cert.residual is None else f"{float(cert.residual):.3e}"))
     return "\n".join(lines)

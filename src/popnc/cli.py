@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 
-from . import driver
 from .certificates import (
     DEFAULT_RESIDUAL_TOL,
     CertificateError,
@@ -28,7 +27,6 @@ from .problem_io import (
     emit_report,
     parse_problem,
 )
-from .sdp import SdpStructureError
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 2
@@ -58,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, solve=True, tol=True):  # solve: the order range and --dump-sdp
         p.add_argument("problem", help="problem file (see README for the format)")
         if solve:
-            p.add_argument("--k-max", type=int, default=driver.DEFAULT_K_MAX,
+            p.add_argument("--k-max", type=int, default=None,
                            help="highest relaxation order to try")
             p.add_argument("--k-start", type=int, default=None,
                            help="first relaxation order (defaults to the minimal valid order)")
@@ -115,12 +113,18 @@ def cli_main(argv: list[str] | None = None) -> int:
             json.JSONDecodeError, KeyError) as exc:
         print(f"popnc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SdpStructureError, CertificateError, ArithmeticError) as exc:
+    except (*_solver_errors(), CertificateError, ArithmeticError) as exc:
         print(f"popnc: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"popnc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def _solver_errors() -> tuple[type[Exception], ...]:
+    """SdpStructureError once the solver is loaded; only a solve command loads it."""
+    sdp = sys.modules.get(f"{__package__}.sdp")
+    return (sdp.SdpStructureError,) if sdp else ()
 
 
 def _dispatch(args) -> int:
@@ -181,12 +185,15 @@ _SOLVE_COMMANDS = {
 
 
 def _run_solve_command(args) -> int:
+    from . import driver  # the builder and the solver load with it, on this path only
+
     routine, tol_keyword, value_label, bound_lines = _SOLVE_COMMANDS[args.command]
     problem = _load_problem(args)
     subject = problem.objective if args.command == "coercive-check" else problem
+    options = {"k_max": args.k_max, tol_keyword: args.tol}
     report = getattr(driver, routine)(
-        subject, k_start=args.k_start, k_max=args.k_max, dump_dir=args.dump_sdp,
-        **({} if args.tol is None else {tol_keyword: args.tol}),
+        subject, k_start=args.k_start, dump_dir=args.dump_sdp,
+        **{key: value for key, value in options.items() if value is not None},
     )
     lines = [f"verdict: {report.verdict}"]
     lines += [f"  k={o.order}: {value_label}{o.value_repr}" for o in report.orders]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
@@ -33,7 +34,15 @@ def exact_decimal(text: str) -> Fraction:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def check_monomial(mono: Monomial, num_vars: int) -> None:
+    """ValueError unless mono is a vector of num_vars non-negative integers."""
+    if len(mono) != num_vars:
+        raise ValueError(f"exponent vector {mono} has length {len(mono)}, expected {num_vars}")
+    if any((not isinstance(e, int)) or e < 0 for e in mono):
+        raise ValueError(f"exponents must be non-negative integers: {mono}")
 
 
 def grlex_key(mono: Monomial):
@@ -49,7 +58,9 @@ class Polynomial:
 
     ``terms`` never stores zero coefficients and every exponent vector has
     length ``num_vars``.  The zero polynomial has an empty term map and, by
-    convention, degree 0.
+    convention, degree 0.  The constructor checks every exponent vector;
+    arithmetic builds its results through ``_from_checked``, which does not
+    check them again.
     """
 
     __slots__ = ("num_vars", "_terms")
@@ -61,12 +72,7 @@ class Polynomial:
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
-                if len(mono) != num_vars:
-                    raise ValueError(
-                        f"exponent vector {mono} has length {len(mono)}, expected {num_vars}"
-                    )
-                if any((not isinstance(e, int)) or e < 0 for e in mono):
-                    raise ValueError(f"exponents must be non-negative integers: {mono}")
+                check_monomial(mono, num_vars)
                 if coeff == 0:
                     continue
                 if mono in clean:
@@ -82,6 +88,15 @@ class Polynomial:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _from_checked(cls, num_vars: int, terms: Mapping[Monomial, Coeff]) -> "Polynomial":
+        """The polynomial of ``terms``, whose exponent vectors are already
+        checked tuples; zero coefficients are dropped, the order is kept."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "num_vars", num_vars)
+        object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c != 0})
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -140,7 +155,7 @@ class Polynomial:
         merged = dict(self._terms)
         for mono, coeff in other._terms.items():
             merged[mono] = merged.get(mono, 0) + coeff
-        return Polynomial(self.num_vars, merged)
+        return Polynomial._from_checked(self.num_vars, merged)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -148,7 +163,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {m: -c for m, c in self._terms.items()})
+        return Polynomial._from_checked(self.num_vars, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -158,7 +173,7 @@ class Polynomial:
                 for m2, c2 in other._terms.items():
                     mono = monomial_mul(m1, m2)
                     prod[mono] = prod.get(mono, 0) + c1 * c2
-            return Polynomial(self.num_vars, prod)
+            return Polynomial._from_checked(self.num_vars, prod)
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -169,7 +184,7 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, factor: Coeff) -> "Polynomial":
-        return Polynomial(self.num_vars, {m: c * factor for m, c in self._terms.items()})
+        return Polynomial._from_checked(self.num_vars, {m: c * factor for m, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:

@@ -315,7 +315,12 @@ def _parse_number(text: str, rational: bool, line: int) -> Coeff:
             raise ProblemFormatError(f"line {line}: denominator of {len(den_text)} digits is too large") from None
         if den == 0:
             raise ProblemFormatError(f"line {line}: division by zero in {text!r}")
-        num = num / den if rational else num / float(den)
+        try:
+            float_den = float(den)
+        except OverflowError:  # above 1.8e308; refused in both modes, like exact_decimal's range
+            raise ProblemFormatError(
+                f"line {line}: denominator of {len(den_text)} digits lies beyond the float range") from None
+        num = num / den if rational else num / float_den
     return num
 
 

@@ -11,6 +11,7 @@ import popnc.certificates
 from popnc.builder import (
     build_archimedean_check,
     build_coercivity_check,
+    build_hierarchy_step,
     build_membership_program,
     extract_certificate,
     monomial_basis,
@@ -33,7 +34,7 @@ from popnc.certificates import (
     verify_certificate,
 )
 from popnc.polynomial import Polynomial
-from popnc.problem_io import parse_polynomial
+from popnc.problem_io import emit_report, parse_polynomial
 from popnc.sdp import Status, solve
 
 V2 = ["x1", "x2"]
@@ -163,6 +164,18 @@ class TestExtractCertificate:
         text = format_certificate(cert, drop_below=1e9)  # force-drop everything
         assert "sigma" not in text
         assert len(cert.sos_weights) == 4  # retained for verification regardless
+
+
+    def test_unverified_residual_is_null(self, example31):
+        prob = build_hierarchy_step(example31, 2)
+        cert = extract_certificate(solve(prob), prob.meta)
+        assert cert.residual is None
+        payload = cert.to_payload()
+        assert payload["residual"] is None and '"residual": null' in emit_report(payload)
+        assert certificate_from_payload(payload).residual is None
+        assert format_certificate(cert).endswith("identity residual (l1) = not computed")
+        result = verify_certificate(cert, prob.meta.statement)
+        assert float(result.residual) <= 1e-6 and result.passed
 
 
 class TestCorollaryTransform:

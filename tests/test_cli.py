@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -117,6 +119,17 @@ class TestExitCodes:
         assert "input error" in capsys.readouterr().err
 
 
+    def test_structure_error_is_numerical_failure(self, ex31_file, capsys, monkeypatch):
+        import popnc.driver
+        from popnc.sdp import SdpStructureError
+
+        def broken(*args, **kwargs):
+            raise SdpStructureError("block 0 is not symmetric")
+        monkeypatch.setattr(popnc.driver, "minimize", broken)
+        assert cli_main(["minimize", ex31_file]) == 4
+        assert "numerical failure: block 0 is not symmetric" in capsys.readouterr().err
+
+
 class TestVerifySubcommand:
     def test_verify_emitted_certificate(self, ex31_file, tmp_path, capsys):
         code = cli_main(["arch-check", ex31_file, "--json"])
@@ -139,6 +152,20 @@ class TestVerifySubcommand:
         code = cli_main(["verify", str(cert_path), ex31_file])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_verify_loads_no_solver(self, tmp_path):
+        # a fresh interpreter: verify must not import the builder, the solver or the driver
+        cert, problem = tmp_path / "cert.json", tmp_path / "shifted.pop"
+        cert.write_text(json.dumps(SHIFTED_CERT))
+        problem.write_text(SHIFTED)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(popnc.cli.__file__)))
+        script = ("import sys; from popnc.cli import cli_main; "
+                  f"code = cli_main(['verify', {str(cert)!r}, {str(problem)!r}, '--json']); "
+                  "print(code, [m for m in ('popnc.sdp', 'popnc.builder', 'popnc.driver') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()[-1]
+        assert out == "0 []"
 
     def test_verify_report_without_certificate(self, tmp_path, capsys):
         path = tmp_path / "line.pop"

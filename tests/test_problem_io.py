@@ -211,6 +211,22 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match="^line 3: denominator of 5000 digits is too large$"):
             parse_problem(doc, rational=rational)
 
+    @pytest.mark.parametrize("key, value", [("c", "1/"), ("x0", "0 1/"), ("margin", "2/")])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_denominator_beyond_the_float_range(self, key, value, rational):
+        # 400 digits convert to an int but not to a float; float mode divided by float(den)
+        doc = f"vars: x y\nobj: x^2\n{key}: {value}{'9' * 400}\n"
+        if key == "margin":
+            doc += "x0: 0 0\n"
+        with pytest.raises(ProblemFormatError,
+                           match="^line 3: denominator of 400 digits lies beyond the float range$"):
+            parse_problem(doc, rational=rational)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_long_denominator_within_the_float_range(self, rational):
+        p = parse_problem(f"vars: x\nobj: x^2\nc: 3/1{'0' * 300}\n", rational=rational)
+        assert p.c == (Fraction(3, 10 ** 300) if rational else 3 / 1e300)
+
     def test_equality_directive(self):
         p = parse_problem("vars: x y\nobj: x\neq: x^2 + y^2 - 1\nx0: 1 0\n")
         assert len(p.equalities) == 1
