@@ -35,9 +35,10 @@ from .polynomial import (
     Monomial,
     Polynomial,
     check_monomial,
-    exact_decimal,
     grlex_key,
+    read_number,
     sum_of_squared_variables,
+    write_number,
 )
 
 
@@ -508,22 +509,18 @@ def sos_decompose(
 # ---------------------------------------------------------------------------
 
 
-def _num_to_payload(v: Coeff):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
 def _num_from_payload(v) -> Coeff:
-    """A payload number; ValueError for a float that is not finite or a decimal exact_decimal refuses."""
+    """A payload number: a string read exactly, any other value as a finite float."""
     if isinstance(v, str):
-        if "/" in v:
-            num, den = v.split("/", 1)
-            return Fraction(int(num), int(den))
-        return exact_decimal(v)
-    v = float(v)
-    if not math.isfinite(v):
+        return read_number(v, True)
+    if not math.isfinite(v := float(v)):
         raise ValueError(f"{v} is not a finite number")
+    return v
+
+
+def _integer(v, what: str) -> int:
+    if type(v) is not int:  # a JSON integer, not a bool, a float or a string
+        raise ValueError(f"{what} must be an integer, got {v!r}")
     return v
 
 
@@ -533,14 +530,14 @@ _WEIGHT_TAGS = ("sigma0", "ineq", "cf", "psi")
 def certificate_to_payload(cert: ModuleCertificate) -> dict:
     def gram_rows(gram):
         rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
-        return [[_num_to_payload(v) for v in row] for row in rows]
+        return [[write_number(v) for v in row] for row in rows]
 
     return {
         "schema": "popnc.certificate/1",
         "family": cert.family,
         "num_vars": cert.num_vars,
         "order": cert.order,
-        "lambda": _num_to_payload(cert.lam),
+        "lambda": write_number(cert.lam),
         "lambda_sign": cert.lam_sign,
         "residual": None if cert.residual is None else float(cert.residual),
         "sos_weights": [
@@ -555,7 +552,7 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
         "eq_multipliers": [
             {
                 "index": l,
-                "terms": [[list(m), _num_to_payload(cv)] for m, cv in phi.sorted_terms()],
+                "terms": [[list(m), write_number(cv)] for m, cv in phi.sorted_terms()],
             }
             for l, phi in cert.eq_multipliers
         ],
@@ -564,15 +561,15 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
 
 def certificate_from_payload(payload: dict) -> ModuleCertificate:
     """Read a certificate payload.  Raises ValueError, naming the field,
-    weight or multiplier at fault, for an unknown tag, an ``ineq``/``cf``
-    weight or a multiplier without an integer index, a Gram that is not
-    square over its basis, a number that is not finite, a multiplier that
-    lists a monomial twice, and a value of the wrong kind (a null, a list or
-    an object where a number, an integer, an exponent vector, a weight or a
-    term belongs).  A null or missing ``residual`` reads as None."""
+    weight or multiplier at fault, for an unknown tag, a Gram that is not
+    square over its basis, a number ``read_number`` or the float range
+    refuses, a monomial listed twice in a multiplier, anything but a JSON
+    integer where an integer belongs, and a null, a list or an object where
+    a number, an exponent vector, a weight or a term belongs.  A null or
+    missing ``residual`` reads as None."""
     where = "num_vars, order or lambda_sign"
     try:
-        n, order, lam_sign = (int(payload[key]) for key in ("num_vars", "order", "lambda_sign"))
+        n, order, lam_sign = (_integer(payload[key], key) for key in ("num_vars", "order", "lambda_sign"))
         where = "lambda"
         lam = _num_from_payload(payload["lambda"])
         weights = []
@@ -582,10 +579,10 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
             where = f"sos weight {i} ({tag})"
             if tag not in _WEIGHT_TAGS:
                 raise ValueError(f"unknown tag; the tags are {', '.join(_WEIGHT_TAGS)}")
-            if tag in ("ineq", "cf") and type(index) is not int:
-                raise ValueError(f"the index must be an integer, got {index!r}")
+            if tag in ("ineq", "cf"):
+                _integer(index, "the index")
             where = f"sos weight {i} ({tag}), its basis"
-            basis = [tuple(int(e) for e in m) for m in w["basis"]]
+            basis = [tuple(_integer(e, "an exponent") for e in m) for m in w["basis"]]
             where = f"sos weight {i} ({tag}), its gram"
             rows = [[_num_from_payload(v) for v in row] for row in w["gram"]]
             if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
@@ -596,19 +593,17 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
         mults = []
         for i, m in enumerate(payload.get("eq_multipliers", [])):
             where = f"eq multiplier {i}"
-            if type(m["index"]) is not int:
-                raise ValueError(f"the index must be an integer, got {m['index']!r}")
             terms = {}
             for mono, cv in m["terms"]:
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(_integer(e, "an exponent") for e in mono)
                 if mono in terms:
                     raise ValueError(f"the monomial {list(mono)} is listed twice")
                 terms[mono] = _num_from_payload(cv)
-            mults.append((m["index"], Polynomial(n, terms)))
+            mults.append((_integer(m["index"], "the index"), Polynomial(n, terms)))
         where = "residual"
         residual = payload.get("residual")
         residual = None if residual is None else float(residual)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
     return ModuleCertificate(
         num_vars=n,

@@ -9,7 +9,9 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence, Union
@@ -18,19 +20,68 @@ Monomial = tuple[int, ...]
 Coeff = Union[int, float, Fraction]
 
 
-def exact_decimal(text: str) -> Fraction:
-    """The exact value of a decimal literal such as "-1.25e-3".  A malformed
-    or infinite one, and one beyond the float range (1.8e308 to 4.9e-324),
-    raise ValueError; the last before 10^exponent is built, which can take seconds."""
-    try:
-        d = Decimal(text)
-    except InvalidOperation:  # also an exponent beyond Decimal's own range
-        raise ValueError(f"malformed number {text!r}") from None
-    if not d.is_finite():
-        raise ValueError(f"{text} is not a finite number")
-    if d and abs(d.adjusted()) > 400:
-        raise ValueError(f"{text} lies beyond the float range")
-    return Fraction(d)
+# a decimal literal; a number is a signed literal, or p/q of a signed literal by a literal
+LITERAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(rf"\s*([-+]?{LITERAL})\s*(?:/\s*({LITERAL})\s*)?")
+_ZERO_RE = re.compile(r"[-+]?[0.]*(?:[eE].*)?")  # a literal whose value is 0
+# the magnitudes that round to 0 and to infinity as a float; the float range lies between
+_TINY, _HUGE = Fraction(1, 2 ** 1075), Fraction(2 ** 1024 - 2 ** 970)
+
+
+class NumberError(ValueError):
+    """A number ``read_number`` refuses; ``at`` is the offset of the part at fault."""
+
+    def __init__(self, message: str, at: int = 0):
+        super().__init__(message)
+        self.at = at
+
+
+def read_number(text: str, exact: bool) -> Coeff:
+    """The value of a decimal literal such as "-1.25e-3", or of p/q of two
+    (only p signed; blanks around either): as ``float()`` reads each literal
+    (p/q is their float quotient), or exactly as a Fraction.  In both modes
+    each literal and quotient that is not 0 must read as a finite nonzero
+    float, 4.9e-324 to 1.8e308 in magnitude, or NumberError is raised."""
+    num, slash, den = text.partition("/")
+    # At once, a literal or p/q by an integer q: without "_", int() and float() read no text the
+    # grammar refuses but inf and nan (out of range); p/q of integers of <= 308 digits is in range
+    if "_" not in num and (not slash or den.isdecimal()):
+        try:
+            if exact and len(text) <= 308:
+                return Fraction(int(num), int(den) if slash else 1)
+            value = float(num) / float(den) if slash else float(num)
+            if not exact and 0 < abs(value) < math.inf:
+                return value
+        except (ValueError, ZeroDivisionError):  # not of these forms, or q = 0: read below
+            pass
+    m = _NUMBER_RE.fullmatch(text)
+    if m is None:
+        raise NumberError(f"malformed number {text!r}")
+    num = _literal(m[1], exact, m.start(1))
+    if m[2] is None:
+        return num
+    den = _literal(m[2], exact, m.start(2))
+    if not den:
+        raise NumberError(f"division by zero in {text.strip()!r}", m.start(2))
+    return _in_range(num / den, not num, text.strip(), m.start(1))
+
+
+def _literal(text: str, exact: bool, at: int) -> Coeff:
+    value = _in_range(float(text), _ZERO_RE.fullmatch(text), text, at)  # float() builds no 10^e
+    return Fraction(Decimal(text)) if exact else value
+
+
+def _in_range(value: Coeff, zero, text: str, at: int) -> Coeff:
+    """value, if it is ``zero`` or reads as a finite nonzero float."""
+    if zero or _TINY < abs(value) < _HUGE:
+        return value
+    shown = text if len(text) <= 40 else f"{text[:12]}... ({len(text)} characters)"
+    raise NumberError(f"{shown} lies beyond the float range", at)
+
+
+def write_number(v: Coeff) -> str | float:
+    """A Fraction as the string "p/q", which ``read_number`` reads back exactly, else a float."""
+    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else float(v)
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:

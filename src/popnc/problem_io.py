@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .polynomial import Coeff, Monomial, Polynomial, exact_decimal
+from .polynomial import LITERAL, Coeff, Monomial, NumberError, Polynomial, read_number, write_number
 
 
 class ParseError(ValueError):
@@ -50,7 +50,7 @@ class ProblemFormatError(ValueError):
 
 # one token per match, its leading whitespace skipped; ``bad`` is any other character
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
+    rf"\s*(?:(?P<num>{LITERAL})"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^/])"
     r"|(?P<bad>\S))"
@@ -76,12 +76,6 @@ def parse_polynomial(
     tokens.append(("end", "", len(text) + 1))
     index = {name: i for i, name in enumerate(variables)}
 
-    def number(tok: tuple[str, str, int]) -> Coeff:
-        try:
-            return exact_decimal(tok[1]) if rational else float(tok[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), line, tok[2]) from None
-
     terms: dict[Monomial, Coeff] = {}
     pos, sign = 0, 1
     while True:
@@ -101,20 +95,16 @@ def parse_polynomial(
         coeff: Coeff = Fraction(1) if rational else 1.0
         exponents = [0] * len(variables)
         factors = True
-        if kind == "num":
-            coeff = number(tokens[pos])
-            pos += 1
+        if kind == "num":  # the literal, or the quotient up to the next one, read as one number
+            last = pos + 2 if tokens[pos + 1][1] == "/" else pos
+            if tokens[last][0] != "num":
+                raise ParseError("expected a number after '/'", line, tokens[last][2])
+            try:
+                coeff = read_number(text[col - 1:tokens[last][2] - 1 + len(tokens[last][1])], rational)
+            except NumberError as exc:
+                raise ParseError(str(exc), line, col + exc.at) from None
+            pos = last + 1
             kind, tok, col = tokens[pos]
-            if tok == "/":
-                den_tok = tokens[pos + 1]
-                if den_tok[0] != "num":
-                    raise ParseError("expected a number after '/'", line, den_tok[2])
-                den = number(den_tok)
-                if den == 0:
-                    raise ParseError("division by zero in coefficient", line, den_tok[2])
-                coeff = coeff / den
-                pos += 2
-                kind, tok, col = tokens[pos]
             if tok == "*":
                 pos += 1
             else:
@@ -159,13 +149,9 @@ def parse_polynomial(
 
 
 def _format_coeff(coeff: Coeff) -> str:
-    if isinstance(coeff, Fraction):
-        if coeff.denominator == 1:
-            return str(coeff.numerator)
-        return f"{coeff.numerator}/{coeff.denominator}"
-    if isinstance(coeff, int):
-        return str(coeff)
-    return repr(float(coeff))
+    if isinstance(coeff, Fraction) and coeff.denominator != 1:
+        return write_number(coeff)
+    return str(int(coeff)) if isinstance(coeff, (int, Fraction)) else repr(float(coeff))
 
 
 def format_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> str:
@@ -286,42 +272,14 @@ class PopProblem:
             "objective": format_polynomial(self.objective, self.variables),
             "inequalities": [format_polynomial(g, self.variables) for g in self.inequalities],
             "equalities": [format_polynomial(h, self.variables) for h in self.equalities],
-            "c": _json_number(self.c),
-            "x0": None if self.x0 is None else [_json_number(v) for v in self.x0],
-            "margin": _json_number(self.margin),
-            "resolved_c": _json_number(self.resolved_c()),
+            "c": self.c,
+            "x0": None if self.x0 is None else list(self.x0),
+            "margin": self.margin,
+            "resolved_c": self.resolved_c(),
         }
 
 
 _INEQ_SUFFIX_RE = re.compile(r"^(?P<body>.*?)(?P<rel>>=|<=)\s*0\s*$")
-
-
-def _parse_number(text: str, rational: bool, line: int) -> Coeff:
-    text = text.strip()
-    m = re.fullmatch(r"(?P<num>[-+]?[\d.]+(?:[eE][+-]?\d+)?)(?:\s*/\s*(?P<den>\d+))?", text)
-    if m is None:
-        raise ProblemFormatError(f"line {line}: malformed number {text!r}")
-    num_text = m.group("num")
-    try:
-        num = exact_decimal(num_text) if rational else float(num_text)
-    except ValueError as exc:  # float() refuses only what exact_decimal calls malformed
-        reason = exc if rational else f"malformed number {num_text!r}"
-        raise ProblemFormatError(f"line {line}: {reason}") from None
-    den_text = m.group("den")
-    if den_text:
-        try:
-            den = int(den_text)
-        except ValueError:  # more digits than int() converts
-            raise ProblemFormatError(f"line {line}: denominator of {len(den_text)} digits is too large") from None
-        if den == 0:
-            raise ProblemFormatError(f"line {line}: division by zero in {text!r}")
-        try:
-            float_den = float(den)
-        except OverflowError:  # above 1.8e308; refused in both modes, like exact_decimal's range
-            raise ProblemFormatError(
-                f"line {line}: denominator of {len(den_text)} digits lies beyond the float range") from None
-        num = num / den if rational else num / float_den
-    return num
 
 
 def parse_problem(document: str, rational: bool = False) -> PopProblem:
@@ -379,18 +337,20 @@ def parse_problem(document: str, rational: bool = False) -> PopProblem:
             elif key == "eq":
                 equalities.append(parse_polynomial(value, variables, rational, line=lineno))
             elif key == "c":
-                c = _parse_number(value, rational, lineno)
+                c = read_number(value, rational)
             elif key == "x0":
                 parts = value.replace(",", " ").split()
                 if not parts:
                     raise ProblemFormatError(f"line {lineno}: empty x0")
-                x0 = [_parse_number(p, rational, lineno) for p in parts]
+                x0 = [read_number(p, rational) for p in parts]
             elif key == "margin":
-                margin = _parse_number(value, rational, lineno)
+                margin = read_number(value, rational)
             else:
                 raise ProblemFormatError(f"line {lineno}: unknown directive {key!r}")
         except ParseError as err:
             raise ParseError(err.reason, lineno, offset + err.col) from None
+        except NumberError as exc:  # a number of c:, x0: or margin:
+            raise ProblemFormatError(f"line {lineno}: {exc}") from None
 
     if variables is None:
         raise ProblemFormatError("missing 'vars:' directive")
@@ -415,16 +375,9 @@ def parse_problem(document: str, rational: bool = False) -> PopProblem:
 # ---------------------------------------------------------------------------
 
 
-def _json_number(value: Any) -> Any:
-    """A Fraction as the string "p/q"; any other value unchanged."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
 def _json_default(obj: Any) -> str:
     if isinstance(obj, Fraction):
-        return _json_number(obj)
+        return write_number(obj)
     raise TypeError(f"{type(obj).__name__} is not part of a report payload")
 
 

@@ -244,8 +244,15 @@ class TestVerifyRoundTrip:
          SHIFTED, "sos weight 0 (sigma0), its gram: 1e4000000 lies beyond the float range"),
         ({**SHIFTED_CERT, "lambda": "1e-4000000"}, SHIFTED,
          "lambda: 1e-4000000 lies beyond the float range"),
+        # the one range rule of every number: once read, then refused as a float (exit 4)
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [["1e350"]])),
+         SHIFTED, "sos weight 0 (sigma0), its gram: 1e350 lies beyond the float range"),
+        ({**SHIFTED_CERT, "lambda": "1e350"}, SHIFTED, "lambda: 1e350 lies beyond the float range"),
+        # once accepted as a rational below the float range
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [["1/" + "9" * 400]])),
+         SHIFTED, "sos weight 0 (sigma0), its gram: 999999999999... (400 characters) lies beyond the float range"),
     ], ids=["forged sign", "unknown family", "module without psi", "repeated multiplier monomial",
-            "huge exponent", "tiny exponent"])
+            "huge exponent", "tiny exponent", "gram entry 1e350", "lambda 1e350", "400-digit denominator"])
     def test_refused_payloads(self, tmp_path, capsys, payload, problem, message):
         start = time.perf_counter()
         code = self._verify(tmp_path, payload, problem)
@@ -272,20 +279,34 @@ class TestVerifyRoundTrip:
         (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[None]])),
          "sos weight 0 (sigma0), its gram: float() argument"),
         (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, None]], [[1.0]])),
-         "sos weight 0 (sigma0), its basis: int() argument"),
+         "sos weight 0 (sigma0), its basis: an exponent must be an integer, got None"),
         ({**SHIFTED_CERT, "lambda": [1.0]}, "lambda: float() argument"),
         ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 0], {}]]}]},
          "eq multiplier 0: float() argument"),
         ({**SHIFTED_CERT, "order": None},
-         "num_vars, order or lambda_sign: int() argument"),
+         "num_vars, order or lambda_sign: order must be an integer, got None"),
         ({**SHIFTED_CERT, "sos_weights": SHIFTED_CERT["sos_weights"] + [None]},
          "sos weight 1: 'NoneType' object is not subscriptable"),
         ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [None]}]},
          "eq multiplier 0: cannot unpack non-iterable NoneType object"),
+        # an integer field is a JSON integer; int() once truncated these
+        ({**SHIFTED_CERT, "order": 1.9}, "num_vars, order or lambda_sign: order must be an integer, got 1.9"),
+        ({**SHIFTED_CERT, "num_vars": 1.5},
+         "num_vars, order or lambda_sign: num_vars must be an integer, got 1.5"),
+        ({**SHIFTED_CERT, "lambda_sign": True},
+         "num_vars, order or lambda_sign: lambda_sign must be an integer, got True"),
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1.5, 0]], [[1.0]])),
+         "sos weight 0 (sigma0), its basis: an exponent must be an integer, got 1.5"),
+        ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, "1"], 0.0]]}]},
+         "eq multiplier 0: an exponent must be an integer, got '1'"),
+        # a JSON integer beyond the float range, once an internal failure (exit 4)
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[10 ** 400]])),
+         "sos weight 0 (sigma0), its gram: int too large to convert to float"),
     ], ids=["short gram", "index past the generators", "null index", "unknown tag",
             "multiplier without equalities", "nan gram entry", "null gram entry",
             "null basis exponent", "list lambda", "object multiplier coefficient", "null order",
-            "null weight", "null multiplier term"])
+            "null weight", "null multiplier term", "float order", "float num_vars", "bool lambda_sign",
+            "float basis exponent", "string multiplier exponent", "huge integer gram entry"])
     def test_malformed_payloads(self, tmp_path, capsys, payload, message):
         code = self._verify(tmp_path, payload, SHIFTED)
         err = capsys.readouterr().err
@@ -390,7 +411,7 @@ class TestFlags:
         path.write_text("vars: x\nobj: 1e999*x^2\nc: 1\n")
         code = cli_main(["minimize", str(path)])
         err = capsys.readouterr().err
-        assert code == 3 and "objective holds a number that is not finite" in err
+        assert code == 3 and "line 2, col 6: 1e999 lies beyond the float range" in err
 
     @pytest.mark.parametrize("command", ["parse", "minimize"])
     def test_x0_beyond_float_range_is_input_error(self, tmp_path, capsys, command):
