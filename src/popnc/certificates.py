@@ -510,9 +510,11 @@ def sos_decompose(
 
 
 def _num_from_payload(v) -> Coeff:
-    """A payload number: a string read exactly, any other value as a finite float."""
+    """A payload number: a string read exactly, a JSON number as a finite float."""
     if isinstance(v, str):
         return read_number(v, True)
+    if v is True or v is False:  # float() would read them as 1.0 and 0.0
+        raise ValueError(f"a number must be a JSON number or a string, got {v!r}")
     if not math.isfinite(v := float(v)):
         raise ValueError(f"{v} is not a finite number")
     return v

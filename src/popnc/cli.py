@@ -20,6 +20,7 @@ from .certificates import (
     statement,
     verify_certificate,
 )
+from .polynomial import NumberError, read_number, write_number
 from .problem_io import (
     ParseError,
     PopProblem,
@@ -40,6 +41,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"popnc: input error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+
+
+def _number_flag(text: str) -> float:
+    """The value of --c or --margin, read as a ``c:`` line reads it.  "inf"
+    and "nan" pass as floats, for the problem check to refuse as not finite."""
+    try:
+        return read_number(text, False)
+    except NumberError as exc:
+        if text.strip().lstrip("+-").lower() in ("inf", "infinity", "nan"):
+            return float(text)
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -66,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=None,
                            help="main tolerance of the subcommand (stabilization, "
                                 "positivity or verification depending on the command)")
-        p.add_argument("--c", type=float, default=None, help="override the level bound c")
-        p.add_argument("--margin", type=float, default=None,
+        p.add_argument("--c", type=_number_flag, default=None, help="override the level bound c")
+        p.add_argument("--margin", type=_number_flag, default=None,
                        help="override the margin used when c is derived from x0")
         p.add_argument("--json", action="store_true", help="emit the full report as JSON on stdout")
 
@@ -143,29 +155,32 @@ def _dispatch(args) -> int:
         problem = _load_problem(args)
         with open(args.certificate, "r", encoding="utf-8") as fh:
             payload_in = json.load(fh)
-        if "certificate" in payload_in and payload_in["certificate"] is None:
-            print("popnc: input error: the report carries no certificate "
-                  f"(verdict: {payload_in.get('verdict')})", file=sys.stderr)
-            return EXIT_INPUT
-        if "certificate" in payload_in and isinstance(payload_in["certificate"], dict):
+        if isinstance(payload_in, dict) and "certificate" in payload_in:  # a whole report
+            if payload_in["certificate"] is None:
+                print("popnc: input error: the report carries no certificate "
+                      f"(verdict: {payload_in.get('verdict')})", file=sys.stderr)
+                return EXIT_INPUT
             payload_in = payload_in["certificate"]
+        if not isinstance(payload_in, dict) or "num_vars" not in payload_in:
+            print(f"popnc: input error: {args.certificate} holds no certificate: neither "
+                  "a certificate payload nor a report with one", file=sys.stderr)
+            return EXIT_INPUT
         cert = certificate_from_payload(payload_in)
         psi = cert.weight("psi")
         claim = statement(cert.family, problem, None if psi is None else psi.polynomial(cert.num_vars))
         result = verify_certificate(cert, claim, tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL)
-        cert.residual = result.residual  # echo the recomputed residual, not the payload's claim
-        payload = {
-            "command": "verify",
-            "problem": problem.to_payload(),
-            "verification": result.to_payload(),
-            "certificate": cert.to_payload(),
-        }
-        _emit(args, payload, [] if args.json else [
-            f"residual: {float(result.residual):.6e}",
-            f"min Gram eigenvalue: {result.min_gram_eig:.3e}",
-            "verification: PASS" if result.passed else "verification: FAIL",
-            format_certificate(cert),
-        ])
+        # the report names the checked payload by its family, order and lambda; it
+        # does not echo the payload
+        verification = {**result.to_payload(), "family": cert.family, "order": cert.order,
+                        "lambda": write_number(cert.lam)}
+        cert.residual = result.residual  # print the recomputed residual, not the payload's claim
+        _emit(args, {"command": "verify", "problem": problem.to_payload(), "verification": verification},
+              [] if args.json else [
+                  f"residual: {float(result.residual):.6e}",
+                  f"min Gram eigenvalue: {result.min_gram_eig:.3e}",
+                  "verification: PASS" if result.passed else "verification: FAIL",
+                  format_certificate(cert),
+              ])
         return EXIT_OK if result.passed else EXIT_INCONCLUSIVE
 
     raise ProblemFormatError(f"unknown command {args.command!r}")

@@ -67,8 +67,11 @@ def read_number(text: str, exact: bool) -> Coeff:
 
 
 def _literal(text: str, exact: bool, at: int) -> Coeff:
-    value = _in_range(float(text), _ZERO_RE.fullmatch(text), text, at)  # float() builds no 10^e
-    return Fraction(Decimal(text)) if exact else value
+    zero = _ZERO_RE.fullmatch(text)
+    value = _in_range(float(text), zero, text, at)  # float() builds no 10^e
+    if not exact:
+        return value
+    return Fraction(0) if zero else Fraction(Decimal(text))  # a zero's exponent may exceed Decimal's
 
 
 def _in_range(value: Coeff, zero, text: str, at: int) -> Coeff:

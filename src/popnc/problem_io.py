@@ -48,6 +48,19 @@ class ProblemFormatError(ValueError):
 # expression parser
 # ---------------------------------------------------------------------------
 
+# One term per match: its sign, its coefficient (a literal or p/q) and its
+# variable factors joined by '*', with the blanks around each; a term with a
+# coefficient may leave out the '*' before its first factor.  Every part is
+# optional, so the first match reads each literal and name whole, as the
+# tokenizer does; where the term ends is checked after the match.
+_FACTOR = r"[A-Za-z_][A-Za-z_0-9]*(?:\s*\^\s*\d+)?"
+_TERM_RE = re.compile(
+    rf"\s*(?P<sign>[-+]?)\s*"
+    rf"(?:(?P<coeff>{LITERAL}(?:\s*/\s*{LITERAL})?)(?:\s*\*(?=\s*[A-Za-z_]))?\s*)?"
+    rf"(?P<factors>{_FACTOR}(?:\s*\*\s*{_FACTOR})*)?\s*"
+)
+_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?")
+
 # one token per match, its leading whitespace skipped; ``bad`` is any other character
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<num>{LITERAL})"
@@ -67,6 +80,51 @@ def parse_polynomial(
     """
     if not variables:
         raise ProblemFormatError("variable list must not be empty")
+    index = {name: i for i, name in enumerate(variables)}
+    poly = _read_terms(text, index, len(variables), rational)
+    return _walk_tokens(text, index, len(variables), rational, line) if poly is None else poly
+
+
+def _read_terms(text: str, index: dict[str, int], n: int, rational: bool) -> Polynomial | None:
+    """The polynomial of ``text``, read with one match per term; None for an
+    expression it does not read, which the token walk then refuses."""
+    terms: dict[Monomial, Coeff] = {}
+    one: Coeff = Fraction(1) if rational else 1.0
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        coeff, factors = m["coeff"], m["factors"]
+        if coeff is None and factors is None:  # an empty term
+            return None
+        if coeff is None:
+            coeff = one
+        else:
+            try:
+                coeff = read_number(coeff, rational)
+            except NumberError:
+                return None
+        exponents = [0] * n
+        if factors is not None:
+            for name, power in _FACTOR_RE.findall(factors):
+                i = index.get(name)
+                if i is None:
+                    return None
+                try:
+                    exponents[i] += int(power) if power else 1
+                except ValueError:  # more digits than int() converts
+                    return None
+        mono = tuple(exponents)
+        terms[mono] = terms.get(mono, 0) + (-1 if m["sign"] == "-" else 1) * coeff
+        pos = m.end()
+        if pos == len(text):
+            return Polynomial._from_checked(n, terms)
+        if text[pos] not in "+-":
+            return None
+
+
+def _walk_tokens(text: str, index: dict[str, int], n: int, rational: bool, line: int) -> Polynomial:
+    """The polynomial of ``text``, read token by token: the reader that words
+    every ParseError, a character no token starts with first."""
     tokens = []  # (kind, text, 1-based column); kind is "num", "ident", "op" or "end"
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -74,7 +132,6 @@ def parse_polynomial(
             raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) + 1)
         tokens.append((kind, m[kind], m.start(kind) + 1))
     tokens.append(("end", "", len(text) + 1))
-    index = {name: i for i, name in enumerate(variables)}
 
     terms: dict[Monomial, Coeff] = {}
     pos, sign = 0, 1
@@ -86,14 +143,14 @@ def parse_polynomial(
             kind, tok, col = tokens[pos]
         elif kind == "end":
             if pos:
-                return Polynomial(len(variables), terms)
+                return Polynomial(n, terms)
             raise ParseError("empty expression", line, col)
         elif pos:
             raise ParseError(f"expected '+' or '-', got {tok!r}", line, col)
         # a term: number ['/' number] [['*'] factors], or factors; factors are
         # variables with optional '^' exponents, joined by '*'
         coeff: Coeff = Fraction(1) if rational else 1.0
-        exponents = [0] * len(variables)
+        exponents = [0] * n
         factors = True
         if kind == "num":  # the literal, or the quotient up to the next one, read as one number
             last = pos + 2 if tokens[pos + 1][1] == "/" else pos

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import popnc.cli
 from popnc.builder import build_membership_program, extract_certificate
 from popnc.certificates import Statement, certificate_to_payload, corollary_transform, hierarchy_generators
 from popnc.cli import cli_main
-from popnc.problem_io import parse_problem
+from popnc.problem_io import ProblemFormatError, parse_problem
 from popnc.sdp import SdpProblem, solve
 
 EX31 = "vars: x1 x2\nobj: x1^2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"
@@ -302,11 +303,18 @@ class TestVerifyRoundTrip:
         # a JSON integer beyond the float range, once an internal failure (exit 4)
         (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[10 ** 400]])),
          "sos weight 0 (sigma0), its gram: int too large to convert to float"),
+        # a JSON boolean is no number; true once read as 1.0
+        ({**SHIFTED_CERT, "lambda": True}, "lambda: a number must be a JSON number or a string, got True"),
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [[True]])),
+         "sos weight 0 (sigma0), its gram: a number must be a JSON number or a string, got True"),
+        ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 0], False]]}]},
+         "eq multiplier 0: a number must be a JSON number or a string, got False"),
     ], ids=["short gram", "index past the generators", "null index", "unknown tag",
             "multiplier without equalities", "nan gram entry", "null gram entry",
             "null basis exponent", "list lambda", "object multiplier coefficient", "null order",
             "null weight", "null multiplier term", "float order", "float num_vars", "bool lambda_sign",
-            "float basis exponent", "string multiplier exponent", "huge integer gram entry"])
+            "float basis exponent", "string multiplier exponent", "huge integer gram entry",
+            "bool lambda", "bool gram entry", "bool multiplier coefficient"])
     def test_malformed_payloads(self, tmp_path, capsys, payload, message):
         code = self._verify(tmp_path, payload, SHIFTED)
         err = capsys.readouterr().err
@@ -324,10 +332,34 @@ class TestVerifyRoundTrip:
         wrong = SHIFTED.replace("x1^2 - 1", "x1^2 - 3/2")
         assert self._verify(tmp_path, SHIFTED_CERT, wrong, "--json") == 2
         tree = json.loads(capsys.readouterr().out)
-        assert tree["verification"]["residual"] == tree["certificate"]["residual"] == 0.5
+        assert tree["verification"]["residual"] == 0.5
         assert self._verify(tmp_path, SHIFTED_CERT, wrong) == 2
         out = capsys.readouterr().out
         assert "residual: 5.000000e-01" in out and "identity residual (l1) = 5.000e-01" in out
+
+    @pytest.mark.parametrize("payload, lam", [
+        (SHIFTED_CERT, -1.0),
+        ({**SHIFTED_CERT, "lambda": "-1/1", "sos_weights": [_weight("sigma0", None, [[1, 0]], [["1/1"]])]},
+         "-1/1"),
+    ], ids=["float", "rational"])
+    def test_verify_report_keys(self, tmp_path, capsys, payload, lam):
+        # the report states the check and names the checked payload; it does not echo it
+        assert self._verify(tmp_path, payload, SHIFTED, "--json") == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert set(tree) == {"command", "problem", "verification"}
+        assert tree["verification"] == {"passed": True, "residual": 0.0, "min_gram_eig": 1.0, "tol": 1e-5,
+                                        "family": "hierarchy", "order": 1, "lambda": lam}
+
+    @pytest.mark.parametrize("content", [None, [SHIFTED_CERT], {"certificate": 5}, "verify report"],
+                             ids=["null", "list", "certificate not an object", "verify report"])
+    def test_file_without_a_certificate(self, tmp_path, capsys, content):
+        if content == "verify report":  # it names its certificate but does not carry it
+            assert self._verify(tmp_path, SHIFTED_CERT, SHIFTED, "--json") == 0
+            content = json.loads(capsys.readouterr().out)
+        code = self._verify(tmp_path, content, SHIFTED)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "cert.json holds no certificate: neither a certificate payload nor a report with one" in err
 
     def test_json_verify_does_not_format(self, tmp_path, capsys, monkeypatch):
         def unused(cert):
@@ -397,6 +429,36 @@ class TestFlags:
         code = cli_main(["parse", str(path), "--margin", "2", "--json"])
         tree = json.loads(capsys.readouterr().out)
         assert code == 0 and tree["problem"]["resolved_c"] == 2.0
+
+    @pytest.mark.parametrize("flag, value, resolved_c", [
+        ("--c", "1/3", 1 / 3), ("--c", "1e-3", 1e-3), ("--margin", "1/2", 0.5), ("--margin", ".5e1", 5.0),
+    ])
+    def test_number_flags_read_as_a_c_line(self, tmp_path, capsys, flag, value, resolved_c):
+        # --c 1/3 was refused as "invalid float value"
+        path = tmp_path / "p.pop"
+        path.write_text("vars: x\nobj: x^2\nx0: 0\n")
+        assert cli_main(["parse", str(path), flag, value, "--json"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert tree["problem"]["resolved_c"] == resolved_c
+
+    @pytest.mark.parametrize("flag", ["--c", "--margin"])
+    @pytest.mark.parametrize("value, message", [
+        ("1e-400", "1e-400 lies beyond the float range"),
+        ("1e400", "1e400 lies beyond the float range"),
+        ("1/0", "division by zero in '1/0'"),
+        ("two", "malformed number 'two'"),
+    ])
+    def test_number_flags_refused_as_a_c_line(self, tmp_path, capsys, flag, value, message):
+        # --c 1e-400 once ran with c = 0 without a word
+        path = tmp_path / "p.pop"
+        path.write_text(f"vars: x\nobj: x^2\nx0: 0\nmargin: {value}\n")
+        with pytest.raises(ProblemFormatError, match=f"line 4: {re.escape(message)}$"):
+            parse_problem(path.read_text())
+        path.write_text("vars: x\nobj: x^2\nx0: 0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["parse", str(path), flag, value])
+        assert exc.value.code == 3
+        assert f"popnc: input error: argument {flag}: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["parse", "minimize", "coercive-check"])
     @pytest.mark.parametrize("flag, value", [("--c", "inf"), ("--c", "nan"), ("--margin", "nan")])

@@ -45,6 +45,15 @@ class TestParsePolynomial:
         assert p.terms == {(1, 0): 500, (0, 1): Fraction(1, 4), (0, 0): Fraction(3, 2)} and c == 500
         assert {type(v) for v in [*p.terms.values(), c]} == {Fraction if rational else float}
 
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_zero_with_an_exponent_beyond_decimal(self, rational):
+        # exactly, a zero with an exponent of 20 digits was read through Decimal,
+        # which raised InvalidOperation
+        zero = "0.0e99999999999999999999"
+        p = parse_polynomial(f"{zero}*x1 + 1", V2, rational=rational)
+        assert p.terms == {(0, 0): 1} and type(p.terms[(0, 0)]) is (Fraction if rational else float)
+        assert parse_problem(f"vars: x1\nobj: x1^2\nc: {zero}\n", rational=rational).c == 0
+
     def test_explicit_star_required_between_factors(self):
         with pytest.raises(ParseError):
             parse_polynomial("x1 x2", V2)
