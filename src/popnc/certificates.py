@@ -18,14 +18,18 @@ builder nor the solver, so nothing is trusted from solver bookkeeping, and
 ``popnc verify`` loads neither.
 
 Also here: certificate payloads, the transformation that drops the bound
-generator c - f, and the splitting of a Gram matrix into squares.
+generator c - f, and the splitting of a Gram matrix into squares.  A payload
+Gram is read as one array: JSON numbers as a float ndarray, "p/q" strings
+as a ``RationalGram`` of integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Any, Sequence
 
 import numpy as np
@@ -172,7 +176,8 @@ def bound_statement(family: str, f: Polynomial, gens: GeneratorSet,
 
 def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, list[Monomial]]:
     """The s^2 pairs (i, j) of a monomial basis grouped by their product: the
-    group of each pair, in row-major order, and the monomial of each group.
+    group of each pair, in row-major order, and the monomial of each group,
+    numbered in the lexicographic order of the reversed exponent vectors.
     Raises ValueError for a basis monomial that is no exponent vector of
     num_vars variables, or that has an exponent of 2^62 or more (int64 sums)."""
     for mono in basis:
@@ -181,6 +186,18 @@ def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, 
             raise ValueError(f"exponent vector {mono} has an exponent beyond 2^62")
     s = len(basis)
     exps = np.array(basis, dtype=np.int64).reshape(s, num_vars)
+    # A product's exponents pack into one int64, the last variable most
+    # significant, when every variable's digit 2 * max + 1 fits: packing is
+    # linear without carries, so a pair's key is the sum of its two keys and
+    # the keys sort as the lexsort below does.
+    radix = [2 * e + 1 for e in exps.max(axis=0, initial=0).tolist()]
+    if math.prod(radix) <= 2**62:
+        weights = np.cumprod([1, *radix[:-1]], dtype=np.int64)
+        keys = exps @ weights
+        _, first, group = np.unique((keys[:, None] + keys[None, :]).reshape(s * s),
+                                    return_index=True, return_inverse=True)
+        monos = exps[first // s] + exps[first % s]
+        return group.reshape(s * s), [tuple(m) for m in monos.tolist()]
     sums = (exps[:, None, :] + exps[None, :, :]).reshape(s * s, num_vars)
     order = np.lexsort(sums.T)
     ordered = sums[order]
@@ -191,6 +208,24 @@ def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, 
     return group, [tuple(m) for m in ordered[starts].tolist()]
 
 
+@dataclass(frozen=True)
+class RationalGram:
+    """A rational Gram matrix as integer numerators over one denominator, the
+    least common one of its entries: entry (i, j) is num[i, j] / den, with num
+    an object array of Python ints (exact at every size) and den > 0."""
+
+    num: np.ndarray
+    den: int
+
+    def tolist(self) -> list[list[Fraction]]:
+        return [[Fraction(a, self.den) for a in row] for row in self.num.tolist()]
+
+
+def _gram_rows(gram: Any) -> list:
+    """The rows of a Gram matrix as lists of its numbers."""
+    return gram.tolist() if isinstance(gram, (np.ndarray, RationalGram)) else gram
+
+
 def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
     """Expand v' Q v over the monomial basis v.
 
@@ -198,29 +233,40 @@ def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> P
     entries of the pairs whose product it is, and the monomials come in the
     order of their first nonzero entry.  A float Gram is summed by
     ``np.bincount``, which adds in that order, so its floats are those of a
-    loop over the pairs, bit for bit.  A Gram of ints and Fractions is summed
+    loop over the pairs, bit for bit.  A ``RationalGram`` sums its numerators
+    per monomial in one reduction and gives each monomial the Fraction of its
+    sum over the denominator.  A Gram of ints and Fractions is summed
     exactly as integers over its common denominator (a monomial without a
     Fraction entry gets an int); any other mix is added entry by entry.
     Raises ValueError for a Gram that is not s x s over the s monomials."""
     s = len(basis)
     group, monos = _pair_groups(basis, num_vars)
     shape_error = ValueError(f"the Gram matrix is not {s} x {s}, the size of its basis")
-    if isinstance(gram, np.ndarray) and gram.dtype == float:
-        if gram.shape != (s, s):
+    if isinstance(gram, RationalGram) or (isinstance(gram, np.ndarray) and gram.dtype == float):
+        array = gram.num if isinstance(gram, RationalGram) else gram
+        if array.shape != (s, s):
             raise shape_error
-        flat, kinds = gram.reshape(s * s), {float}
+        flat = array.reshape(s * s)
     else:
-        rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
+        rows = _gram_rows(gram)
         if len(rows) != s or any(len(row) != s for row in rows):
             raise shape_error
         flat = [q for row in rows for q in row]
         kinds = set(map(type, flat))
-    if kinds <= {float}:
-        flat = np.asarray(flat, dtype=float)
-        present, first = np.unique(group[np.flatnonzero(flat)], return_index=True)
-        keys = present[np.argsort(first)].tolist()
-        sums = np.bincount(group, weights=flat, minlength=len(monos))[keys].tolist()
-        return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in zip(keys, sums)})
+        if kinds <= {float}:
+            flat = np.asarray(flat, dtype=float)
+    if isinstance(flat, np.ndarray):  # the groups of its nonzero entries at once
+        nonzero = np.flatnonzero(flat)
+        present, first, counts = np.unique(group[nonzero], return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        keys = present[by_first].tolist()
+        if isinstance(gram, RationalGram):  # integer sums, group by group
+            numerators = flat[nonzero][np.argsort(group[nonzero])]
+            sums = np.add.reduceat(numerators, np.cumsum(counts) - counts)[by_first]
+            coeffs = [Fraction(v, gram.den) for v in sums]
+        else:
+            coeffs = np.bincount(group, weights=flat, minlength=len(monos))[keys].tolist()
+        return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in zip(keys, coeffs)})
     groups = group.tolist()
     exact = kinds <= {int, Fraction}
     if exact:  # every entry as an integer over the common denominator
@@ -244,7 +290,9 @@ def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> P
 def _gram_float(gram: Any) -> np.ndarray:
     if isinstance(gram, np.ndarray) and gram.dtype == float:
         return gram
-    rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
+    if isinstance(gram, RationalGram):  # int true division rounds correctly, as float(v) does
+        return (gram.num / gram.den).astype(float)
+    rows = _gram_rows(gram)
     # numerator / denominator is float(v) for a Fraction, without its generic
     # numbers.Rational path
     return np.array([[v.numerator / v.denominator if type(v) is Fraction else float(v) for v in row]
@@ -256,7 +304,9 @@ class SosWeight:
     tag: str  # "sigma0" | "ineq" | "cf" | "psi" (the module family's multiplier of f)
     index: int | None
     basis: list[Monomial]
-    gram: Any  # square symmetric matrix; float ndarray or nested rationals
+    # square symmetric matrix: a float ndarray, a RationalGram, or nested lists
+    # of numbers (ints, floats and Fractions)
+    gram: Any
 
     def polynomial(self, num_vars: int) -> Polynomial:
         return gram_to_polynomial(self.gram, self.basis, num_vars)
@@ -375,7 +425,7 @@ def _merge_sigma0(w0: SosWeight, wcf: SosWeight, c: Coeff) -> SosWeight:
     s = len(basis)
     merged: list[list[Coeff]] = [[0] * s for _ in range(s)]
     for w, factor in ((w0, 1), (wcf, c)):
-        rows = w.gram.tolist() if isinstance(w.gram, np.ndarray) else w.gram
+        rows = _gram_rows(w.gram)
         for i, mi in enumerate(w.basis):
             for j, mj in enumerate(w.basis):
                 merged[pos[mi]][pos[mj]] += factor * rows[i][j]
@@ -520,6 +570,63 @@ def _num_from_payload(v) -> Coeff:
     return v
 
 
+def _gram_from_payload(rows, s: int) -> Any:
+    """A payload Gram over a basis of s monomials as one array: all JSON
+    numbers as a float ndarray, all strings as a ``RationalGram``.  Any other
+    Gram, and one with a number these refuse, is read number by number, which
+    words every error: as nested lists when it holds a string, else as a float
+    ndarray."""
+    if type(rows) is list and len(rows) == s and all(type(row) is list and len(row) == s for row in rows):
+        kinds: set[type] = set()
+        for row in rows:
+            kinds.update(map(type, row))
+        if kinds <= {float, int}:  # a bool is no int here
+            try:
+                gram = np.array(rows, dtype=float)
+                if np.isfinite(gram).all():
+                    return gram
+            except OverflowError:  # an int beyond the float range
+                pass
+        elif kinds == {str}:
+            return _rational_gram(rows)
+    rows = [[_num_from_payload(v) for v in row] for row in rows]
+    if len(rows) != s or any(len(row) != s for row in rows):
+        raise ValueError(f"not {s} x {s}, the size of its basis")
+    return rows if any(isinstance(v, Fraction) for row in rows for v in row) else np.array(rows, dtype=float)
+
+
+# a row of strings "p/q" of ASCII digits, p signed, joined by commas (matched
+# row by row: the matcher's memory grows with the repetitions it matches)
+_PQ_ROW = re.compile(r"-?[0-9]+/[0-9]+(?:,-?[0-9]+/[0-9]+)*")
+
+
+def _rational_gram(rows: list[list[str]]) -> RationalGram:
+    """A square matrix of numbers written as strings, as integer numerators
+    over their least common denominator.  When every string is a "p/q" of
+    ASCII digits, at most 308 characters long, with q > 0, ``read_number``
+    would read each as Fraction(int(p), int(q)) by its fast path, so the
+    integers are read at once; else each string is read by ``read_number``,
+    which words the error of one it refuses."""
+    texts = [v for row in rows for v in row]
+    lines = list(map(",".join, rows))
+    dens: dict = {}
+    if all(map(_PQ_ROW.fullmatch, lines)) and max(map(len, texts)) <= 308:
+        tokens = ",".join(lines).replace("/", ",").split(",")
+        if len(tokens) == 2 * len(texts):  # no string holds a comma
+            p, q = list(map(int, tokens[0::2])), tokens[1::2]
+            dens = {d: int(d) for d in set(q)}  # a Gram has few distinct denominators
+    if not dens or 0 in dens.values():  # not all of the fast path's forms, or q = 0
+        p, q = zip(*(read_number(t, True).as_integer_ratio() for t in texts))
+        dens = {d: d for d in set(q)}
+    den = math.lcm(*dens.values())
+    scale = {d: den // v for d, v in dens.items()}
+    num = list(map(mul, p, map(scale.__getitem__, q)))
+    least = math.gcd(den, *num)
+    if least > 1:
+        num, den = [a // least for a in num], den // least
+    return RationalGram(np.array(num, dtype=object).reshape(len(rows), len(rows)), den)
+
+
 def _integer(v, what: str) -> int:
     if type(v) is not int:  # a JSON integer, not a bool, a float or a string
         raise ValueError(f"{what} must be an integer, got {v!r}")
@@ -530,10 +637,6 @@ _WEIGHT_TAGS = ("sigma0", "ineq", "cf", "psi")
 
 
 def certificate_to_payload(cert: ModuleCertificate) -> dict:
-    def gram_rows(gram):
-        rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
-        return [[write_number(v) for v in row] for row in rows]
-
     return {
         "schema": "popnc.certificate/1",
         "family": cert.family,
@@ -547,7 +650,7 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
                 "tag": w.tag,
                 "index": w.index,
                 "basis": [list(m) for m in w.basis],
-                "gram": gram_rows(w.gram),
+                "gram": [[write_number(v) for v in row] for row in _gram_rows(w.gram)],
             }
             for w in cert.sos_weights
         ],
@@ -586,12 +689,8 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
             where = f"sos weight {i} ({tag}), its basis"
             basis = [tuple(_integer(e, "an exponent") for e in m) for m in w["basis"]]
             where = f"sos weight {i} ({tag}), its gram"
-            rows = [[_num_from_payload(v) for v in row] for row in w["gram"]]
-            if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
-                raise ValueError(f"not {len(basis)} x {len(basis)}, the size of its basis")
-            exact = any(isinstance(v, Fraction) for row in rows for v in row)
-            gram = rows if exact else np.array(rows, dtype=float)
-            weights.append(SosWeight(tag=tag, index=index, basis=basis, gram=gram))
+            weights.append(SosWeight(tag=tag, index=index, basis=basis,
+                                     gram=_gram_from_payload(w["gram"], len(basis))))
         mults = []
         for i, m in enumerate(payload.get("eq_multipliers", [])):
             where = f"eq multiplier {i}"
@@ -604,7 +703,7 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
             mults.append((_integer(m["index"], "the index"), Polynomial(n, terms)))
         where = "residual"
         residual = payload.get("residual")
-        residual = None if residual is None else float(residual)
+        residual = None if residual is None else _num_from_payload(residual)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
     return ModuleCertificate(

@@ -107,6 +107,23 @@ def grlex_key(mono: Monomial):
     return (sum(mono), tuple(-e for e in mono))
 
 
+def _floated_pair(a: Mapping[Monomial, Coeff], b: Mapping[Monomial, Coeff],
+                  shared_only: bool) -> tuple[Mapping[Monomial, Coeff], Mapping[Monomial, Coeff]]:
+    """The term maps a and b, where one holds only float coefficients, with the
+    Fraction coefficients of the other that meet a float (every one of them in a
+    product; in a sum, those of a shared monomial) converted to float once.
+    ``Fraction`` computes a mixed sum or product from the same float,
+    numerator / denominator, pair by pair, so the results are the same."""
+    for floats, other, swap in ((a, b, False), (b, a, True)):
+        if floats and other and set(map(type, floats.values())) == {float}:
+            if Fraction in set(map(type, other.values())):
+                other = {m: c.numerator / c.denominator
+                         if type(c) is Fraction and (not shared_only or m in floats) else c
+                         for m, c in other.items()}
+            return (other, floats) if swap else (floats, other)
+    return a, b
+
+
 class Polynomial:
     """Immutable sparse polynomial in a fixed number of variables.
 
@@ -184,8 +201,12 @@ class Polynomial:
         return max(sum(m) for m in self._terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        """Terms in ascending graded-lex order (deterministic iteration)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        """Terms in ascending graded-lex order (deterministic iteration): the
+        order of ``grlex_key``, by a descending sort of the exponent vectors and
+        a stable sort by total degree, both with keys compared in C."""
+        monos = sorted(self._terms, reverse=True)
+        monos.sort(key=sum)
+        return [(m, self._terms[m]) for m in monos]
 
     def coefficient(self, mono: Sequence[int]) -> Coeff:
         return self._terms.get(tuple(mono), 0)
@@ -206,8 +227,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
+        a, b = _floated_pair(self._terms, other._terms, shared_only=True)
+        merged = dict(a)
+        for mono, coeff in b.items():
             merged[mono] = merged.get(mono, 0) + coeff
         return Polynomial._from_checked(self.num_vars, merged)
 
@@ -222,9 +244,10 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
+            a, b = _floated_pair(self._terms, other._terms, shared_only=False)
             prod: dict[Monomial, Coeff] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
                     mono = monomial_mul(m1, m2)
                     prod[mono] = prod.get(mono, 0) + c1 * c2
             return Polynomial._from_checked(self.num_vars, prod)

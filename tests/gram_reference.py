@@ -1,25 +1,40 @@
-"""The per-pair loop that ``gram_to_polynomial`` replaced, and the
-certificate residual computed from it, as references for differential tests.
+"""Replaced code kept as references for differential tests: the per-pair
+Gram expansion, the certificate residual computed from it, the lexsort
+grouping of basis pairs and the entry-by-entry payload Gram reader.
 
 ``reference_gram_to_polynomial`` builds one product monomial and makes one
 dict update per Gram entry, in row-major order, zero entries skipped.
 ``reference_residual`` recomputes a certificate's identity residual from it
 with the dict arithmetic ``Polynomial`` used before its results skipped the
-exponent check.
+exponent check.  ``reference_pair_groups`` groups the pairs of a basis by a
+lexsort of their product exponent vectors.  ``reference_gram_from_payload``
+reads a payload Gram one number at a time, by the payload number rule.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from popnc.certificates import ModuleCertificate, Statement, gram_to_polynomial
+from popnc.certificates import (
+    ModuleCertificate,
+    SosWeight,
+    Statement,
+    _gram_float,
+    _num_from_payload,
+    certificate_from_payload,
+    certificate_to_payload,
+    gram_to_polynomial,
+)
 from popnc.polynomial import Polynomial
 
 
 def reference_gram_to_polynomial(gram, basis, num_vars):
-    rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
+    rows = gram.tolist() if hasattr(gram, "tolist") else gram
     s = len(basis)
     terms = {}
     for i in range(s):
@@ -31,6 +46,32 @@ def reference_gram_to_polynomial(gram, basis, num_vars):
             mono = tuple(x + y for x, y in zip(basis[i], basis[j]))
             terms[mono] = terms.get(mono, 0) + q
     return Polynomial(num_vars, terms)
+
+
+def reference_pair_groups(basis, num_vars):
+    """The group of each pair (i, j), in row-major order, and the monomial of
+    each group, numbered by a lexsort of the product exponent vectors."""
+    s = len(basis)
+    exps = np.array(basis, dtype=np.int64).reshape(s, num_vars)
+    sums = (exps[:, None, :] + exps[None, :, :]).reshape(s * s, num_vars)
+    order = np.lexsort(sums.T)
+    ordered = sums[order]
+    starts = np.ones(s * s, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(s * s, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return group, [tuple(m) for m in ordered[starts].tolist()]
+
+
+def reference_gram_from_payload(rows, s):
+    """A payload Gram read number by number: nested lists when some entry is
+    a Fraction, else a float ndarray.  Raises what the number rule raises,
+    then ValueError for a Gram that is not s x s."""
+    rows = [[_num_from_payload(v) for v in row] for row in rows]
+    if len(rows) != s or any(len(row) != s for row in rows):
+        raise ValueError(f"not {s} x {s}, the size of its basis")
+    exact = any(isinstance(v, Fraction) for row in rows for v in row)
+    return rows if exact else np.array(rows, dtype=float)
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -86,3 +127,40 @@ def assert_same_polynomial(got: Polynomial, want: Polynomial):
 def check_expansion(gram, basis, num_vars):
     assert_same_polynomial(gram_to_polynomial(gram, basis, num_vars),
                            reference_gram_to_polynomial(gram, basis, num_vars))
+
+
+def check_payload_gram(rows, basis):
+    """``certificate_from_payload`` reads the Gram ``rows`` over ``basis`` (of
+    two variables) as ``reference_gram_from_payload`` does: the same entries
+    (floats bit for bit, Fractions equal), the same float view and smallest
+    eigenvalue, the same expansion and the same written payload, or the same
+    error message."""
+    payload = json.loads(json.dumps({
+        "family": "hierarchy", "num_vars": 2, "order": 1, "lambda": 0.0, "lambda_sign": 1,
+        "sos_weights": [{"tag": "sigma0", "index": None, "basis": basis, "gram": rows}]}))
+    rows = payload["sos_weights"][0]["gram"]
+    try:
+        want = reference_gram_from_payload(rows, len(basis))
+    except (TypeError, ValueError, OverflowError) as exc:
+        with pytest.raises(ValueError) as info:
+            certificate_from_payload(payload)
+        assert str(info.value) == f"sos weight 0 (sigma0), its gram: {exc}"
+        return
+    cert = certificate_from_payload(payload)
+    got = cert.sos_weights[0]
+    ref = SosWeight("sigma0", None, got.basis, want)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got.gram, np.ndarray) and got.gram.dtype == float
+        assert got.gram.shape == want.shape and got.gram.tobytes() == want.tobytes()
+    else:
+        got_rows = got.gram.tolist() if hasattr(got.gram, "tolist") else got.gram
+        assert len(got_rows) == len(want)
+        for got_row, want_row in zip(got_rows, want):
+            assert len(got_row) == len(want_row)
+            assert all(same(a, b) for a, b in zip(got_row, want_row)), (got_row, want_row)
+    assert _gram_float(got.gram).tobytes() == _gram_float(want).tobytes()
+    assert_same_polynomial(got.polynomial(2), reference_gram_to_polynomial(want, got.basis, 2))
+    assert same(got.min_eigenvalue(), ref.min_eigenvalue())
+    written = certificate_to_payload(cert)["sos_weights"][0]["gram"]
+    cert.sos_weights[0] = ref
+    assert written == certificate_to_payload(cert)["sos_weights"][0]["gram"]

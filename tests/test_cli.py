@@ -309,12 +309,19 @@ class TestVerifyRoundTrip:
          "sos weight 0 (sigma0), its gram: a number must be a JSON number or a string, got True"),
         ({**SHIFTED_CERT, "eq_multipliers": [{"index": 0, "terms": [[[0, 0], False]]}]},
          "eq multiplier 0: a number must be a JSON number or a string, got False"),
+        # the claimed residual is a payload number too; float() read true as 1.0 and NaN as NaN
+        ({**SHIFTED_CERT, "residual": True}, "residual: a number must be a JSON number or a string, got True"),
+        ({**SHIFTED_CERT, "residual": float("nan")}, "residual: nan is not a finite number"),
+        ({**SHIFTED_CERT, "residual": float("inf")}, "residual: inf is not a finite number"),
+        ({**SHIFTED_CERT, "residual": "1e350"}, "residual: 1e350 lies beyond the float range"),
+        ({**SHIFTED_CERT, "residual": [0.0]}, "residual: float() argument"),
     ], ids=["short gram", "index past the generators", "null index", "unknown tag",
             "multiplier without equalities", "nan gram entry", "null gram entry",
             "null basis exponent", "list lambda", "object multiplier coefficient", "null order",
             "null weight", "null multiplier term", "float order", "float num_vars", "bool lambda_sign",
             "float basis exponent", "string multiplier exponent", "huge integer gram entry",
-            "bool lambda", "bool gram entry", "bool multiplier coefficient"])
+            "bool lambda", "bool gram entry", "bool multiplier coefficient", "bool residual",
+            "nan residual", "infinite residual", "residual beyond the float range", "list residual"])
     def test_malformed_payloads(self, tmp_path, capsys, payload, message):
         code = self._verify(tmp_path, payload, SHIFTED)
         err = capsys.readouterr().err

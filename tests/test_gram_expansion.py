@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gram_reference import check_expansion
-from popnc.certificates import gram_to_polynomial
+from popnc.certificates import RationalGram, gram_to_polynomial
 
 F = Fraction
 BASIS2 = [(0, 0), (1, 0), (0, 1), (2, 0)]
@@ -36,9 +36,15 @@ BASIS2 = [(0, 0), (1, 0), (0, 1), (2, 0)]
     (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]), [(1, 0), (0, 1), (1, 0)]),
     (np.array([[1, 2], [2, 3]]), [(0, 0), (1, 1)]),
     (np.array([[0.1, 0.2], [0.2, 0.3]], dtype=np.float32), [(0, 0), (1, 1)]),
+    # numerators over one denominator: 7/12, -1/4, 10^40/3, ...; x1 and x1^2 cancel
+    (RationalGram(np.array([[7, -3, 0, 4 * 10**40], [3, 24, 0, 0], [0, 0, 0, 5],
+                            [-4 * 10**40, 0, 5, 12]], dtype=object), 12), BASIS2),
+    (RationalGram(np.array([[0] * 4] * 4, dtype=object), 1), BASIS2),
+    (RationalGram(np.zeros((0, 0), dtype=object), 1), []),
 ], ids=["float", "rational", "mixed", "int", "int and rational", "empty array", "empty list",
         "zero float", "zero rational", "cancel float", "cancel rational", "cancel int",
-        "repeated monomial", "int array", "float32 array"])
+        "repeated monomial", "int array", "float32 array", "numerators over a denominator",
+        "zero numerators", "empty numerators"])
 def test_expansion_matches_the_pair_loop(gram, basis):
     check_expansion(gram, basis, 2)
 
@@ -54,6 +60,7 @@ def test_int_gram_keeps_int_coefficients():
     ([[1.0]], [(0, 1)], "has length 2, expected 1"),
     ([[1.0]], [(-1,)], "non-negative integers"),
     ([[1.0]], [(2**62,)], "beyond 2\\^62"),
+    (RationalGram(np.eye(3, dtype=object), 2), [(0,), (1,)], "not 2 x 2"),
 ])
 def test_malformed_expansions_are_refused(gram, basis, message):
     with pytest.raises(ValueError, match=message):

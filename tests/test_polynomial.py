@@ -151,10 +151,43 @@ class TestArithmetic:
             x ** (-1)
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_float_and_fraction_arithmetic_is_the_pairwise_one(self, seed):
+        # a float operand turns the other's Fractions into floats once; Fraction
+        # computes each mixed pair from that same float, so the floats agree bit for bit
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        a = random_poly(rng, n, 4, rational=True, max_terms=8)
+        b = random_poly(rng, n, 4, max_terms=8)
+        if seed % 4 == 0:  # ints beside the Fractions stay ints
+            a = a + Polynomial(n, {(0,) * n: rng.randint(1, 5), (1,) + (0,) * (n - 1): 2})
+        for x, y in ((a, b), (b, a)):
+            want_sum = dict(x.terms)
+            for mono, coeff in y.terms.items():
+                want_sum[mono] = want_sum.get(mono, 0) + coeff
+            want_prod = {}
+            for m1, c1 in x.terms.items():
+                for m2, c2 in y.terms.items():
+                    mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                    want_prod[mono] = want_prod.get(mono, 0) + c1 * c2
+            for got, want in ((x + y, want_sum), (x * y, want_prod)):
+                want = {m: c for m, c in want.items() if c != 0}
+                assert list(got.terms) == list(want)
+                assert [(type(c), repr(c)) for c in got.terms.values()] == \
+                       [(type(c), repr(c)) for c in want.values()]
+
+
 class TestStructure:
     def test_grlex_order(self):
         monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         assert sorted(monos, key=grlex_key) == monos
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sorted_terms_are_in_grlex_order(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        p = random_poly(rng, n, 8, rational=seed % 2 == 0, max_terms=30)
+        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     def test_sum_of_squared_variables(self):
         assert sum_of_squared_variables(2) == P("x1^2 + x2^2")
