@@ -17,15 +17,21 @@ sum in row-major order, bit for bit.  This module imports neither the
 builder nor the solver, so nothing is trusted from solver bookkeeping, and
 ``popnc verify`` loads neither.
 
+A Gram matrix is one of two types: a float ndarray, or a ``RationalGram`` of
+integer numerators over one denominator.  ``SosWeight`` makes any other
+matrix one of the two when it is built (``_as_gram``): a float Gram when it
+holds a float anywhere, else a rational one.
+
 Also here: certificate payloads, the transformation that drops the bound
 generator c - f, and the splitting of a Gram matrix into squares.  A payload
-Gram is read as one array: JSON numbers as a float ndarray, "p/q" strings
-as a ``RationalGram`` of integer numerators over one denominator.
+Gram of JSON numbers reads as a float ndarray and one of "p/q" strings as a
+``RationalGram``; a Gram that mixes the two is a float Gram.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -221,9 +227,39 @@ class RationalGram:
         return [[Fraction(a, self.den) for a in row] for row in self.num.tolist()]
 
 
-def _gram_rows(gram: Any) -> list:
-    """The rows of a Gram matrix as lists of its numbers."""
-    return gram.tolist() if isinstance(gram, (np.ndarray, RationalGram)) else gram
+def _numerators_over(p: Sequence[int], q: Sequence, dens: dict, s: int) -> RationalGram:
+    """The s x s matrix of the entries p[i] / dens[q[i]], row-major, as
+    integer numerators over their least common denominator."""
+    den = math.lcm(*dens.values())
+    scale = {d: den // v for d, v in dens.items()}
+    num = list(map(mul, p, map(scale.__getitem__, q)))
+    least = math.gcd(den, *num)
+    if least > 1:
+        num, den = [a // least for a in num], den // least
+    return RationalGram(np.array(num, dtype=object).reshape(s, s), den)
+
+
+def _as_gram(gram: Any, s: int) -> np.ndarray | RationalGram:
+    """A Gram matrix over s basis monomials as one of its two types.  A float
+    ndarray or a ``RationalGram`` is returned as is.  Any other array or list
+    of rows is a float ndarray when it holds a float anywhere (a Fraction among
+    them rounded once), else a ``RationalGram`` of its ints and Fractions.
+    Raises ValueError for a Gram that is not s x s."""
+    if isinstance(gram, RationalGram) or (isinstance(gram, np.ndarray) and gram.dtype == float):
+        if (gram.num if isinstance(gram, RationalGram) else gram).shape != (s, s):
+            raise ValueError(f"not {s} x {s}, the size of its basis")
+        return gram
+    rows = gram.tolist() if isinstance(gram, np.ndarray) else gram
+    if len(rows) != s or any(len(row) != s for row in rows):
+        raise ValueError(f"not {s} x {s}, the size of its basis")
+    flat = [v for row in rows for v in row]
+    if all(issubclass(t, numbers.Rational) for t in set(map(type, flat))):
+        q = [int(v.denominator) for v in flat]
+        return _numerators_over([int(v.numerator) for v in flat], q, {d: d for d in set(q)}, s)
+    # numerator / denominator is float(v) for a Fraction, without its generic
+    # numbers.Rational path
+    return np.array([v.numerator / v.denominator if type(v) is Fraction else float(v) for v in flat],
+                    dtype=float).reshape(s, s)
 
 
 def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
@@ -235,68 +271,32 @@ def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> P
     ``np.bincount``, which adds in that order, so its floats are those of a
     loop over the pairs, bit for bit.  A ``RationalGram`` sums its numerators
     per monomial in one reduction and gives each monomial the Fraction of its
-    sum over the denominator.  A Gram of ints and Fractions is summed
-    exactly as integers over its common denominator (a monomial without a
-    Fraction entry gets an int); any other mix is added entry by entry.
-    Raises ValueError for a Gram that is not s x s over the s monomials."""
+    sum over the denominator.  Any other Gram is first made one of the two
+    (``_as_gram``).  Raises ValueError for a Gram that is not s x s over the s
+    monomials."""
     s = len(basis)
     group, monos = _pair_groups(basis, num_vars)
-    shape_error = ValueError(f"the Gram matrix is not {s} x {s}, the size of its basis")
-    if isinstance(gram, RationalGram) or (isinstance(gram, np.ndarray) and gram.dtype == float):
-        array = gram.num if isinstance(gram, RationalGram) else gram
-        if array.shape != (s, s):
-            raise shape_error
-        flat = array.reshape(s * s)
+    gram = _as_gram(gram, s)
+    exact = isinstance(gram, RationalGram)
+    flat = (gram.num if exact else gram).reshape(s * s)
+    # the groups of its nonzero entries at once
+    nonzero = np.flatnonzero(flat)
+    present, first, counts = np.unique(group[nonzero], return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    keys = present[by_first].tolist()
+    if exact:  # integer sums, group by group
+        numerators = flat[nonzero][np.argsort(group[nonzero])]
+        sums = np.add.reduceat(numerators, np.cumsum(counts) - counts)[by_first]
+        coeffs = [Fraction(v, gram.den) for v in sums]
     else:
-        rows = _gram_rows(gram)
-        if len(rows) != s or any(len(row) != s for row in rows):
-            raise shape_error
-        flat = [q for row in rows for q in row]
-        kinds = set(map(type, flat))
-        if kinds <= {float}:
-            flat = np.asarray(flat, dtype=float)
-    if isinstance(flat, np.ndarray):  # the groups of its nonzero entries at once
-        nonzero = np.flatnonzero(flat)
-        present, first, counts = np.unique(group[nonzero], return_index=True, return_counts=True)
-        by_first = np.argsort(first)
-        keys = present[by_first].tolist()
-        if isinstance(gram, RationalGram):  # integer sums, group by group
-            numerators = flat[nonzero][np.argsort(group[nonzero])]
-            sums = np.add.reduceat(numerators, np.cumsum(counts) - counts)[by_first]
-            coeffs = [Fraction(v, gram.den) for v in sums]
-        else:
-            coeffs = np.bincount(group, weights=flat, minlength=len(monos))[keys].tolist()
-        return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in zip(keys, coeffs)})
-    groups = group.tolist()
-    exact = kinds <= {int, Fraction}
-    if exact:  # every entry as an integer over the common denominator
-        ratios = [q.as_integer_ratio() for q in flat]
-        common = math.lcm(*{d for _, d in ratios})
-        if int not in kinds:  # the monomials whose sum is a Fraction
-            fractional = set(groups)
-        else:
-            fractional = {g for g, q in zip(groups, flat) if q and type(q) is Fraction}
-        flat = [a * (common // d) for a, d in ratios]
-    totals: dict[int, Coeff] = {}
-    for g, q in zip(groups, flat):
-        if q != 0:
-            totals[g] = totals.get(g, 0) + q
-    if exact:
-        totals = {g: Fraction(v, common) if g in fractional else v // common
-                  for g, v in totals.items()}
-    return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in totals.items()})
+        coeffs = np.bincount(group, weights=flat, minlength=len(monos))[keys].tolist()
+    return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in zip(keys, coeffs)})
 
 
-def _gram_float(gram: Any) -> np.ndarray:
-    if isinstance(gram, np.ndarray) and gram.dtype == float:
-        return gram
+def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
     if isinstance(gram, RationalGram):  # int true division rounds correctly, as float(v) does
         return (gram.num / gram.den).astype(float)
-    rows = _gram_rows(gram)
-    # numerator / denominator is float(v) for a Fraction, without its generic
-    # numbers.Rational path
-    return np.array([[v.numerator / v.denominator if type(v) is Fraction else float(v) for v in row]
-                     for row in rows])
+    return gram
 
 
 @dataclass
@@ -304,9 +304,12 @@ class SosWeight:
     tag: str  # "sigma0" | "ineq" | "cf" | "psi" (the module family's multiplier of f)
     index: int | None
     basis: list[Monomial]
-    # square symmetric matrix: a float ndarray, a RationalGram, or nested lists
-    # of numbers (ints, floats and Fractions)
-    gram: Any
+    # square symmetric matrix over the basis: a float ndarray or a RationalGram;
+    # any other (nested lists, say) is made one of the two here (``_as_gram``)
+    gram: np.ndarray | RationalGram
+
+    def __post_init__(self):
+        self.gram = _as_gram(self.gram, len(self.basis))
 
     def polynomial(self, num_vars: int) -> Polynomial:
         return gram_to_polynomial(self.gram, self.basis, num_vars)
@@ -419,19 +422,18 @@ def verify_certificate(
 
 
 def _merge_sigma0(w0: SosWeight, wcf: SosWeight, c: Coeff) -> SosWeight:
-    """sigma_0' = sigma_0 + c * psi as a single Gram block over a merged basis."""
+    """sigma_0' = sigma_0 + c * psi as a single Gram block over a merged basis;
+    a float Gram when either Gram or c is a float, else a rational one."""
     basis = sorted(set(w0.basis) | set(wcf.basis), key=grlex_key)
     pos = {m: i for i, m in enumerate(basis)}
     s = len(basis)
     merged: list[list[Coeff]] = [[0] * s for _ in range(s)]
     for w, factor in ((w0, 1), (wcf, c)):
-        rows = _gram_rows(w.gram)
+        rows = w.gram.tolist()
         for i, mi in enumerate(w.basis):
             for j, mj in enumerate(w.basis):
                 merged[pos[mi]][pos[mj]] += factor * rows[i][j]
-    exact = any(isinstance(v, Fraction) for row in merged for v in row)
-    gram = merged if exact else np.array([[float(v) for v in row] for row in merged])
-    return SosWeight(tag="sigma0", index=None, basis=basis, gram=gram)
+    return SosWeight(tag="sigma0", index=None, basis=basis, gram=merged)
 
 
 def corollary_transform(
@@ -524,11 +526,10 @@ def sos_decompose(
     Eigenvalues below 1e-7 * lambda_max are dropped; the reported
     truncation error bounds the l1 distance between v'Qv and the returned
     sum of squares.  Raises NotPsdError when the matrix is not PSD within
-    DEFAULT_EIG_TOL.
+    DEFAULT_EIG_TOL, and ValueError for a Gram that is not s x s over the s
+    basis monomials.
     """
-    g = _gram_float(gram)
-    if g.shape[0] != g.shape[1] or g.shape[0] != len(basis):
-        raise ValueError("Gram matrix and basis sizes do not match")
+    g = _gram_float(_as_gram(gram, len(basis)))
     if num_vars is None:
         num_vars = len(basis[0]) if basis else 1
     g = 0.5 * (g + g.T)
@@ -571,28 +572,28 @@ def _num_from_payload(v) -> Coeff:
 
 
 def _gram_from_payload(rows, s: int) -> Any:
-    """A payload Gram over a basis of s monomials as one array: all JSON
-    numbers as a float ndarray, all strings as a ``RationalGram``.  Any other
-    Gram, and one with a number these refuse, is read number by number, which
-    words every error: as nested lists when it holds a string, else as a float
-    ndarray."""
-    if type(rows) is list and len(rows) == s and all(type(row) is list and len(row) == s for row in rows):
+    """A payload Gram over a basis of s monomials, a list of rows.  An s x s
+    Gram of JSON numbers is read as one float ndarray, and one of strings as
+    one ``RationalGram``.  Any other Gram, and one with a number these
+    refuse, is read number by number, which words every error; ``SosWeight``
+    then makes it a float Gram (a JSON number reads as a float) or refuses
+    its shape.  Raises ValueError for a Gram that is not a list of lists."""
+    if type(rows) is not list or not all(type(row) is list for row in rows):
+        raise ValueError("not a list of rows")
+    if len(rows) == s and all(len(row) == s for row in rows):
         kinds: set[type] = set()
         for row in rows:
             kinds.update(map(type, row))
         if kinds <= {float, int}:  # a bool is no int here
             try:
-                gram = np.array(rows, dtype=float)
+                gram = np.array(rows, dtype=float).reshape(s, s)
                 if np.isfinite(gram).all():
                     return gram
             except OverflowError:  # an int beyond the float range
                 pass
         elif kinds == {str}:
             return _rational_gram(rows)
-    rows = [[_num_from_payload(v) for v in row] for row in rows]
-    if len(rows) != s or any(len(row) != s for row in rows):
-        raise ValueError(f"not {s} x {s}, the size of its basis")
-    return rows if any(isinstance(v, Fraction) for row in rows for v in row) else np.array(rows, dtype=float)
+    return [[_num_from_payload(v) for v in row] for row in rows]
 
 
 # a row of strings "p/q" of ASCII digits, p signed, joined by commas (matched
@@ -618,13 +619,7 @@ def _rational_gram(rows: list[list[str]]) -> RationalGram:
     if not dens or 0 in dens.values():  # not all of the fast path's forms, or q = 0
         p, q = zip(*(read_number(t, True).as_integer_ratio() for t in texts))
         dens = {d: d for d in set(q)}
-    den = math.lcm(*dens.values())
-    scale = {d: den // v for d, v in dens.items()}
-    num = list(map(mul, p, map(scale.__getitem__, q)))
-    least = math.gcd(den, *num)
-    if least > 1:
-        num, den = [a // least for a in num], den // least
-    return RationalGram(np.array(num, dtype=object).reshape(len(rows), len(rows)), den)
+    return _numerators_over(p, q, dens, len(rows))
 
 
 def _integer(v, what: str) -> int:
@@ -650,7 +645,7 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
                 "tag": w.tag,
                 "index": w.index,
                 "basis": [list(m) for m in w.basis],
-                "gram": [[write_number(v) for v in row] for row in _gram_rows(w.gram)],
+                "gram": [[write_number(v) for v in row] for row in w.gram.tolist()],
             }
             for w in cert.sos_weights
         ],
@@ -666,12 +661,12 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
 
 def certificate_from_payload(payload: dict) -> ModuleCertificate:
     """Read a certificate payload.  Raises ValueError, naming the field,
-    weight or multiplier at fault, for an unknown tag, a Gram that is not
-    square over its basis, a number ``read_number`` or the float range
-    refuses, a monomial listed twice in a multiplier, anything but a JSON
-    integer where an integer belongs, and a null, a list or an object where
-    a number, an exponent vector, a weight or a term belongs.  A null or
-    missing ``residual`` reads as None."""
+    weight or multiplier at fault, for an unknown tag, a Gram that is no list
+    of rows or not square over its basis, a number ``read_number`` or the
+    float range refuses, a monomial listed twice in a multiplier, anything
+    but a JSON integer where an integer belongs, and a null, a list or an
+    object where a number, an exponent vector, a weight or a term belongs.
+    A null or missing ``residual`` reads as None."""
     where = "num_vars, order or lambda_sign"
     try:
         n, order, lam_sign = (_integer(payload[key], key) for key in ("num_vars", "order", "lambda_sign"))

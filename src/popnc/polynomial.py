@@ -229,8 +229,10 @@ class Polynomial:
         self._check_compatible(other)
         a, b = _floated_pair(self._terms, other._terms, shared_only=True)
         merged = dict(a)
+        # a new monomial takes its coefficient as is: 0 + a Fraction is an addition
         for mono, coeff in b.items():
-            merged[mono] = merged.get(mono, 0) + coeff
+            old = merged.get(mono)
+            merged[mono] = coeff if old is None else old + coeff
         return Polynomial._from_checked(self.num_vars, merged)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -249,7 +251,8 @@ class Polynomial:
             for m1, c1 in a.items():
                 for m2, c2 in b.items():
                     mono = monomial_mul(m1, m2)
-                    prod[mono] = prod.get(mono, 0) + c1 * c2
+                    old = prod.get(mono)
+                    prod[mono] = c1 * c2 if old is None else old + c1 * c2
             return Polynomial._from_checked(self.num_vars, prod)
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)

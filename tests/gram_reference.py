@@ -9,6 +9,10 @@ with the dict arithmetic ``Polynomial`` used before its results skipped the
 exponent check.  ``reference_pair_groups`` groups the pairs of a basis by a
 lexsort of their product exponent vectors.  ``reference_gram_from_payload``
 reads a payload Gram one number at a time, by the payload number rule.
+
+The references are fed the Gram as ``SosWeight`` holds it (``_as_gram``: a
+float ndarray or a ``RationalGram``), so an int Gram is compared as
+Fractions and a Gram of floats and Fractions as floats.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import pytest
 
 from popnc.certificates import (
     ModuleCertificate,
+    RationalGram,
     SosWeight,
     Statement,
+    _as_gram,
     _gram_float,
     _num_from_payload,
     certificate_from_payload,
@@ -65,8 +71,11 @@ def reference_pair_groups(basis, num_vars):
 
 def reference_gram_from_payload(rows, s):
     """A payload Gram read number by number: nested lists when some entry is
-    a Fraction, else a float ndarray.  Raises what the number rule raises,
-    then ValueError for a Gram that is not s x s."""
+    a Fraction, else a float ndarray.  Raises ValueError for a Gram that is
+    not a list of lists, then what the number rule raises, then ValueError
+    for a Gram that is not s x s."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("not a list of rows")
     rows = [[_num_from_payload(v) for v in row] for row in rows]
     if len(rows) != s or any(len(row) != s for row in rows):
         raise ValueError(f"not {s} x {s}, the size of its basis")
@@ -92,7 +101,8 @@ def _mul(a: dict, b: dict) -> dict:
 
 def reference_residual(cert: ModuleCertificate, claim: Statement):
     """The l1 residual of the identity, summed as verify_certificate summed it
-    before: sigma_0 + sum sigma_j g_j + sum phi_l h_l - (target - s lambda)."""
+    before: sigma_0 + sum sigma_j g_j + sum phi_l h_l - (target - s lambda),
+    each sigma expanded from the Gram its weight holds."""
     total = {}
     for w in cert.sos_weights:
         if w.tag == "psi":
@@ -126,21 +136,21 @@ def assert_same_polynomial(got: Polynomial, want: Polynomial):
 
 def check_expansion(gram, basis, num_vars):
     assert_same_polynomial(gram_to_polynomial(gram, basis, num_vars),
-                           reference_gram_to_polynomial(gram, basis, num_vars))
+                           reference_gram_to_polynomial(_as_gram(gram, len(basis)), basis, num_vars))
 
 
 def check_payload_gram(rows, basis):
     """``certificate_from_payload`` reads the Gram ``rows`` over ``basis`` (of
-    two variables) as ``reference_gram_from_payload`` does: the same entries
-    (floats bit for bit, Fractions equal), the same float view and smallest
-    eigenvalue, the same expansion and the same written payload, or the same
-    error message."""
+    two variables) as ``reference_gram_from_payload`` does, once normalized:
+    the same entries (floats bit for bit, numerators and denominator equal),
+    the same float view and smallest eigenvalue, the same expansion and the
+    same written payload, or the same error message."""
     payload = json.loads(json.dumps({
         "family": "hierarchy", "num_vars": 2, "order": 1, "lambda": 0.0, "lambda_sign": 1,
         "sos_weights": [{"tag": "sigma0", "index": None, "basis": basis, "gram": rows}]}))
     rows = payload["sos_weights"][0]["gram"]
     try:
-        want = reference_gram_from_payload(rows, len(basis))
+        want = _as_gram(reference_gram_from_payload(rows, len(basis)), len(basis))
     except (TypeError, ValueError, OverflowError) as exc:
         with pytest.raises(ValueError) as info:
             certificate_from_payload(payload)
@@ -153,11 +163,8 @@ def check_payload_gram(rows, basis):
         assert isinstance(got.gram, np.ndarray) and got.gram.dtype == float
         assert got.gram.shape == want.shape and got.gram.tobytes() == want.tobytes()
     else:
-        got_rows = got.gram.tolist() if hasattr(got.gram, "tolist") else got.gram
-        assert len(got_rows) == len(want)
-        for got_row, want_row in zip(got_rows, want):
-            assert len(got_row) == len(want_row)
-            assert all(same(a, b) for a, b in zip(got_row, want_row)), (got_row, want_row)
+        assert isinstance(got.gram, RationalGram) and got.gram.den == want.den
+        assert got.gram.num.tolist() == want.num.tolist()
     assert _gram_float(got.gram).tobytes() == _gram_float(want).tobytes()
     assert_same_polynomial(got.polynomial(2), reference_gram_to_polynomial(want, got.basis, 2))
     assert same(got.min_eigenvalue(), ref.min_eigenvalue())

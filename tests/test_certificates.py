@@ -21,6 +21,7 @@ from popnc.certificates import (
     GeneratorSet,
     ModuleCertificate,
     NotPsdError,
+    RationalGram,
     SosWeight,
     Statement,
     certificate_from_payload,
@@ -187,7 +188,8 @@ class TestCorollaryTransform:
         gens_no_cf = GeneratorSet(num_vars=2, ineq=gens.ineq[:2])
         check = verify_certificate(q, membership(one_plus_psi * f, gens_no_cf))
         assert check.passed and check.residual == 0
-        # folded constant block equals 3/2 = 1/2 + 2 * 1/2
+        # folded constant block equals 3/2 = 1/2 + 2 * 1/2, merged exactly
+        assert isinstance(q.weight("sigma0").gram, RationalGram)
         assert gram_to_polynomial(q.weight("sigma0").gram, q.weight("sigma0").basis, 2) == \
             Polynomial.constant(2, Fraction(3, 2))
 
@@ -214,9 +216,29 @@ class TestCorollaryTransform:
         assert sol.status is Status.OPTIMAL
         cert = extract_certificate(sol, prob.meta)
         one_plus_psi, q = corollary_transform(cert, example31.objective, gens, 2.0)
+        gram = q.weight("sigma0").gram
+        assert isinstance(gram, np.ndarray) and gram.dtype == np.float64
         gens_no_cf = GeneratorSet(num_vars=2, ineq=gens.ineq[:2])
         check = verify_certificate(q, membership(one_plus_psi * example31.objective, gens_no_cf), tol=1e-5)
         assert check.passed
+
+    def test_default_sigma0_keeps_a_rational_merge_rational(self):
+        # x1^2 + 1 = (8/3) x1^2 (g1 + g2) + 1 * (2 - f), with no sigma_0 weight
+        f, gens = example31_gens_rational()
+        cert = ModuleCertificate(
+            num_vars=2, order=2, lam=0, lam_sign=0,
+            sos_weights=[
+                SosWeight("ineq", 0, [(1, 0)], [[Fraction(8, 3)]]),
+                SosWeight("ineq", 1, [(1, 0)], [[Fraction(8, 3)]]),
+                SosWeight("cf", 2, [(0, 0)], [[Fraction(1)]]),
+            ],
+        )
+        one_plus_psi, q = corollary_transform(cert, f, gens, Fraction(2))
+        sigma0 = q.weight("sigma0")
+        assert isinstance(sigma0.gram, RationalGram) and sigma0.gram.tolist() == [[2]]
+        gens_no_cf = GeneratorSet(num_vars=2, ineq=gens.ineq[:2])
+        check = verify_certificate(q, membership(one_plus_psi * f, gens_no_cf))
+        assert check.passed and check.residual == 0 and one_plus_psi == Polynomial.constant(2, 2)
 
     def test_negative_c_rejected(self):
         f, gens = example31_gens_rational()

@@ -252,8 +252,16 @@ class TestVerifyRoundTrip:
         # once accepted as a rational below the float range
         (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], [["1/" + "9" * 400]])),
          SHIFTED, "sos weight 0 (sigma0), its gram: 999999999999... (400 characters) lies beyond the float range"),
+        # a Gram is a list of rows; these once read as [[5]], [[7]] and [[1, 2], [3, 4]]
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], "5")),
+         SHIFTED, "sos weight 0 (sigma0), its gram: not a list of rows"),
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[1, 0]], {"7": 1})),
+         SHIFTED, "sos weight 0 (sigma0), its gram: not a list of rows"),
+        (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[0, 0], [1, 0]], ["12", "34"])),
+         SHIFTED, "sos weight 0 (sigma0), its gram: not a list of rows"),
     ], ids=["forged sign", "unknown family", "module without psi", "repeated multiplier monomial",
-            "huge exponent", "tiny exponent", "gram entry 1e350", "lambda 1e350", "400-digit denominator"])
+            "huge exponent", "tiny exponent", "gram entry 1e350", "lambda 1e350", "400-digit denominator",
+            "string gram", "object gram", "a string per row"])
     def test_refused_payloads(self, tmp_path, capsys, payload, problem, message):
         start = time.perf_counter()
         code = self._verify(tmp_path, payload, problem)

@@ -61,6 +61,9 @@ def square(a, b, c):
     square(None, 1.0, 1.0),
     square([1.0], 1.0, 1.0),
     "123",
+    {"7": 1},
+    ["12", "34", "56"],
+    [[1.0, 2.0, 3.0], "456", [3.0, 1.0, 1.0]],
     [],
     [[], [], []],
 ], ids=["floats", "JSON ints", "ints beyond 2^53", "zeros", "p/q", "unnormalized p/q", "zero p/q",
@@ -69,7 +72,8 @@ def square(a, b, c):
         "ragged floats", "too few rows", "too many rows", "NaN", "Infinity", "-Infinity", "true",
         "false", "true among strings", "int beyond the float range", "2^1024", "division by zero",
         "underscore", "two slashes", "a comma", "a comma, rows of two", "empty string", "1e350",
-        "400-digit denominator", "null", "list entry", "string gram", "no rows", "empty rows"])
+        "400-digit denominator", "null", "list entry", "string gram", "object gram",
+        "a string per row", "a string row", "no rows", "empty rows"])
 def test_payload_gram_reads_as_the_entry_reader(rows):
     check_payload_gram(rows, BASIS)
 
@@ -83,6 +87,14 @@ def test_a_string_gram_is_numerators_over_the_least_common_denominator():
     assert gram.num.tolist() == square(3, -1, 2)
     assert all(type(a) is int for row in gram.num.tolist() for a in row)
     assert gram.tolist() == square(Fraction(1, 2), Fraction(-1, 6), Fraction(1, 3))
+
+
+def test_an_empty_basis_has_a_0_x_0_gram():
+    # [] once read as an array of shape (0,), which the expansion refused
+    payload = {"family": "hierarchy", "num_vars": 2, "order": 1, "lambda": 0.0, "lambda_sign": 1,
+               "sos_weights": [{"tag": "sigma0", "index": None, "basis": [], "gram": []}]}
+    weight = certificate_from_payload(payload).sos_weights[0]
+    assert weight.gram.shape == (0, 0) and weight.polynomial(2).is_zero()
 
 
 @pytest.mark.parametrize("basis, packed", [
