@@ -163,10 +163,12 @@ class Polynomial:
     @classmethod
     def _from_checked(cls, num_vars: int, terms: Mapping[Monomial, Coeff]) -> "Polynomial":
         """The polynomial of ``terms``, whose exponent vectors are already
-        checked tuples; zero coefficients are dropped, the order is kept."""
+        checked tuples; zero coefficients are dropped, the order is kept.
+        The truth value keeps what ``c != 0`` keeps, NaN included, without a
+        ``Fraction.__eq__`` call per term."""
         p = object.__new__(cls)
         object.__setattr__(p, "num_vars", num_vars)
-        object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c != 0})
+        object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c})
         return p
 
     # -- constructors -------------------------------------------------------

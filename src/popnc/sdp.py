@@ -49,6 +49,13 @@ caller of `solve` gets the factored form.  The system is symmetric positive
 definite and solved by Cholesky factorization and blocked triangular
 substitution.
 
+Memory: the IPM holds one Schur matrix and its factor.  Every iteration
+forms the matrix in the same buffer, the last factor is freed before it is
+formed, and a jitter rewrites the matrix's diagonal in place, so with p
+constraints a step's peak is the presolve's data plus 3 p^2 doubles at the
+factorization: the matrix, LAPACK's working copy and the factor.  The
+low-rank formula keeps views, not arrays, of the rows after each row.
+
 Classification follows the embedding: tau bounded away from kappa yields an
 optimal solution; tau -> 0 with kappa > 0 (ratio threshold
 ``_INFEAS_RATIO``) yields an infeasibility certificate, which is checked
@@ -193,6 +200,7 @@ class _Block:
         self.rows, self.pos, self.val = rows, pos, val
         self.dense: np.ndarray | None = None  # (p, d*d): dense Schur formula
         self.plan: list[tuple] | None = None  # per row: index arrays of the low-rank formula
+        self.terms: np.ndarray | None = None  # the low-rank formula's buffer of row terms
         self.factor: tuple[np.ndarray, _Block] | None = None  # (G, H) of the factored formula
 
     def select(self, index: np.ndarray) -> _Block:
@@ -296,11 +304,15 @@ class _Block:
         ustarts = np.flatnonzero(np.diff(self.rows[upper], prepend=-1))
         ends = np.append(starts[1:], nnz)
         # W is symmetric, so one gather W[r ++ c] gives both W[:, r] and W[c]; when
-        # every row has entries, the rows j >= i are the slice i: of a row of M
+        # every row has entries, the rows j >= i are the slice i: of a row of M.
+        # Row i's terms fill terms[u:] and one reduceat from the absolute
+        # starts ustarts[k:] sums them per row j >= i, so no row stores an
+        # array as long as the rows after it.
+        self.terms = np.empty(upos.size)
         every = active.size == p
         self.plan = [
             (i, np.concatenate((r[s:e], c[s:e])), self.val[s:e], upos[u:], uval[u:],
-             ustarts[k:] - u, slice(i, None) if every else active[k:])
+             self.terms[u:], ustarts[k:], slice(i, None) if every else active[k:])
             for k, (i, s, e, u) in enumerate(zip(active.tolist(), starts.tolist(),
                                                  ends.tolist(), ustarts.tolist()))
         ]
@@ -329,10 +341,11 @@ class _Block:
 
     def add_schur(self, W: np.ndarray, M: np.ndarray) -> None:
         """Add <A_i, W A_j W> to M[i, j], twice for j > i, by the low-rank formula."""
-        for i, rc, v, upos, uval, seg, cols in self.plan:
+        for i, rc, v, upos, uval, terms, seg, cols in self.plan:
             Wrc = W[rc]
             T = (Wrc[:v.size].T * v) @ Wrc[v.size:]
-            row = np.add.reduceat(T.ravel()[upos] * uval, seg)
+            np.multiply(T.ravel()[upos], uval, out=terms)
+            row = np.add.reduceat(self.terms, seg)
             row[0] *= 0.5  # j = i
             M[i, cols] += row
 
@@ -344,22 +357,34 @@ def _apply(blocks: list[_Block], X: list[np.ndarray], p: int) -> np.ndarray:
     return out
 
 
-def _schur(blocks: list[_Block], W: list[np.ndarray], p: int) -> np.ndarray:
-    """The Schur matrix M_ij = <A_i, W A_j W>.  The dense and the factored
-    formula add their products Y G'; the low-rank formula adds its rows
-    j >= i, off the diagonal twice, and M is then averaged with its
-    transpose."""
-    products = (Y @ G.T for Y, G in (blk.schur_pair(Wb) for blk, Wb in zip(blocks, W)
-                                      if blk.plan is None))
-    M = next(products, None)
+def _schur(blocks: list[_Block], W: list[np.ndarray], p: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The Schur matrix M_ij = <A_i, W A_j W>, written into out when given.
+    The dense and the factored formula add their products Y G'; the low-rank
+    formula adds its rows j >= i, off the diagonal twice, and M is then
+    averaged with its transpose.  At most one product is held beside M."""
+    M = None
+    for blk, Wb in zip(blocks, W):
+        if blk.plan is None:
+            Y, G = blk.schur_pair(Wb)
+            if M is None:
+                M = np.matmul(Y, G.T, out=out)
+            else:
+                M += Y @ G.T
     if M is None:
-        M = np.zeros((p, p))
-    for P in products:
-        M += P
+        M = np.empty((p, p)) if out is None else out
+        M.fill(0.0)
     for blk, Wb in zip(blocks, W):
         if blk.plan is not None:
             blk.add_schur(Wb, M)
-    # (M + M') / 2 by panels, which took 4 ms at p = 923 against 6 ms at once
+    _symmetrize(M)
+    return M
+
+
+def _symmetrize(M: np.ndarray) -> None:
+    """M = (M + M') / 2 in place, by panels, which took 4 ms at p = 923
+    against 6 ms at once; each entry is 0.5 (M_ij + M_ji), as _sym's."""
+    p = M.shape[0]
     for s in range(0, p, _TRI_BLOCK):
         e = min(p, s + _TRI_BLOCK)
         D = M[s:e, s:e]
@@ -368,7 +393,6 @@ def _schur(blocks: list[_Block], W: list[np.ndarray], p: int) -> np.ndarray:
             U = 0.5 * (M[s:e, e:] + M[e:, s:e].T)
             M[s:e, e:] = U
             M[e:, s:e] = U.T
-    return M
 
 
 def _inner_blocks(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
@@ -449,13 +473,21 @@ class _Reduced:
         z = self.lift(y)
         return [blk.adjoint(z) for blk in self.A]
 
-    def schur(self, W: list[np.ndarray]) -> np.ndarray:
-        M = _schur(self.A, W, self.data_rows)
+    def schur(self, W: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """The Schur matrix, in out (data rows square).  With U it is
+        [[M_kk, M_k. U], [U' M_.k, U' M U]], a view of out's leading part."""
+        M = _schur(self.A, W, self.data_rows, out)
         if self.U is None:
             return M
         k, U = self.nk, self.U
+        m = k + U.shape[1]
         MU = M[:, k:] @ U
-        return _sym(np.block([[M[:k, :k], MU[:k]], [MU[:k].T, U.T @ MU[k:]]]))
+        M[k:m, k:m] = U.T @ MU[k:]
+        M[:k, k:m] = MU[:k]
+        M[k:m, :k] = MU[:k].T
+        M = M[:m, :m]
+        _symmetrize(M)
+        return M
 
 
 def _block_matrix(dims: list[int], b: int, mat) -> np.ndarray:
@@ -743,6 +775,10 @@ def _solve_reduced(red: _Reduced, Anorm: float) -> SdpSolution:
     mu0 = (_inner_blocks(X, S) + tau * kappa) / (nu + 1)
 
     trace: list[dict] = []
+    # the Schur matrix's storage, reused by every iteration: a matrix freed
+    # each iteration goes back to the OS and is faulted in again (57,000 page
+    # faults in a dense-n6 minimize solve, 2,000-4,000 in most with the buffer)
+    schur_buf = np.empty((red.data_rows, red.data_rows))
     stalls = 0
     message = ""
 
@@ -829,23 +865,24 @@ def _solve_reduced(red: _Reduced, Anorm: float) -> SdpSolution:
             break
         Sinv = [Li.T @ Li for Li in LSinv]
 
-        M = red.schur(W)
+        # the last factor is freed before M is formed; a jitter rewrites M's
+        # diagonal from its saved copy, with the bits of adding to a copy of M
         L = None
-        base = float(np.mean(np.diag(M))) + 1e-300
+        M = red.schur(W, schur_buf)
+        diag0 = M.diagonal().copy()
+        base = float(np.mean(diag0)) + 1e-300
         for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-            Mj = M
-            if jit:  # on the diagonal of a copy; M itself is factored first
-                Mj = M.copy()
-                Mj.flat[::p + 1] += jit * base
+            if jit:
+                M.flat[::p + 1] = diag0 + jit * base
             try:
-                L = np.linalg.cholesky(Mj)
+                L = np.linalg.cholesky(M)
                 break
             except np.linalg.LinAlgError:
                 continue
         if L is None:
             message = "Schur complement factorization failed"
             break
-        diag = np.diag(L)
+        diag = L.diagonal().copy()
         trace[-1]["schur_jitter"] = jit
         trace[-1]["schur_cond_lb"] = float((diag.max() / diag.min()) ** 2)  # <= cond of the matrix factored
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -132,6 +133,18 @@ class TestArithmetic:
     def test_no_zero_coefficients_stored(self):
         p = P("x1 + x2") - P("x2")
         assert set(p.terms) == {(1, 0)}
+
+    def test_results_drop_every_zero_and_keep_nan(self):
+        x = Polynomial.variable(1, 0)
+        nan = float("nan")
+        for zero in (0, 0.0, Fraction(0)):
+            one = Polynomial.constant(1, 1 + zero)
+            assert (x * one - x).terms == {}
+        # 1e-200 * -1e-200 underflows to -0.0, which is a zero too
+        tiny = Polynomial(1, {(1,): 1e-200}) * Polynomial(1, {(0,): -1e-200, (1,): 1.0})
+        assert list(tiny.terms) == [(2,)]
+        kept = Polynomial(1, {(1,): nan}) + x
+        assert list(kept.terms) == [(1,)] and math.isnan(kept.terms[(1,)])
 
     def test_product_degree_additivity_exact(self):
         rng = random.Random(17)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -483,3 +484,98 @@ class TestSchurConditioning:
             largest.append(max(row["schur_cond_lb"] for row in sol.trace[:-1]))
         reduced, unreduced = largest
         assert unreduced >= 1e6 * reduced
+
+
+def _ball_quartic(n: int) -> SdpProblem:
+    """The order-3 hierarchy step of sum x_i^4 + sum x_i over the ball of
+    radius 2: no sign flip fixes it, so its C(n + 6, 6) rows stay one program."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return build_hierarchy_step(parse_problem(
+        f"vars: {' '.join(xs)}\nobj: " + " + ".join([f"{x}^4" for x in xs] + xs)
+        + "\nineq: 4 - " + " - ".join(f"{x}^2" for x in xs) + "\nc: 10\n"), 3)
+
+
+class TestSchurMemory:
+    def test_ipm_holds_one_schur_matrix_and_its_factor(self, monkeypatch):
+        # n = 5: 462 rows, 461 after the presolve.  Above what the presolve
+        # leaves, the IPM holds M and its factor L at the Cholesky step (numpy
+        # works on an untraced copy), and M and one product while M is formed;
+        # a second M or L beside these would exceed 3 p^2
+        prob = _ball_quartic(5)
+        seen = {}
+        reduced = sdp._solve_reduced
+
+        def traced(red, Anorm):
+            seen["p"], seen["before"] = red.b.size, tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sol = reduced(red, Anorm)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return sol
+
+        monkeypatch.setattr(sdp, "_solve_reduced", traced)
+        tracemalloc.start()
+        try:
+            sol = solve(prob)
+        finally:
+            tracemalloc.stop()
+        assert sol.status is Status.OPTIMAL
+        p = seen["p"]
+        assert p == 461
+        assert seen["peak"] - seen["before"] < 3 * p * p * 8
+
+    def test_low_rank_plan_stores_no_row_of_later_rows(self, monkeypatch):
+        # 3000 rows of 1-2 entries each: one int64 index per row j >= i for
+        # every row i would take 4 p (p + 1) bytes, 36 MB
+        rng = np.random.default_rng(3)
+        p, d = 3000, 40
+        row = np.repeat(np.arange(p), 2)
+        r, c = np.sort(rng.integers(0, d, (2, row.size)), axis=0)
+        key = np.unique((row * d + r) * d + c)
+        prob = SdpProblem([d], [(key // (d * d), key // d % d, key % d, rng.standard_normal(key.size))],
+                          np.zeros((p, 0)), np.zeros(p))
+        blk = sdp._to_internal(prob).A[0]
+        monkeypatch.setattr(sdp, "_SPARSE_ROW_COST", 0.0)  # forces low-rank
+        tracemalloc.start()
+        try:
+            blk.prepare()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blk.plan is not None and len(blk.plan) == p
+        assert peak < p * (p + 1)
+
+    def test_jitter_rewrites_the_diagonal_in_place(self, monkeypatch):
+        # the first Schur factorization fails without jitter and at 1e-14:
+        # each attempt factors M's own buffer, and the factor used at 1e-12 is
+        # that of an untouched copy of M plus 1e-12 * mean(diag M) * I, bit for bit
+        prob = _ball_quartic(2)
+        dims = set(prob.block_dims)
+        cholesky = np.linalg.cholesky
+        attempts, factors = [], []
+
+        def failing(a):
+            if a.shape[0] in dims:  # a PSD block, not the Schur matrix
+                return cholesky(a)
+            attempts.append((a, a.copy()))
+            if len(attempts) <= 2:
+                raise np.linalg.LinAlgError("forced failure")
+            factors.append(cholesky(a))
+            return factors[-1]
+
+        monkeypatch.setattr(sdp.np.linalg, "cholesky", failing)
+        sol = solve(prob)
+        assert sol.status is Status.OPTIMAL
+        (M, M0), (M1, at14), (M2, at12) = attempts[:3]
+        L = factors[0]
+        assert np.shares_memory(M, M1) and np.shares_memory(M, M2)
+        p = M0.shape[0]
+        base = float(np.mean(np.diag(M0))) + 1e-300
+        for jit, seen in ((1e-14, at14), (1e-12, at12)):
+            copy = M0.copy()
+            copy.flat[::p + 1] += jit * base
+            assert np.array_equal(seen, copy)
+        assert np.array_equal(L, cholesky(at12))
+        assert sol.trace[0]["schur_jitter"] == 1e-12
+        diag = np.diag(L)
+        assert sol.trace[0]["schur_cond_lb"] == float((diag.max() / diag.min()) ** 2)
+        assert all(row["schur_jitter"] == 0.0 for row in sol.trace[1:-1])
