@@ -25,8 +25,8 @@ _EXPORTS = {
                      "certificate_from_payload", "certificate_to_payload", "corollary_transform",
                      "format_certificate", "gram_to_polynomial", "hierarchy_generators",
                      "sos_decompose", "statement", "verify_certificate"),
-    "driver": ("HierarchyReport", "OrderOutcome", "check_archimedean",
-               "check_archimedean_sufficient", "check_coercive", "minimize"),
+    "driver": ("HierarchyReport", "OrderOutcome", "check_archimedean", "check_coercive",
+               "minimize"),
     "cli": ("cli_main",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -30,6 +30,7 @@ Gram of JSON numbers reads as a float ndarray and one of "p/q" strings as a
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -299,29 +300,40 @@ def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
     return gram
 
 
-@dataclass
+@dataclass(frozen=True)
 class SosWeight:
+    """A weight does not change once built, so its expansion and its float
+    Gram are computed on first use and kept: a check and the printed
+    certificate share them."""
+
     tag: str  # "sigma0" | "ineq" | "cf" | "psi" (the module family's multiplier of f)
     index: int | None
     basis: list[Monomial]
     # square symmetric matrix over the basis: a float ndarray or a RationalGram;
     # any other (nested lists, say) is made one of the two here (``_as_gram``)
     gram: np.ndarray | RationalGram
+    _expansions: dict[int, Polynomial] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.gram = _as_gram(self.gram, len(self.basis))
+        object.__setattr__(self, "gram", _as_gram(self.gram, len(self.basis)))
 
     def polynomial(self, num_vars: int) -> Polynomial:
-        return gram_to_polynomial(self.gram, self.basis, num_vars)
+        if num_vars not in self._expansions:
+            self._expansions[num_vars] = gram_to_polynomial(self.gram, self.basis, num_vars)
+        return self._expansions[num_vars]
+
+    @functools.cached_property
+    def _float(self) -> np.ndarray:
+        return _gram_float(self.gram)
 
     def min_eigenvalue(self) -> float:
-        g = _gram_float(self.gram)
+        g = self._float
         if g.size == 0:
             return 0.0
         return float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
 
     def frobenius(self) -> float:
-        g = _gram_float(self.gram)
+        g = self._float
         return float(np.sqrt((g * g).sum()))
 
 
@@ -508,12 +520,6 @@ def corollary_transform(
 class SosDecomposition:
     squares: list[Polynomial]
     truncation_error: float
-
-    def total(self) -> Polynomial:
-        out = Polynomial.zero(self.squares[0].num_vars) if self.squares else None
-        for s in self.squares:
-            out = out + s * s
-        return out
 
 
 def sos_decompose(

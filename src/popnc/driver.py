@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .builder import (
     build_archimedean_check,
@@ -88,8 +88,7 @@ class OrderOutcome:
 _PAYLOAD_KEYS = {
     "minimize": {"final_bound": "bound", "bounds": "bounds", "caveats": "notes"},
     "arch-check": {"rho": "bound", "certified_order": "order", "notes": "notes"},
-    "coercive-check": {"delta": "bound", "certified_order": "order", "notes": "notes",
-                       "subject": "subject"},
+    "coercive-check": {"delta": "bound", "certified_order": "order", "notes": "notes"},
 }
 
 
@@ -112,7 +111,6 @@ class HierarchyReport:
     certificate: ModuleCertificate | None = None
     verification: VerificationResult | None = None
     notes: list[str] = field(default_factory=list)
-    subject: str | None = None  # coercive-check: objective | combination
     elapsed_s: float = 0.0
 
     @property
@@ -133,6 +131,8 @@ class HierarchyReport:
             "orders": [o.to_payload() for o in self.orders],
             "verdict": self.verdict,
             **{key: getattr(self, attr) for key, attr in _PAYLOAD_KEYS[self.command].items()},
+            # coercive-check tests the objective, and its report says so
+            **({"subject": "objective"} if self.command == "coercive-check" else {}),
             "certificate": None if self.certificate is None else self.certificate.to_payload(),
             "verification": None if self.verification is None else self.verification.to_payload(),
             "timing_s": self.elapsed_s,
@@ -160,7 +160,6 @@ class HierarchySpec:
     stab_tol: float | None = None
     cert_tol: float = DEFAULT_RESIDUAL_TOL
     notes: list[str] = field(default_factory=list)
-    subject: str | None = None
 
 
 def _stabilized(orders: list[OrderOutcome], tol: float) -> bool:
@@ -188,8 +187,7 @@ def run_hierarchy(
     raises.
     """
     t0 = time.perf_counter()
-    report = HierarchyReport(spec.command, [], "inconclusive", notes=list(spec.notes),
-                             subject=spec.subject)
+    report = HierarchyReport(spec.command, [], "inconclusive", notes=list(spec.notes))
     k0 = spec.k_min if spec.k_start is None else max(spec.k_min, spec.k_start)
     if k0 > spec.k_max:
         first = "minimal" if k0 == spec.k_min else "starting"
@@ -296,8 +294,8 @@ def _diagonal_top_form(f: Polynomial) -> bool:
     return len(seen) == f.num_vars
 
 
-def _not_applicable(note: str, subject: str = "objective") -> HierarchyReport:
-    return HierarchyReport("coercive-check", [], "not_applicable", notes=[note], subject=subject)
+def _not_applicable(note: str) -> HierarchyReport:
+    return HierarchyReport("coercive-check", [], "not_applicable", notes=[note])
 
 
 def check_coercive(
@@ -327,47 +325,7 @@ def check_coercive(
         "coercive-check", lambda k: build_coercivity_check(f, k),
         statement("coercivity", f).min_order(), k_start, k_max,
         certify_if=lambda value: value > pos_tol,
-        fail_note="positive value but certificate failed verification", notes=notes, subject="objective",
+        fail_note="positive value but certificate failed verification", notes=notes,
     )
     return run_hierarchy(spec, dump_dir)
 
-
-def check_archimedean_sufficient(
-    problem: PopProblem,
-    alpha0: float,
-    g_multipliers: Sequence[float] | None = None,
-    h_multipliers: Sequence[float] | None = None,
-    k_max: int = DEFAULT_K_MAX,
-    pos_tol: float = DEFAULT_POS_TOL,
-) -> HierarchyReport:
-    """Sufficient Archimedean test via a user-supplied multiplier combination.
-
-    Forms  alpha0 * f - sum_j lambda_j g_j - sum_l mu_l h_l  (alpha0, lambda_j
-    >= 0; mu_l free) and runs the coercivity test on it: certified coercivity
-    of the combination implies the Archimedean property of the module of
-    (g; h; c - f).
-    """
-    lam = list(g_multipliers or [0.0] * len(problem.inequalities))
-    mus = list(h_multipliers or [0.0] * len(problem.equalities))
-    if alpha0 < 0:
-        raise ValueError("alpha0 must be >= 0")
-    if any(v < 0 for v in lam):
-        raise ValueError("inequality multipliers must be >= 0")
-    if len(lam) != len(problem.inequalities) or len(mus) != len(problem.equalities):
-        raise ValueError("multiplier counts must match the generator counts")
-
-    combo = problem.objective.scale(alpha0)
-    for v, g in zip(lam, problem.inequalities):
-        combo = combo - g.scale(v)
-    for v, h in zip(mus, problem.equalities):
-        combo = combo - h.scale(v)
-
-    if combo.is_zero():
-        return _not_applicable("multiplier combination is the zero polynomial", "combination")
-    report = check_coercive(combo, k_max=k_max, pos_tol=pos_tol)
-    report.subject = "combination"
-    report.notes.append(
-        "certified coercivity of the combination implies the Archimedean property "
-        "of the quadratic module of (g; h; c - f)"
-    )
-    return report

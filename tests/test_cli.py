@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -7,11 +8,13 @@ import time
 
 import pytest
 
+import popnc.certificates
 import popnc.cli
+from popnc import driver
 from popnc.builder import build_membership_program, extract_certificate
 from popnc.certificates import Statement, certificate_to_payload, corollary_transform, hierarchy_generators
 from popnc.cli import cli_main
-from popnc.problem_io import ProblemFormatError, parse_problem
+from popnc.problem_io import ProblemFormatError, emit_report, parse_problem
 from popnc.sdp import SdpProblem, solve
 
 EX31 = "vars: x1 x2\nobj: x1^2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"
@@ -20,6 +23,17 @@ LINE = "vars: x\nobj: x\nc: 0\n"
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 # EX31's constraints with objective x1^2 - 1, whose minimum is -1
 SHIFTED = "vars: x1 x2\nobj: x1^2 - 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 0\n"
+
+# EX31, the sextic and three quartics: one with an equality, one sign-symmetric
+# (every variable in even degree only) and one with no sign symmetry
+LIBRARY_PROBLEMS = {
+    "ex31": EX31,
+    "sextic": SEXTIC,
+    "quartic-eq": "vars: x1 x2\nobj: x1^4 + x2^4 - x1*x2 + x1\neq: x1 + x2 - 1\nx0: 0 1\n",
+    "quartic-symmetric": "vars: x1 x2\nobj: x1^4 + x2^4 - x1^2*x2^2 + x1^2 - 2*x2^2\n"
+                         "ineq: 4 - x1^2 - x2^2\nc: 2\n",
+    "quartic": "vars: x1 x2\nobj: x1^4 + x1^2*x2^2 + x2^4 + x1^3 - x2 + x1*x2\nx0: 1 0\n",
+}
 
 
 def _weight(tag, index, basis, gram):
@@ -222,6 +236,24 @@ class TestVerifyRoundTrip:
         assert code == 0 and "verification: PASS" in out
         assert "psi = " in out
 
+    @pytest.mark.parametrize("name", LIBRARY_PROBLEMS)
+    def test_every_library_report_verifies(self, tmp_path, capsys, name):
+        # every report with a certificate that a public routine returns passes
+        # verify --json against the problem file it was computed from
+        text = LIBRARY_PROBLEMS[name]
+        problem = parse_problem(text)
+        verified = []
+        for routine in (driver.minimize, driver.check_archimedean, driver.check_coercive):
+            report = routine(problem.objective if routine is driver.check_coercive else problem)
+            if report.certificate is None:
+                continue
+            code = self._verify(tmp_path, json.loads(emit_report(report.to_payload())), text, "--json")
+            assert code == 0, (name, routine.__name__)
+            assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+            verified.append(routine)
+        # x1^2, EX31's top form, is not coercive in (x1, x2)
+        assert len(verified) == (2 if name == "ex31" else 3)
+
     def test_hand_certificates(self, tmp_path, capsys):
         assert self._verify(tmp_path, SHIFTED_CERT, SHIFTED) == 0
         assert "lambda = -1" in capsys.readouterr().out
@@ -382,6 +414,22 @@ class TestVerifyRoundTrip:
         monkeypatch.setattr(popnc.cli, "format_certificate", unused)
         assert self._verify(tmp_path, SHIFTED_CERT, SHIFTED, "--json") == 0
         assert json.loads(capsys.readouterr().out)["verification"]["passed"]
+
+    @pytest.mark.parametrize("sigma0, w, psi", [(1.5, 2.0, 0.5), ("3/2", "2", "1/2")],
+                             ids=["float", "rational"])
+    def test_text_verify_expands_each_gram_once(self, tmp_path, capsys, monkeypatch, sigma0, w, psi):
+        # the printed certificate reuses the check's expansions and float Grams
+        calls = collections.Counter()
+        for name in ("gram_to_polynomial", "_gram_float"):
+            def counted(*args, _name=name, _original=getattr(popnc.certificates, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(popnc.certificates, name, counted)
+        for flags in ((), ("--json",)):
+            calls.clear()
+            assert self._verify(tmp_path, _module_cert(sigma0, w, psi), EX31, *flags) == 0
+            assert calls == {"gram_to_polynomial": 4, "_gram_float": 4}, flags
+        assert "psi = 0.5" in capsys.readouterr().out
 
 
 class TestFlags:

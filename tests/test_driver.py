@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,14 +7,14 @@ from oracles import circle_oracle, problem_oracle
 
 from popnc.builder import build_hierarchy_step, extract_certificate
 from popnc.certificates import verify_certificate
+from popnc.cli import cli_main
 from popnc.driver import (
     check_archimedean,
-    check_archimedean_sufficient,
     check_coercive,
     minimize,
 )
 from popnc.polynomial import Polynomial
-from popnc.problem_io import parse_polynomial, parse_problem
+from popnc.problem_io import emit_report, parse_polynomial, parse_problem
 from popnc.sdp import GAP_TOL, Status, solve
 
 V2 = ["x1", "x2"]
@@ -211,27 +212,37 @@ class TestCoercive:
 
 
 class TestArchimedeanSufficient:
-    def test_coercive_objective_alone(self, sextic_problem):
-        rep = check_archimedean_sufficient(sextic_problem, alpha0=1.0)
-        assert rep.verdict == "certified"
-        assert rep.subject == "combination"
+    """The paper's sufficient condition: when alpha0 f - sum lambda_j g_j -
+    sum mu_l h_l is coercive for some alpha0 >= 0, lambda_j >= 0 and free mu_l,
+    M(g; h; c - f) is Archimedean.  The caller forms the combination and runs
+    check_coercive on it.  Its certificate proves the combination coercive,
+    so popnc verify checks it against a problem whose objective is the
+    combination."""
 
-    def test_combination_with_constraint(self):
+    def _verify(self, tmp_path, report, problem_text):
+        report_path, problem_path = tmp_path / "report.json", tmp_path / "problem.pop"
+        report_path.write_text(emit_report(report.to_payload()))
+        problem_path.write_text(problem_text)
+        return cli_main(["verify", str(report_path), str(problem_path), "--json"])
+
+    def test_coercive_objective_alone(self, tmp_path, capsys):
+        sextic = "vars: x1 x2\nobj: x1^6 + x2^6 - x1^3*x2^3 + x1^4 - x2 + 1\nx0: 0 0\n"
+        rep = check_coercive(parse_problem(sextic).objective)  # alpha0 = 1, no generators
+        assert rep.verdict == "certified"
+        assert self._verify(tmp_path, rep, sextic) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+
+    def test_combination_with_constraint(self, tmp_path, capsys):
         p = parse_problem("vars: x1 x2\nobj: x1^2\nineq: 1 - x2^2\nc: 3\n")
-        rep = check_archimedean_sufficient(p, alpha0=1.0, g_multipliers=[1.0])
+        rep = check_coercive(p.objective - p.inequalities[0])  # alpha0 = 1, lambda = [1]
         assert rep.verdict == "certified"
         assert rep.bound == pytest.approx(1.0, abs=1e-6)
-
-    def test_zero_combination_not_applicable(self):
-        p = parse_problem("vars: x\nobj: x^2\nc: 1\n")
-        rep = check_archimedean_sufficient(p, alpha0=0.0)
-        assert rep.verdict == "not_applicable"
-
-    def test_negative_multipliers_rejected(self, example31):
-        with pytest.raises(ValueError):
-            check_archimedean_sufficient(example31, alpha0=-1.0)
-        with pytest.raises(ValueError):
-            check_archimedean_sufficient(example31, alpha0=1.0, g_multipliers=[-1.0, 0.0])
+        combination = "vars: x1 x2\nobj: x1^2 + x2^2 - 1\nineq: 1 - x2^2\nc: 3\n"
+        assert self._verify(tmp_path, rep, combination) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+        # x1^2 alone is not coercive: the certificate proves nothing about it
+        assert self._verify(tmp_path, rep, "vars: x1 x2\nobj: x1^2\nineq: 1 - x2^2\nc: 3\n") == 2
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"] is False
 
 
 class TestRegressionSuite:
