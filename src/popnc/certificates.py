@@ -8,14 +8,16 @@ with each sigma given by a PSD Gram matrix over a monomial basis and each
 phi_l a free polynomial.  A ``Statement`` fixes the target, the generators
 and the sign s of one family (``statement``); the builder searches for
 certificates of a statement, and ``verify_certificate`` checks one against
-it.  Verification recomputes the identity with the polynomial arithmetic of
-this package (exactly, when the data is rational) and checks the Gram
-matrices for positive semidefiniteness.  Each Gram is expanded by grouping
-the pairs of its basis once per basis: exactly over the common denominator
-of a rational Gram, and for a float Gram with the floats of a pair-by-pair
-sum in row-major order, bit for bit.  This module imports neither the
-builder nor the solver, so nothing is trusted from solver bookkeeping, and
-``popnc verify`` loads neither.
+it.  Verification recomputes the identity (exactly, when the data is
+rational) and checks the Gram matrices for positive semidefiniteness.  Each
+Gram is expanded by grouping the pairs of its basis once per basis: exactly
+over the common denominator of a rational Gram, and for a float Gram with
+the floats of a pair-by-pair sum in row-major order, bit for bit.  The
+identity is summed on arrays of grouped monomials and of floats or integer
+numerators (``identity_residual``, over ``termarrays``), to the residual
+that the polynomial arithmetic of this package gives, bit for bit.  This
+module imports neither the builder nor the solver, so nothing is trusted
+from solver bookkeeping, and ``popnc verify`` loads neither.
 
 A Gram matrix is one of two types: a float ndarray, or a ``RationalGram`` of
 integer numerators over one denominator.  ``SosWeight`` makes any other
@@ -31,6 +33,7 @@ Gram of JSON numbers reads as a float ndarray and one of "p/q" strings as a
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import re
@@ -50,6 +53,17 @@ from .polynomial import (
     read_number,
     sum_of_squared_variables,
     write_number,
+)
+from .termarrays import (
+    FLOAT,
+    FRACTION,
+    Coefficients,
+    concat,
+    fold,
+    outer,
+    polynomial_of,
+    product_groups,
+    terms_of,
 )
 
 
@@ -115,12 +129,6 @@ class Statement:
         return max(1, (self.target.degree() + 1) // 2, *self.gens.half_degrees,
                    *((w + 1) // 2 for w in self.gens.eq_degrees))
 
-    def expected(self, lam: Coeff) -> Polynomial:
-        """target - s * lambda, what the weights of a certificate sum to."""
-        if self.lambda_sign == 0 or lam == 0:
-            return self.target
-        return self.target - Polynomial.constant(self.target.num_vars, self.lambda_sign * lam)
-
 
 def hierarchy_generators(problem) -> GeneratorSet:
     """Generator set (g; h; c - f) with the bound generator appended last."""
@@ -181,40 +189,6 @@ def bound_statement(family: str, f: Polynomial, gens: GeneratorSet,
 # ---------------------------------------------------------------------------
 
 
-def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, list[Monomial]]:
-    """The s^2 pairs (i, j) of a monomial basis grouped by their product: the
-    group of each pair, in row-major order, and the monomial of each group,
-    numbered in the lexicographic order of the reversed exponent vectors.
-    Raises ValueError for a basis monomial that is no exponent vector of
-    num_vars variables, or that has an exponent of 2^62 or more (int64 sums)."""
-    for mono in basis:
-        check_monomial(mono, num_vars)
-        if any(e >= 2**62 for e in mono):
-            raise ValueError(f"exponent vector {mono} has an exponent beyond 2^62")
-    s = len(basis)
-    exps = np.array(basis, dtype=np.int64).reshape(s, num_vars)
-    # A product's exponents pack into one int64, the last variable most
-    # significant, when every variable's digit 2 * max + 1 fits: packing is
-    # linear without carries, so a pair's key is the sum of its two keys and
-    # the keys sort as the lexsort below does.
-    radix = [2 * e + 1 for e in exps.max(axis=0, initial=0).tolist()]
-    if math.prod(radix) <= 2**62:
-        weights = np.cumprod([1, *radix[:-1]], dtype=np.int64)
-        keys = exps @ weights
-        _, first, group = np.unique((keys[:, None] + keys[None, :]).reshape(s * s),
-                                    return_index=True, return_inverse=True)
-        monos = exps[first // s] + exps[first % s]
-        return group.reshape(s * s), [tuple(m) for m in monos.tolist()]
-    sums = (exps[:, None, :] + exps[None, :, :]).reshape(s * s, num_vars)
-    order = np.lexsort(sums.T)
-    ordered = sums[order]
-    starts = np.ones(s * s, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty(s * s, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return group, [tuple(m) for m in ordered[starts].tolist()]
-
-
 @dataclass(frozen=True)
 class RationalGram:
     """A rational Gram matrix as integer numerators over one denominator, the
@@ -263,6 +237,58 @@ def _as_gram(gram: Any, s: int) -> np.ndarray | RationalGram:
                     dtype=float).reshape(s, s)
 
 
+def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s^2 pairs (i, j) of a monomial basis grouped by their product: the
+    group of each pair, in row-major order, and the exponent vector of each
+    group's monomial, a row each, numbered in the lexicographic order of the
+    reversed exponent vectors.  Raises ValueError for a basis monomial that
+    is no exponent vector of num_vars variables, or that has an exponent of
+    2^62 or more (int64 sums)."""
+    s = len(basis)
+    try:
+        exps = np.array(basis, dtype=np.int64).reshape(s, num_vars)
+    except (OverflowError, TypeError, ValueError):
+        exps = None
+    if exps is None or not set(map(type, itertools.chain.from_iterable(basis))) <= {int} or (exps < 0).any():
+        for mono in basis:  # the message of the first monomial at fault
+            check_monomial(mono, num_vars)
+    if exps is None or (exps >= 2**62).any():
+        mono = next(m for m in basis if any(e >= 2**62 for e in m))
+        raise ValueError(f"exponent vector {mono} has an exponent beyond 2^62")
+    (group,), size = product_groups([(exps, exps)], num_vars)
+    pair = np.empty(size, dtype=np.intp)
+    pair[group] = np.arange(s * s)  # a pair of each group
+    return group, exps[pair // s] + exps[pair % s]
+
+
+def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, Coefficients]:
+    """The terms of v' Q v as ``gram_to_polynomial`` orders and sums them:
+    the exponent vector of each, a row each, and their coefficients."""
+    s = len(basis)
+    group, monos = _pair_groups(basis, num_vars)
+    gram = _as_gram(gram, s)
+    exact = isinstance(gram, RationalGram)
+    flat = (gram.num if exact else gram).reshape(s * s)
+    size = len(monos)
+    # the first nonzero entry of each group, and the groups in the order of theirs
+    nonzero = np.flatnonzero(flat)
+    first = np.full(size, s * s)
+    np.minimum.at(first, group[nonzero], nonzero)
+    present = np.flatnonzero(first < s * s)
+    present = present[np.argsort(first[present])]
+    if exact:  # Python ints, exact in any order
+        sums = np.zeros(size, dtype=object)
+        np.add.at(sums, group[nonzero], flat[nonzero])
+    else:
+        sums = np.bincount(group, weights=flat, minlength=size)
+    sums = sums[present]
+    keep = sums != 0  # NaN is kept, as its truth value keeps it
+    monos, sums, k = monos[present[keep]], sums[keep], int(keep.sum())
+    if exact:
+        return monos, Coefficients(np.full(k, FRACTION, dtype=np.int8), np.zeros(k), sums, gram.den)
+    return monos, Coefficients(np.full(k, FLOAT, dtype=np.int8), sums)
+
+
 def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
     """Expand v' Q v over the monomial basis v.
 
@@ -275,23 +301,7 @@ def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> P
     sum over the denominator.  Any other Gram is first made one of the two
     (``_as_gram``).  Raises ValueError for a Gram that is not s x s over the s
     monomials."""
-    s = len(basis)
-    group, monos = _pair_groups(basis, num_vars)
-    gram = _as_gram(gram, s)
-    exact = isinstance(gram, RationalGram)
-    flat = (gram.num if exact else gram).reshape(s * s)
-    # the groups of its nonzero entries at once
-    nonzero = np.flatnonzero(flat)
-    present, first, counts = np.unique(group[nonzero], return_index=True, return_counts=True)
-    by_first = np.argsort(first)
-    keys = present[by_first].tolist()
-    if exact:  # integer sums, group by group
-        numerators = flat[nonzero][np.argsort(group[nonzero])]
-        sums = np.add.reduceat(numerators, np.cumsum(counts) - counts)[by_first]
-        coeffs = [Fraction(v, gram.den) for v in sums]
-    else:
-        coeffs = np.bincount(group, weights=flat, minlength=len(monos))[keys].tolist()
-    return Polynomial._from_checked(num_vars, {monos[g]: v for g, v in zip(keys, coeffs)})
+    return polynomial_of(num_vars, *_expand(gram, basis, num_vars))
 
 
 def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
@@ -302,9 +312,10 @@ def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SosWeight:
-    """A weight does not change once built, so its expansion and its float
-    Gram are computed on first use and kept: a check and the printed
-    certificate share them."""
+    """A weight does not change once built, so its expansions and its float
+    Gram are computed on first use and kept: the terms of v' Q v as arrays
+    for the identity check, its Polynomial for the printed certificate, and
+    the float Gram for both."""
 
     tag: str  # "sigma0" | "ineq" | "cf" | "psi" (the module family's multiplier of f)
     index: int | None
@@ -312,15 +323,24 @@ class SosWeight:
     # square symmetric matrix over the basis: a float ndarray or a RationalGram;
     # any other (nested lists, say) is made one of the two here (``_as_gram``)
     gram: np.ndarray | RationalGram
-    _expansions: dict[int, Polynomial] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _expansions: dict[int, tuple[np.ndarray, Coefficients]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _polynomials: dict[int, Polynomial] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gram", _as_gram(self.gram, len(self.basis)))
 
-    def polynomial(self, num_vars: int) -> Polynomial:
+    def expansion(self, num_vars: int) -> tuple[np.ndarray, Coefficients]:
+        """The terms of v' Q v: the exponent vector of each, a row each, and
+        their coefficients, in the order of ``gram_to_polynomial``."""
         if num_vars not in self._expansions:
-            self._expansions[num_vars] = gram_to_polynomial(self.gram, self.basis, num_vars)
+            self._expansions[num_vars] = _expand(self.gram, self.basis, num_vars)
         return self._expansions[num_vars]
+
+    def polynomial(self, num_vars: int) -> Polynomial:
+        if num_vars not in self._polynomials:
+            self._polynomials[num_vars] = gram_to_polynomial(self.gram, self.basis, num_vars)
+        return self._polynomials[num_vars]
 
     @functools.cached_property
     def _float(self) -> np.ndarray:
@@ -364,25 +384,88 @@ class ModuleCertificate:
                 return w
         return None
 
-    def reconstruct(self, gens: GeneratorSet) -> Polynomial:
-        """sigma_0 + sum sigma_j g_j + sum phi_l h_l from the stored weights;
-        a psi weight is part of the target, not a module term.  Raises
-        ValueError for a weight or multiplier index that names no generator."""
-        total = Polynomial.zero(self.num_vars)
-        for i, w in enumerate(self.sos_weights):
-            if w.tag == "psi":
-                continue
-            sigma = w.polynomial(self.num_vars)
-            if w.tag == "sigma0":
-                total = total + sigma
-            else:
-                total = total + sigma * _generator(gens.ineq, w.index, f"sos weight {i} ({w.tag})")
-        for i, (l, phi) in enumerate(self.eq_multipliers):
-            total = total + phi * _generator(gens.eq, l, f"eq multiplier {i}")
-        return total
-
     def to_payload(self) -> dict:
         return certificate_to_payload(self)
+
+
+def claimed_statement(cert: ModuleCertificate, subject) -> Statement:
+    """The statement of the certificate's family about ``subject``; for the
+    module family, with the polynomial of the certificate's psi weight."""
+    psi = cert.weight("psi")
+    n = cert.num_vars
+    return statement(cert.family, subject, None if psi is None else polynomial_of(n, *psi.expansion(n)))
+
+
+def _same_vars(a: int, b: int) -> None:
+    if a != b:
+        raise ValueError(f"dimension mismatch: {a} vs {b} variables")
+
+
+def identity_residual(cert: ModuleCertificate, claim: Statement) -> Coeff:
+    """The l1 norm of sigma_0 + sum_j sigma_j g_j + sum_l phi_l h_l -
+    (target - s * lambda), as the dict arithmetic of ``Polynomial`` computes
+    it: the same value of the same type, floats bit for bit.
+
+    Each part is summed, in that order, into the total; a product is summed
+    in the order of its loop over (sigma term, generator term); the sums drop
+    their zeros and keep a term dict's order; the l1 norm is the builtin sum
+    over what is left, in that order.  The terms are arrays: monomials as
+    groups of ``product_groups``, coefficients as floats or integer numerators
+    over one denominator (``Coefficients``), so that no Fraction is formed
+    but for an exact term that is left at the end.  A psi weight is part of
+    the target, not a module term.  Raises ValueError for a weight or
+    multiplier index that names no generator and a variable count that
+    differs from the claim's."""
+    n = cert.num_vars
+    if n < 1:
+        raise ValueError(f"num_vars must be >= 1, got {n}")
+    zero = np.zeros((1, n), dtype=np.int64)
+    # the monomials of each part's two factors, its coefficients, and whether
+    # its terms are summed already (those of a Gram expansion are)
+    factors, parts = [], []
+    for i, w in enumerate(cert.sos_weights):
+        if w.tag == "psi":
+            continue
+        monos, sigma = w.expansion(n)
+        if w.tag == "sigma0":
+            factors.append((monos, zero))
+            parts.append((sigma, True))
+            continue
+        g = _generator(claim.gens.ineq, w.index, f"sos weight {i} ({w.tag})")
+        _same_vars(n, g.num_vars)
+        rows, coeffs = terms_of(g)
+        factors.append((monos, rows))
+        parts.append((outer(sigma, coeffs), False))
+    for i, (l, phi) in enumerate(cert.eq_multipliers):
+        h = _generator(claim.gens.eq, l, f"eq multiplier {i}")
+        _same_vars(phi.num_vars, h.num_vars)
+        _same_vars(n, phi.num_vars)
+        (phi_rows, phi_coeffs), (h_rows, h_coeffs) = terms_of(phi), terms_of(h)
+        factors.append((phi_rows, h_rows))
+        parts.append((outer(phi_coeffs, h_coeffs), False))
+    _same_vars(n, claim.target.num_vars)
+    rows, expected = terms_of(claim.target)
+    factors.append((rows, zero))
+    shifted = claim.lambda_sign != 0 and cert.lam != 0
+    if shifted:
+        factors.append((zero, zero))
+    groups, size = product_groups(factors, n)
+
+    def add(a, b):
+        return fold(np.concatenate([a[0], b[0]]), concat(a[1], b[1]), size)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # float overflow is inf and NaN, as in Python
+        total = (np.zeros(0, dtype=np.intp), Coefficients(np.zeros(0, dtype=np.int8), np.zeros(0)))
+        for i, (group, (coeffs, summed)) in enumerate(zip(groups, parts)):
+            part = (group, coeffs) if summed else fold(group, coeffs, size)
+            total = add(total, part) if i else part  # 0 + p is p, term for term
+        expected = (groups[len(parts)], expected)
+        if shifted:
+            expected = add(expected, (groups[-1], Coefficients.of([-(claim.lambda_sign * cert.lam)])))
+        _, mismatch = add(total, (expected[0], -expected[1]))
+    if mismatch.num is None:
+        return sum(np.abs(mismatch.fl).tolist(), 0)
+    return sum(map(abs, mismatch.values()), 0)
 
 
 @dataclass
@@ -420,8 +503,7 @@ def verify_certificate(
     if cert.lam != 0 and cert.lam_sign != claim.lambda_sign:
         raise ValueError(f"lambda_sign {cert.lam_sign} contradicts the {claim.family} family, "
                          f"whose lambda_sign is {claim.lambda_sign}")
-    mismatch = cert.reconstruct(claim.gens) - claim.expected(cert.lam)
-    residual = mismatch.l1_norm()
+    residual = identity_residual(cert, claim)
     min_eig = min((w.min_eigenvalue() for w in cert.sos_weights), default=0.0)
     bound = tol * float(1 + claim.target.l1_norm())
     passed = float(residual) <= bound and min_eig >= -DEFAULT_EIG_TOL
@@ -499,7 +581,7 @@ def corollary_transform(
         eq_multipliers=list(cert.eq_multipliers),
         family="module",
     )
-    out.residual = (out.reconstruct(module.gens) - target).l1_norm()
+    out.residual = identity_residual(out, module)
     bound = max(
         DEFAULT_RESIDUAL_TOL * float(1 + target.l1_norm()),
         (0.0 if cert.residual is None else 10.0 * float(cert.residual)) + 1e-12,

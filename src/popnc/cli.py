@@ -16,8 +16,8 @@ from .certificates import (
     DEFAULT_RESIDUAL_TOL,
     CertificateError,
     certificate_from_payload,
+    claimed_statement,
     format_certificate,
-    statement,
     verify_certificate,
 )
 from .polynomial import NumberError, read_number, write_number
@@ -166,8 +166,7 @@ def _dispatch(args) -> int:
                   "a certificate payload nor a report with one", file=sys.stderr)
             return EXIT_INPUT
         cert = certificate_from_payload(payload_in)
-        psi = cert.weight("psi")
-        claim = statement(cert.family, problem, None if psi is None else psi.polynomial(cert.num_vars))
+        claim = claimed_statement(cert, problem)
         result = verify_certificate(cert, claim, tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL)
         # the report names the checked payload by its family, order and lambda; it
         # does not echo the payload

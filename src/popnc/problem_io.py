@@ -114,7 +114,10 @@ def _read_terms(text: str, index: dict[str, int], n: int, rational: bool) -> Pol
                 except ValueError:  # more digits than int() converts
                     return None
         mono = tuple(exponents)
-        terms[mono] = terms.get(mono, 0) + (-1 if m["sign"] == "-" else 1) * coeff
+        if m["sign"] == "-":
+            coeff = -coeff
+        old = terms.get(mono)
+        terms[mono] = coeff if old is None else old + coeff
         pos = m.end()
         if pos == len(text):
             return Polynomial._from_checked(n, terms)

@@ -1,0 +1,205 @@
+"""Polynomial terms as arrays, for sums of products of polynomials that give
+what ``Polynomial`` arithmetic gives, bit for bit, without a dict or a
+Fraction per term.
+
+A monomial is a group of ``product_groups``: products of monomials are
+grouped by one packing of their exponents (or a lexsort when it does not
+fit in an int64).  A coefficient keeps the type it has in ``Polynomial``
+arithmetic (``Coefficients``): a float, or an int or a Fraction held as an
+integer numerator over one denominator.  ``outer`` multiplies two term
+lists as the loop over their pairs does, and ``fold`` sums the terms of
+each group in the order, and with the types, of a term dict.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from .polynomial import Coeff, Monomial, Polynomial
+
+
+def exponent_rows(monos: Sequence[Monomial], num_vars: int) -> np.ndarray:
+    """The exponent vectors of checked monomials as one int64 array, a row
+    each.  Raises ValueError for an exponent of 2^63 or more."""
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(monos), np.int64, count=len(monos) * num_vars)
+    except OverflowError:
+        raise ValueError("an exponent reaches 2^63") from None
+    return flat.reshape(len(monos), num_vars)
+
+
+def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
+                   num_vars: int) -> tuple[list[np.ndarray], int]:
+    """The products of monomials grouped by their value: for each pair (a, b)
+    of exponent-vector arrays, the group of each product a[i] + b[j],
+    row-major, and the number of groups.  Groups are shared across the pairs
+    and numbered in the lexicographic order of the reversed exponent vectors.
+    A product's key packs its exponents into one int64, the last variable
+    most significant, when every variable's digit (its largest product
+    exponent + 1) fits in 2^62 together: packing is linear without carries,
+    so the key of a product is the sum of its factors' keys, and the keys
+    sort as the vectors do.  Else the products are grouped by a lexsort of
+    their exponent vectors.  Raises ValueError for a product exponent of
+    2^63 or more."""
+    top = [0] * num_vars
+    for a, b in factors:
+        if len(a) and len(b):  # Python ints: a sum of two int64 maxima may overflow
+            top = [max(t, x + y) for t, x, y in zip(top, a.max(axis=0).tolist(), b.max(axis=0).tolist())]
+    if max(top) >= 2**63:
+        raise ValueError("a product of monomials has an exponent of 2^63 or more")
+    ends = list(itertools.accumulate(len(a) * len(b) for a, b in factors))
+    radix = [t + 1 for t in top]
+    if math.prod(radix) <= 2**62:
+        weights = np.cumprod([1, *radix[:-1]], dtype=np.int64)
+        keys = [((a @ weights)[:, None] + (b @ weights)[None, :]).reshape(-1) for a, b in factors]
+        uniq, group = np.unique(np.concatenate([np.zeros(0, np.int64), *keys]), return_inverse=True)
+        size = len(uniq)
+    else:
+        rows = np.concatenate([np.zeros((0, num_vars), np.int64),
+                               *((a[:, None, :] + b[None, :, :]).reshape(-1, num_vars) for a, b in factors)])
+        order = np.lexsort(rows.T)
+        ordered = rows[order]
+        starts = np.ones(len(rows), dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        group = np.empty(len(rows), dtype=np.intp)
+        group[order] = np.cumsum(starts) - 1
+        size = int(starts.sum())
+    return [group[end - len(a) * len(b):end] for (a, b), end in zip(factors, ends)], size
+
+
+# the type a coefficient has in ``Polynomial`` arithmetic, ordered so that an
+# exact sum or product has the larger kind of its operands
+INT, FRACTION, FLOAT = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    """Coefficients as ``Polynomial`` arithmetic types them: the kind of each
+    (int, Fraction or float), the value of each float one in ``fl``, and the
+    value of each exact one as an integer numerator in ``num`` over one
+    denominator ``den``.  ``num`` is None when none is exact; the other
+    array holds 0 where it does not apply."""
+
+    kind: np.ndarray  # int8
+    fl: np.ndarray
+    num: np.ndarray | None = None  # object array of Python ints
+    den: int = 1
+
+    @classmethod
+    def of(cls, values: Sequence[Coeff]) -> "Coefficients":
+        if set(map(type, values)) <= {float}:
+            return cls(np.full(len(values), FLOAT, dtype=np.int8), np.array(values, dtype=float))
+        kind = [FLOAT if isinstance(v, float) else FRACTION if isinstance(v, Fraction) else INT
+                for v in values]
+        den = math.lcm(*(v.denominator for v, k in zip(values, kind) if k == FRACTION))
+        return cls(np.array(kind, dtype=np.int8),
+                   np.array([v if k == FLOAT else 0.0 for v, k in zip(values, kind)], dtype=float),
+                   np.array([0 if k == FLOAT else v.numerator * (den // v.denominator)
+                             for v, k in zip(values, kind)], dtype=object),
+                   den)
+
+    def values(self) -> list[Coeff]:
+        """The coefficients as Python numbers: floats, ints and Fractions."""
+        out = self.fl.tolist()
+        if self.num is not None:
+            den = self.den
+            for i, (k, n) in enumerate(zip(self.kind.tolist(), self.num.tolist())):
+                if k != FLOAT:
+                    out[i] = Fraction(n, den) if k == FRACTION else n // den
+        return out
+
+    def floats(self) -> np.ndarray:
+        """Each coefficient as a float: an exact one as num / den, which int
+        true division rounds correctly, as float() of its int or Fraction does."""
+        if self.num is None:
+            return self.fl
+        exact = self.kind != FLOAT
+        out = self.fl.copy()
+        out[exact] = self.num[exact] / self.den
+        return out
+
+    def numerators(self, den: int) -> np.ndarray:
+        """The numerators over a multiple ``den`` of this denominator; 0 for a float."""
+        if self.num is None:
+            return np.zeros(len(self.kind), dtype=object)
+        return self.num if den == self.den else self.num * (den // self.den)
+
+    def __neg__(self) -> "Coefficients":
+        return Coefficients(self.kind, -self.fl, None if self.num is None else -self.num, self.den)
+
+
+def concat(a: Coefficients, b: Coefficients) -> Coefficients:
+    kind, fl = np.concatenate([a.kind, b.kind]), np.concatenate([a.fl, b.fl])
+    if a.num is None and b.num is None:
+        return Coefficients(kind, fl)
+    den = math.lcm(a.den, b.den)
+    return Coefficients(kind, fl, np.concatenate([a.numerators(den), b.numerators(den)]), den)
+
+
+def outer(a: Coefficients, b: Coefficients) -> Coefficients:
+    """The products a[i] * b[j], row-major, as Python multiplies them: exact
+    when both are, else the float product of their floats."""
+    kind = np.maximum.outer(a.kind, b.kind).reshape(-1)
+    floated = (kind == FLOAT).any()
+    fl = np.multiply.outer(a.floats(), b.floats()).reshape(-1) if floated else np.zeros(len(kind))
+    if a.num is None or b.num is None:  # a float meets every product
+        return Coefficients(kind, fl)
+    return Coefficients(kind, fl, np.multiply.outer(a.num, b.num).reshape(-1), a.den * b.den)
+
+
+def fold(group: np.ndarray, c: Coefficients, size: int) -> tuple[np.ndarray, Coefficients]:
+    """The terms of each group (of ``size``) summed as a term dict of
+    ``Polynomial`` arithmetic sums them: the groups in the order of their
+    first term, each sum taken term after term, and the zero sums dropped.
+    A sum is exact while its terms are; at its first float term, the exact
+    sum so far becomes a float once, and each later exact term becomes one
+    when it is added.  ``np.bincount`` adds in that order from 0.0, which
+    changes no nonzero sum, so a float sum is that of the loop, bit for bit."""
+    m = len(group)
+    position = np.arange(m)
+    first = np.full(size, m)
+    np.minimum.at(first, group, position)
+    present = np.flatnonzero(first < m)
+    present = present[np.argsort(first[present])]
+    if c.num is None:
+        fl = np.bincount(group, weights=c.fl, minlength=size)[present]
+        keep = fl != 0  # NaN is kept, as its truth value keeps it
+        return present[keep], Coefficients(np.full(int(keep.sum()), FLOAT, dtype=np.int8), fl[keep])
+    is_float = c.kind == FLOAT
+    first_float = np.full(size, m)
+    np.minimum.at(first_float, group[is_float], position[is_float])
+    lead = ~is_float & (position < first_float[group])  # the exact terms before a sum's first float
+    exact = np.zeros(size, dtype=object)
+    np.add.at(exact, group[lead], c.num[lead])
+    kind = np.zeros(size, dtype=np.int8)
+    np.maximum.at(kind, group[lead], c.kind[lead])
+    floated = first_float < m
+    fl = np.zeros(size)
+    if floated.any():
+        w = np.where(is_float, c.fl, 0.0)
+        late = ~is_float & ~lead
+        w[late] = c.num[late] / c.den
+        # an exact part that leads a sum enters as one float, at its first term
+        carried = np.flatnonzero(floated & (first < first_float))
+        w[first[carried]] = exact[carried] / c.den
+        fl = np.bincount(group, weights=w, minlength=size)
+        kind[floated], exact[floated] = FLOAT, 0
+    kind, fl, exact = kind[present], fl[present], exact[present]
+    keep = np.where(kind == FLOAT, fl != 0, exact != 0)
+    kind = kind[keep]
+    num = exact[keep] if (kind != FLOAT).any() else None
+    return present[keep], Coefficients(kind, fl[keep], num, c.den)
+
+
+def polynomial_of(num_vars: int, rows: np.ndarray, coeffs: Coefficients) -> Polynomial:
+    return Polynomial._from_checked(num_vars, dict(zip(map(tuple, rows.tolist()), coeffs.values())))
+
+
+def terms_of(p: Polynomial) -> tuple[np.ndarray, Coefficients]:
+    return exponent_rows(list(p.terms), p.num_vars), Coefficients.of(list(p.terms.values()))

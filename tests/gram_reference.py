@@ -1,6 +1,8 @@
 """Replaced code kept as references for differential tests: the per-pair
 Gram expansion, the certificate residual computed from it, the lexsort
-grouping of basis pairs and the entry-by-entry payload Gram reader.
+grouping of basis pairs, the entry-by-entry payload Gram reader, and the
+certificate identity in ``Polynomial`` arithmetic (``reconstruct`` and
+``expected``).
 
 ``reference_gram_to_polynomial`` builds one product monomial and makes one
 dict update per Gram entry, in row-major order, zero entries skipped.
@@ -25,11 +27,13 @@ import numpy as np
 import pytest
 
 from popnc.certificates import (
+    GeneratorSet,
     ModuleCertificate,
     RationalGram,
     SosWeight,
     Statement,
     _as_gram,
+    _generator,
     _gram_float,
     _num_from_payload,
     certificate_from_payload,
@@ -116,6 +120,32 @@ def reference_residual(cert: ModuleCertificate, claim: Statement):
         expected = _add(expected, {(0,) * cert.num_vars: -(claim.lambda_sign * cert.lam)})
     mismatch = _add(total, {m: -c for m, c in expected.items()})
     return sum((abs(c) for c in mismatch.values()), 0)
+
+
+def reconstruct(cert: ModuleCertificate, gens: GeneratorSet) -> Polynomial:
+    """sigma_0 + sum sigma_j g_j + sum phi_l h_l from the stored weights, in
+    ``Polynomial`` arithmetic; a psi weight is part of the target, not a
+    module term.  Raises ValueError for a weight or multiplier index that
+    names no generator."""
+    total = Polynomial.zero(cert.num_vars)
+    for i, w in enumerate(cert.sos_weights):
+        if w.tag == "psi":
+            continue
+        sigma = w.polynomial(cert.num_vars)
+        if w.tag == "sigma0":
+            total = total + sigma
+        else:
+            total = total + sigma * _generator(gens.ineq, w.index, f"sos weight {i} ({w.tag})")
+    for i, (l, phi) in enumerate(cert.eq_multipliers):
+        total = total + phi * _generator(gens.eq, l, f"eq multiplier {i}")
+    return total
+
+
+def expected(claim: Statement, lam) -> Polynomial:
+    """target - s * lambda, what the weights of a certificate of ``claim`` sum to."""
+    if claim.lambda_sign == 0 or lam == 0:
+        return claim.target
+    return claim.target - Polynomial.constant(claim.target.num_vars, claim.lambda_sign * lam)
 
 
 def same(a, b) -> bool:

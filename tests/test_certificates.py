@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import popnc.certificates
+import popnc.termarrays
 from popnc.builder import (
     build_archimedean_check,
     build_coercivity_check,
@@ -115,15 +116,20 @@ class TestVerifyCertificate:
         cert.lam = 0.0  # no lambda, no claim about its sign
         assert verify_certificate(cert, claim).residual == 1
 
-    def test_checker_imports_only_polynomial_arithmetic(self):
+    @pytest.mark.parametrize("module, allowed", [
+        (popnc.certificates, {(True, "polynomial"), (True, "termarrays"), (False, "problem_io")}),
+        (popnc.termarrays, {(True, "polynomial")}),
+    ], ids=["certificates", "termarrays"])
+    def test_checker_imports_only_polynomial_arithmetic(self, module, allowed):
         # the checker trusts nothing of the program that found a certificate:
-        # no builder, solver, driver or CLI; problem_io only to print
-        tree = ast.parse(Path(popnc.certificates.__file__).read_text(encoding="utf-8"))
+        # no builder, solver, driver or CLI; problem_io only to print; its
+        # term arrays only polynomial arithmetic
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
         relative = {(node in tree.body, node.module) for node in imports if getattr(node, "level", 0)}
         absolute = [node.module or "" for node in imports if isinstance(node, ast.ImportFrom) and not node.level]
         absolute += [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
-        assert relative == {(True, "polynomial"), (False, "problem_io")}  # (at module level, module)
+        assert relative == allowed  # (at module level, module)
         assert not [name for name in absolute if name.split(".")[0] == "popnc"]
 
 

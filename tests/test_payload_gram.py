@@ -114,4 +114,4 @@ def test_pair_groups_match_the_lexsort(basis, packed):
     group, monos = _pair_groups(basis, num_vars)
     want_group, want_monos = reference_pair_groups(basis, num_vars)
     assert group.tolist() == want_group.tolist()
-    assert monos == want_monos
+    assert [tuple(m) for m in monos.tolist()] == want_monos

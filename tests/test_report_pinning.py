@@ -39,6 +39,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from gram_reference import expected, reconstruct
 from popnc import builder, driver
 from popnc.builder import statement
 from popnc.certificates import certificate_from_payload
@@ -134,7 +135,7 @@ def _implied_multipliers(cert_payload: dict, name: str, want: list[dict]) -> lis
     sum_l phi_l h_l = target - lambda_sign * lambda - sum_j sigma_j g_j."""
     cert = certificate_from_payload({**cert_payload, "eq_multipliers": []})
     claim = statement(cert.family, parse_problem(PROBLEMS[name]))
-    rest = claim.expected(cert.lam) - cert.reconstruct(claim.gens)
+    rest = expected(claim, cert.lam) - reconstruct(cert, claim.gens)
     columns = [(i, tuple(mono), Polynomial(cert.num_vars, {tuple(mono): 1.0}) * claim.gens.eq[m["index"]])
                for i, m in enumerate(want) for mono, _ in m["terms"]]
     rows = sorted(set(rest.terms).union(*(col.terms for _, _, col in columns)))

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from gram_reference import expected, reconstruct
 from popnc import builder
 from popnc.builder import (
     build_archimedean_check,
@@ -144,7 +145,7 @@ def test_reduced_programs_match_unreduced(n, with_eq, monkeypatch):
                 cls = np.asarray(parity_classes(w.basis, flips))
                 assert np.all(w.gram[cls[:, None] != cls[None, :]] == 0.0), (family, k, w.tag)
             claim = prob.meta.statement
-            mismatch = cert.reconstruct(claim.gens) - claim.expected(cert.lam)
+            mismatch = reconstruct(cert, claim.gens) - expected(claim, cert.lam)
             assert set(parity_classes(mismatch.terms, flips)) <= {0}, (family, k)
             for _, phi in cert.eq_multipliers:
                 assert set(parity_classes(phi.terms, flips)) <= {0}
