@@ -14,6 +14,14 @@ present) and the phi coefficients enter as free variables.  The builder
 writes the constraints as the solver reads them: per block the (row, r, c,
 value) entries of its Gram pairs r <= c, and the free-variable matrix B.
 
+Rows are assembled on exponent arrays: every term of the identity (a Gram
+pair by a generator term, a multiplier basis monomial by a generator term,
+the target's terms and lambda's constant) is grouped by its monomial in one
+``termarrays.product_groups`` call.  The groups that keep a term after
+``_reduce_bases`` are the rows, in ``grlex_key`` order, and the entries, B
+and b are scattered from arrays.  Distinct generator terms give distinct
+products, so each (row, r, c) and each (row, column) of B holds one term.
+
 What each certificate family proves -- its target, generators and the
 sign of lambda -- is a ``certificates.Statement``; the hierarchy step, the
 boundedness test and the coercivity test build their programs from it, and
@@ -40,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,8 +59,9 @@ from .certificates import (
     Statement,
     statement,
 )
-from .polynomial import Coeff, Monomial, Polynomial, grlex_key, monomial_mul
+from .polynomial import Coeff, Monomial, Polynomial, grlex_key
 from .sdp import SdpProblem, SdpSolution, Status
+from .termarrays import exponent_rows, group_rows, product_groups, terms_of
 
 
 def monomial_basis(num_vars: int, max_degree: int) -> list[Monomial]:
@@ -115,18 +124,6 @@ def parity_classes(monos: Iterable[Monomial], flips: Sequence[Sequence[int]]) ->
     return [sum((sum(m[i] for i in s) & 1) << j for j, s in enumerate(flips)) for m in monos]
 
 
-def _same_class_pairs(classes: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Position pairs (a, b), a <= b, of one parity class; row-major when
-    there is one class."""
-    groups: dict[int, list[int]] = {}
-    for pos, c in enumerate(classes):
-        groups.setdefault(c, []).append(pos)
-    for group in groups.values():
-        for i, a in enumerate(group):
-            for b in group[i:]:
-                yield a, b
-
-
 @dataclass
 class SosBlock:
     """One SOS weight: its (scaled) generator, full Gram basis, the parity
@@ -184,19 +181,7 @@ def _scaled(p: Polynomial) -> tuple[Polynomial, Coeff]:
     return p.scale(one / s), s
 
 
-def _products(blk: SosBlock) -> list[tuple[int, int, Monomial, float]]:
-    """(a, b, monomial, coefficient) of every term of basis[a] * basis[b] *
-    generator, over the block's same-class pairs a <= b of basis positions."""
-    gen_terms = blk.generator.sorted_terms()
-    table = []
-    for a, b in _same_class_pairs(blk.classes):
-        mono_ab = monomial_mul(blk.basis[a], blk.basis[b])
-        table += [(a, b, monomial_mul(mono_ab, delta), float(co)) for delta, co in gen_terms]
-    return table
-
-
-def _reduce_bases(blocks: list[SosBlock], tables: list[list[tuple[int, int, Monomial, float]]],
-                  free_reach: set[Monomial], target: Polynomial) -> None:
+def _reduce_bases(keep: list[np.ndarray], pairs, groups, positive, fixed: np.ndarray) -> None:
     """Drop Gram-basis monomials whose diagonal entries are forced to zero.
 
     A coefficient-matching row whose only contributions are PSD diagonal
@@ -205,35 +190,27 @@ def _reduce_bases(blocks: list[SosBlock], tables: list[list[tuple[int, int, Mono
     zero whenever the matched target coefficient is zero.  Removing them
     never changes the feasible set, and it turns several structurally
     infeasible programs into strongly infeasible SDPs that the solver can
-    classify.  Runs to a fixpoint over each block's ``_products`` table;
-    ``free_reach`` holds the monomials of the free-variable terms.
+    classify.  Runs to a fixpoint on masks over the rows (the groups of
+    ``product_groups``).  Per block: ``keep`` masks its kept basis positions
+    and is cleared where they drop; ``pairs`` are its pairs (a, b);
+    ``groups`` holds the row of each term, a row per pair and a column per
+    generator term; ``positive`` tells whether each generator coefficient
+    is > 0.  ``fixed`` marks the rows of the free-variable and target terms.
     """
     while True:
-        # diag[mono] -> list of (block index, basis position, coefficient)
-        diag: dict[Monomial, list[tuple[int, int, float]]] = {}
-        offdiag: set[Monomial] = set()
-        for bi, (blk, table) in enumerate(zip(blocks, tables)):
-            kept = set(blk.kept)
-            for a, b, mono, co in table:
-                if a in kept and b in kept:
-                    if a == b:
-                        diag.setdefault(mono, []).append((bi, a, co))
-                    else:
-                        offdiag.add(mono)
-
-        to_drop: set[tuple[int, int]] = set()
-        for mono, entries in diag.items():
-            if mono in offdiag or mono in free_reach:
-                continue
-            if target.coefficient(mono) != 0:
-                continue
-            signs = {co > 0 for _, _, co in entries}
-            if len(signs) == 1:
-                to_drop.update((bi, ai) for bi, ai, _ in entries)
-        if not to_drop:
+        shared, pos, neg = fixed.copy(), np.zeros_like(fixed), np.zeros_like(fixed)
+        for (a, b), g, up, k in zip(pairs, groups, positive, keep):
+            live = k[a] & k[b]
+            diag = g[live & (a == b)]
+            shared[g[live & (a != b)]] = True
+            pos[diag[:, up]] = True
+            neg[diag[:, ~up]] = True
+        forced = ~shared & (pos ^ neg)  # only diagonal entries, all of one sign
+        drops = [(a == b) & k[a] & forced[g].any(axis=1) for (a, b), g, k in zip(pairs, groups, keep)]
+        if not any(d.any() for d in drops):
             return
-        for bi, blk in enumerate(blocks):
-            blk.kept = [i for i in blk.kept if (bi, i) not in to_drop]
+        for (a, _), d, k in zip(pairs, drops, keep):
+            k[a[d]] = False
 
 
 def build_membership_program(claim: Statement, k: int) -> SdpProblem:
@@ -266,7 +243,6 @@ def build_membership_program(claim: Statement, k: int) -> SdpProblem:
         scaled, s = _scaled(g)
         blocks.append(sos_block("cf" if j == gens.cf_index else "ineq", j, scaled, s,
                                 k - gens.half_degrees[j]))
-    tables = [_products(blk) for blk in blocks]
 
     eq_blocks: list[EqBlock] = []
     for l, h in enumerate(gens.eq):
@@ -276,49 +252,70 @@ def build_membership_program(claim: Statement, k: int) -> SdpProblem:
         basis = [m for m, c in zip(basis, parity_classes(basis, flips)) if c == 0]
         eq_blocks.append(EqBlock(index=l, generator=scaled, scale=s, basis=basis))
 
-    free_terms: list[tuple[Monomial, int, float]] = []  # (monomial, free variable, coefficient)
-    num_phi = 0
-    for eb in eq_blocks:
-        gen_terms = eb.generator.sorted_terms()
-        for beta in eb.basis:
-            free_terms += [(monomial_mul(beta, delta), num_phi, float(co)) for delta, co in gen_terms]
-            num_phi += 1
+    # the factors of every term of the identity: a block's pairs by its
+    # generator, a multiplier's basis by its generator, the target and lambda
+    nb, ne = len(blocks), len(eq_blocks)
+    gen_terms = [terms_of(p.generator) for p in (*blocks, *eq_blocks)]
+    pairs, factors = [], []
+    for blk, (gen_rows, _) in zip(blocks, gen_terms):
+        a, b = np.triu_indices(len(blk.basis))
+        cls = np.asarray(blk.classes)
+        same = cls[a] == cls[b]
+        pairs.append((a[same], b[same]))
+        basis = exponent_rows(blk.basis, n)
+        factors.append((basis[a[same]] + basis[b[same]], gen_rows))
+    factors += [(exponent_rows(eb.basis, n), rows) for eb, (rows, _) in zip(eq_blocks, gen_terms[nb:])]
+    coeffs = [c.floats() + 0.0 for _, c in gen_terms]  # an entry sums its one term from 0.0: -0.0 is 0.0
+    zero = np.zeros((1, n), dtype=np.int64)
+    target_rows, target_coeffs = terms_of(target)
+    factors.append((target_rows, zero))
     has_lambda = claim.lambda_sign != 0
-    num_free = num_phi + (1 if has_lambda else 0)
-    lambda_index = num_phi if has_lambda else None
     if has_lambda:
-        free_terms.append((tuple([0] * n), lambda_index, float(claim.lambda_sign)))
+        factors.append((zero, zero))
+    groups, size = product_groups(factors, n)
+    groups = [g.reshape(len(x), len(y)) for g, (x, y) in zip(groups, factors)]
 
-    _reduce_bases(blocks, tables, {mono for mono, _, _ in free_terms}, target)
+    fixed = np.zeros(size, dtype=bool)  # the rows of the free-variable and target terms
+    for g in groups[nb:]:
+        fixed[g] = True
+    keep = [np.ones(len(blk.basis), dtype=bool) for blk in blocks]
+    _reduce_bases(keep, pairs, groups[:nb], [c > 0 for c in coeffs[:nb]], fixed)
 
-    # per kept block: (monomial, r, c) -> coefficient of the Gram entry
-    # (r, c), r <= c, in that monomial's row, summed in table order
+    live = [kb[a] & kb[b] for (a, b), kb in zip(pairs, keep)]
+    used = fixed.copy()
+    for g, lv in zip(groups, live):
+        used[g[lv]] = True
+    used = np.flatnonzero(used)
+    monos = [tuple(m) for m in group_rows(factors, groups, size, n)[used].tolist()]
+    order = sorted(range(len(used)), key=lambda i: grlex_key(monos[i]))
+    constraint_index = [monos[i] for i in order]
+    row = np.empty(size, dtype=np.intp)
+    row[used[order]] = np.arange(len(order))
+
     solver_block_dims: list[int] = []
-    block_terms: list[dict[tuple[Monomial, int, int], float]] = []
-    for blk, table in zip(blocks, tables):
+    entries = []
+    for blk, (a, b), g, co, kb, lv in zip(blocks, pairs, groups, coeffs, keep, live):
+        blk.kept = np.flatnonzero(kb).tolist()
         if not blk.kept:
             continue
         blk.solver_block = len(solver_block_dims)
         solver_block_dims.append(len(blk.kept))
-        pos = {i: j for j, i in enumerate(blk.kept)}
-        terms: dict[tuple[Monomial, int, int], float] = {}
-        for a, b, mono, cf in table:
-            if a in pos and b in pos:
-                key = (mono, pos[a], pos[b])
-                terms[key] = terms.get(key, 0.0) + cf
-        block_terms.append(terms)
+        pos = np.cumsum(kb) - 1  # the position of a kept monomial in the kept basis
+        entries.append((row[g[lv]].reshape(-1), np.repeat(pos[a[lv]], len(co)),
+                        np.repeat(pos[b[lv]], len(co)), np.tile(co, int(lv.sum()))))
 
-    constraint_index = sorted({mono for terms in block_terms for mono, _, _ in terms}
-                              | {mono for mono, _, _ in free_terms} | set(target.terms), key=grlex_key)
-    row_of = {mono: i for i, mono in enumerate(constraint_index)}
-    entries = []
-    for terms in block_terms:
-        keys = np.array([(row_of[mono], i, j) for mono, i, j in terms], dtype=np.intp).reshape(-1, 3)
-        entries.append((*keys.T, np.fromiter(terms.values(), dtype=float, count=len(terms))))
+    num_phi = sum(len(eb.basis) for eb in eq_blocks)
+    num_free = num_phi + (1 if has_lambda else 0)
+    lambda_index = num_phi if has_lambda else None
     B = np.zeros((len(constraint_index), num_free))
-    for mono, col, co in free_terms:
-        B[row_of[mono], col] += co
-    b = np.array([float(target.coefficient(mono)) for mono in constraint_index])
+    col = 0
+    for g, co in zip(groups[nb:nb + ne], coeffs[nb:]):
+        B[row[g], np.arange(col, col + len(g))[:, None]] = co
+        col += len(g)
+    if has_lambda:
+        B[row[groups[-1]], lambda_index] = float(claim.lambda_sign)
+    b = np.zeros(len(constraint_index))
+    b[row[groups[nb + ne].reshape(-1)]] = target_coeffs.floats()
 
     obj_free = np.zeros(num_free)
     if has_lambda:

@@ -60,6 +60,7 @@ from .termarrays import (
     Coefficients,
     concat,
     fold,
+    group_rows,
     outer,
     polynomial_of,
     product_groups,
@@ -255,38 +256,27 @@ def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, 
     if exps is None or (exps >= 2**62).any():
         mono = next(m for m in basis if any(e >= 2**62 for e in m))
         raise ValueError(f"exponent vector {mono} has an exponent beyond 2^62")
-    (group,), size = product_groups([(exps, exps)], num_vars)
-    pair = np.empty(size, dtype=np.intp)
-    pair[group] = np.arange(s * s)  # a pair of each group
-    return group, exps[pair // s] + exps[pair % s]
+    factors = [(exps, exps)]
+    groups, size = product_groups(factors, num_vars)
+    return groups[0], group_rows(factors, groups, size, num_vars)
 
 
 def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, Coefficients]:
-    """The terms of v' Q v as ``gram_to_polynomial`` orders and sums them:
-    the exponent vector of each, a row each, and their coefficients."""
+    """The terms of v' Q v as ``gram_to_polynomial`` orders and sums them,
+    one ``fold`` of the nonzero Gram entries: the exponent vector of each
+    term, a row each, and their coefficients."""
     s = len(basis)
     group, monos = _pair_groups(basis, num_vars)
     gram = _as_gram(gram, s)
-    exact = isinstance(gram, RationalGram)
-    flat = (gram.num if exact else gram).reshape(s * s)
-    size = len(monos)
-    # the first nonzero entry of each group, and the groups in the order of theirs
+    flat = (gram.num if isinstance(gram, RationalGram) else gram).reshape(s * s)
     nonzero = np.flatnonzero(flat)
-    first = np.full(size, s * s)
-    np.minimum.at(first, group[nonzero], nonzero)
-    present = np.flatnonzero(first < s * s)
-    present = present[np.argsort(first[present])]
-    if exact:  # Python ints, exact in any order
-        sums = np.zeros(size, dtype=object)
-        np.add.at(sums, group[nonzero], flat[nonzero])
+    k, entries = len(nonzero), flat[nonzero]
+    if isinstance(gram, RationalGram):
+        coeffs = Coefficients(np.full(k, FRACTION, dtype=np.int8), np.zeros(k), entries, gram.den)
     else:
-        sums = np.bincount(group, weights=flat, minlength=size)
-    sums = sums[present]
-    keep = sums != 0  # NaN is kept, as its truth value keeps it
-    monos, sums, k = monos[present[keep]], sums[keep], int(keep.sum())
-    if exact:
-        return monos, Coefficients(np.full(k, FRACTION, dtype=np.int8), np.zeros(k), sums, gram.den)
-    return monos, Coefficients(np.full(k, FLOAT, dtype=np.int8), sums)
+        coeffs = Coefficients(np.full(k, FLOAT, dtype=np.int8), entries)
+    present, sums = fold(group[nonzero], coeffs, len(monos))
+    return monos[present], sums
 
 
 def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
@@ -313,9 +303,9 @@ def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
 @dataclass(frozen=True)
 class SosWeight:
     """A weight does not change once built, so its expansions and its float
-    Gram are computed on first use and kept: the terms of v' Q v as arrays
-    for the identity check, its Polynomial for the printed certificate, and
-    the float Gram for both."""
+    Gram are computed on first use and kept: the terms of v' Q v as arrays,
+    for the identity check and for its Polynomial (``polynomial``), and the
+    float Gram for both."""
 
     tag: str  # "sigma0" | "ineq" | "cf" | "psi" (the module family's multiplier of f)
     index: int | None
@@ -325,7 +315,6 @@ class SosWeight:
     gram: np.ndarray | RationalGram
     _expansions: dict[int, tuple[np.ndarray, Coefficients]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _polynomials: dict[int, Polynomial] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gram", _as_gram(self.gram, len(self.basis)))
@@ -338,9 +327,7 @@ class SosWeight:
         return self._expansions[num_vars]
 
     def polynomial(self, num_vars: int) -> Polynomial:
-        if num_vars not in self._polynomials:
-            self._polynomials[num_vars] = gram_to_polynomial(self.gram, self.basis, num_vars)
-        return self._polynomials[num_vars]
+        return polynomial_of(num_vars, *self.expansion(num_vars))
 
     @functools.cached_property
     def _float(self) -> np.ndarray:
@@ -393,7 +380,7 @@ def claimed_statement(cert: ModuleCertificate, subject) -> Statement:
     module family, with the polynomial of the certificate's psi weight."""
     psi = cert.weight("psi")
     n = cert.num_vars
-    return statement(cert.family, subject, None if psi is None else polynomial_of(n, *psi.expansion(n)))
+    return statement(cert.family, subject, None if psi is None else psi.polynomial(n))
 
 
 def _same_vars(a: int, b: int) -> None:

@@ -107,23 +107,6 @@ def grlex_key(mono: Monomial):
     return (sum(mono), tuple(-e for e in mono))
 
 
-def _floated_pair(a: Mapping[Monomial, Coeff], b: Mapping[Monomial, Coeff],
-                  shared_only: bool) -> tuple[Mapping[Monomial, Coeff], Mapping[Monomial, Coeff]]:
-    """The term maps a and b, where one holds only float coefficients, with the
-    Fraction coefficients of the other that meet a float (every one of them in a
-    product; in a sum, those of a shared monomial) converted to float once.
-    ``Fraction`` computes a mixed sum or product from the same float,
-    numerator / denominator, pair by pair, so the results are the same."""
-    for floats, other, swap in ((a, b, False), (b, a, True)):
-        if floats and other and set(map(type, floats.values())) == {float}:
-            if Fraction in set(map(type, other.values())):
-                other = {m: c.numerator / c.denominator
-                         if type(c) is Fraction and (not shared_only or m in floats) else c
-                         for m, c in other.items()}
-            return (other, floats) if swap else (floats, other)
-    return a, b
-
-
 class Polynomial:
     """Immutable sparse polynomial in a fixed number of variables.
 
@@ -229,10 +212,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        a, b = _floated_pair(self._terms, other._terms, shared_only=True)
-        merged = dict(a)
+        merged = dict(self._terms)
         # a new monomial takes its coefficient as is: 0 + a Fraction is an addition
-        for mono, coeff in b.items():
+        for mono, coeff in other._terms.items():
             old = merged.get(mono)
             merged[mono] = coeff if old is None else old + coeff
         return Polynomial._from_checked(self.num_vars, merged)
@@ -248,10 +230,9 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            a, b = _floated_pair(self._terms, other._terms, shared_only=False)
             prod: dict[Monomial, Coeff] = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
+            for m1, c1 in self._terms.items():
+                for m2, c2 in other._terms.items():
                     mono = monomial_mul(m1, m2)
                     old = prod.get(mono)
                     prod[mono] = c1 * c2 if old is None else old + c1 * c2

@@ -73,6 +73,19 @@ def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
     return [group[end - len(a) * len(b):end] for (a, b), end in zip(factors, ends)], size
 
 
+def group_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]], groups: Sequence[np.ndarray],
+               size: int, num_vars: int) -> np.ndarray:
+    """The exponent vector of each group of ``product_groups``, a row each:
+    that of a product a[i] + b[j] in it."""
+    rows = np.zeros((size, num_vars), dtype=np.int64)
+    for (a, b), group in zip(factors, groups):
+        at = np.full(size, -1)
+        at[group.reshape(-1)] = np.arange(group.size)
+        hit = np.flatnonzero(at >= 0)
+        rows[hit] = a[at[hit] // len(b)] + b[at[hit] % len(b)]
+    return rows
+
+
 # the type a coefficient has in ``Polynomial`` arithmetic, ordered so that an
 # exact sum or product has the larger kind of its operands
 INT, FRACTION, FLOAT = 0, 1, 2
@@ -177,8 +190,8 @@ def fold(group: np.ndarray, c: Coefficients, size: int) -> tuple[np.ndarray, Coe
     lead = ~is_float & (position < first_float[group])  # the exact terms before a sum's first float
     exact = np.zeros(size, dtype=object)
     np.add.at(exact, group[lead], c.num[lead])
-    kind = np.zeros(size, dtype=np.int8)
-    np.maximum.at(kind, group[lead], c.kind[lead])
+    kind = np.zeros(size, dtype=np.int8)  # INT, but FRACTION where a Fraction leads the sum
+    kind[group[lead & (c.kind == FRACTION)]] = FRACTION
     floated = first_float < m
     fl = np.zeros(size)
     if floated.any():

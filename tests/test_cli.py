@@ -418,18 +418,19 @@ class TestVerifyRoundTrip:
     @pytest.mark.parametrize("sigma0, w, psi", [(1.5, 2.0, 0.5), ("3/2", "2", "1/2")],
                              ids=["float", "rational"])
     def test_text_verify_expands_each_gram_once(self, tmp_path, capsys, monkeypatch, sigma0, w, psi):
-        # the identity check expands no Gram into a Polynomial; the printed
-        # certificate does, once per Gram, and reuses the check's float Grams
+        # each Gram is expanded once, for the identity check, the module
+        # statement's psi and the printed certificate alike, and each float
+        # Gram is formed once
         calls = collections.Counter()
-        for name in ("gram_to_polynomial", "_gram_float"):
+        for name in ("_expand", "_gram_float"):
             def counted(*args, _name=name, _original=getattr(popnc.certificates, name)):
                 calls[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(popnc.certificates, name, counted)
-        for flags, expanded in (((), 4), (("--json",), 0)):
+        for flags in ((), ("--json",)):
             calls.clear()
             assert self._verify(tmp_path, _module_cert(sigma0, w, psi), EX31, *flags) == 0
-            assert (calls["gram_to_polynomial"], calls["_gram_float"]) == (expanded, 4), flags
+            assert (calls["_expand"], calls["_gram_float"]) == (4, 4), flags
         assert "psi = 0.5" in capsys.readouterr().out
 
 
