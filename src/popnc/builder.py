@@ -17,9 +17,10 @@ value) entries of its Gram pairs r <= c, and the free-variable matrix B.
 Rows are assembled on exponent arrays: every term of the identity (a Gram
 pair by a generator term, a multiplier basis monomial by a generator term,
 the target's terms and lambda's constant) is grouped by its monomial in one
-``termarrays.product_groups`` call.  The groups that keep a term after
-``_reduce_bases`` are the rows, in ``grlex_key`` order, and the entries, B
-and b are scattered from arrays.  Distinct generator terms give distinct
+``termarrays.product_groups`` call, which gives each group's exponent vector.
+The groups that keep a term after ``_reduce_bases`` are the rows, put in
+graded-lex order by one array sort of those vectors, and the entries, B and
+b are scattered from arrays.  Distinct generator terms give distinct
 products, so each (row, r, c) and each (row, column) of B holds one term.
 
 What each certificate family proves -- its target, generators and the
@@ -59,9 +60,9 @@ from .certificates import (
     Statement,
     statement,
 )
-from .polynomial import Coeff, Monomial, Polynomial, grlex_key
+from .polynomial import Coeff, Monomial, Polynomial
 from .sdp import SdpProblem, SdpSolution, Status
-from .termarrays import exponent_rows, group_rows, product_groups, terms_of
+from .termarrays import exponent_rows, product_groups, terms_of
 
 
 def monomial_basis(num_vars: int, max_degree: int) -> list[Monomial]:
@@ -272,10 +273,10 @@ def build_membership_program(claim: Statement, k: int) -> SdpProblem:
     has_lambda = claim.lambda_sign != 0
     if has_lambda:
         factors.append((zero, zero))
-    groups, size = product_groups(factors, n)
+    groups, monos = product_groups(factors, n)
     groups = [g.reshape(len(x), len(y)) for g, (x, y) in zip(groups, factors)]
 
-    fixed = np.zeros(size, dtype=bool)  # the rows of the free-variable and target terms
+    fixed = np.zeros(len(monos), dtype=bool)  # the rows of the free-variable and target terms
     for g in groups[nb:]:
         fixed[g] = True
     keep = [np.ones(len(blk.basis), dtype=bool) for blk in blocks]
@@ -286,10 +287,10 @@ def build_membership_program(claim: Statement, k: int) -> SdpProblem:
     for g, lv in zip(groups, live):
         used[g[lv]] = True
     used = np.flatnonzero(used)
-    monos = [tuple(m) for m in group_rows(factors, groups, size, n)[used].tolist()]
-    order = sorted(range(len(used)), key=lambda i: grlex_key(monos[i]))
-    constraint_index = [monos[i] for i in order]
-    row = np.empty(size, dtype=np.intp)
+    # ``grlex_key``'s order: total degree (lexsort's last key) first, then descending x1, x2, ...
+    order = np.lexsort([*-monos[used, ::-1].T, monos[used].sum(axis=1)])
+    constraint_index = [tuple(m) for m in monos[used[order]].tolist()]
+    row = np.empty(len(monos), dtype=np.intp)
     row[used[order]] = np.arange(len(order))
 
     solver_block_dims: list[int] = []

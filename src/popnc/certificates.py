@@ -60,7 +60,6 @@ from .termarrays import (
     Coefficients,
     concat,
     fold,
-    group_rows,
     outer,
     polynomial_of,
     product_groups,
@@ -256,9 +255,8 @@ def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, 
     if exps is None or (exps >= 2**62).any():
         mono = next(m for m in basis if any(e >= 2**62 for e in m))
         raise ValueError(f"exponent vector {mono} has an exponent beyond 2^62")
-    factors = [(exps, exps)]
-    groups, size = product_groups(factors, num_vars)
-    return groups[0], group_rows(factors, groups, size, num_vars)
+    groups, rows = product_groups([(exps, exps)], num_vars)
+    return groups[0], rows
 
 
 def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, Coefficients]:
@@ -436,7 +434,8 @@ def identity_residual(cert: ModuleCertificate, claim: Statement) -> Coeff:
     shifted = claim.lambda_sign != 0 and cert.lam != 0
     if shifted:
         factors.append((zero, zero))
-    groups, size = product_groups(factors, n)
+    groups, rows = product_groups(factors, n)
+    size = len(rows)
 
     def add(a, b):
         return fold(np.concatenate([a[0], b[0]]), concat(a[1], b[1]), size)

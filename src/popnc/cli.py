@@ -44,14 +44,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number_flag(text: str) -> float:
-    """The value of --c or --margin, read as a ``c:`` line reads it.  "inf"
-    and "nan" pass as floats, for the problem check to refuse as not finite."""
+    """The value of --c, --margin or --tol, read as a ``c:`` line reads it.
+    "inf" and "nan" pass as floats, for the problem check (or ``_tol_flag``)
+    to refuse as not finite."""
     try:
         return read_number(text, False)
     except NumberError as exc:
         if text.strip().lstrip("+-").lower() in ("inf", "infinity", "nan"):
             return float(text)
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _tol_flag(text: str) -> float:
+    """The value of --tol, read as --c is: a finite number >= 0.  0 is
+    exact: ``verify --tol 0`` demands an exact identity."""
+    value = _number_flag(text)
+    if not 0 <= value < float("inf"):  # NaN too
+        raise argparse.ArgumentTypeError(f"{text.strip()} is not a finite number >= 0")
+    return value
 
 
 @functools.cache
@@ -75,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dump-sdp", metavar="DIR", default=None,
                            help="write each order's SDP in the debug dump format to DIR")
         if tol:
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=_tol_flag, default=None,
                            help="main tolerance of the subcommand (stabilization, "
                                 "positivity or verification depending on the command)")
         p.add_argument("--c", type=_number_flag, default=None, help="override the level bound c")

@@ -4,11 +4,12 @@ Fraction per term.
 
 A monomial is a group of ``product_groups``: products of monomials are
 grouped by one packing of their exponents (or a lexsort when it does not
-fit in an int64).  A coefficient keeps the type it has in ``Polynomial``
-arithmetic (``Coefficients``): a float, or an int or a Fraction held as an
-integer numerator over one denominator.  ``outer`` multiplies two term
-lists as the loop over their pairs does, and ``fold`` sums the terms of
-each group in the order, and with the types, of a term dict.
+fit in an int64), and each group comes with its exponent vector.  A
+coefficient keeps the type it has in ``Polynomial`` arithmetic
+(``Coefficients``): a float, or an int or a Fraction held as an integer
+numerator over one denominator.  ``outer`` multiplies two term lists as
+the loop over their pairs does, and ``fold`` sums the terms of each group
+in the order, and with the types, of a term dict.
 """
 
 from __future__ import annotations
@@ -35,18 +36,19 @@ def exponent_rows(monos: Sequence[Monomial], num_vars: int) -> np.ndarray:
 
 
 def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
-                   num_vars: int) -> tuple[list[np.ndarray], int]:
+                   num_vars: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The products of monomials grouped by their value: for each pair (a, b)
     of exponent-vector arrays, the group of each product a[i] + b[j],
-    row-major, and the number of groups.  Groups are shared across the pairs
-    and numbered in the lexicographic order of the reversed exponent vectors.
-    A product's key packs its exponents into one int64, the last variable
-    most significant, when every variable's digit (its largest product
-    exponent + 1) fits in 2^62 together: packing is linear without carries,
-    so the key of a product is the sum of its factors' keys, and the keys
-    sort as the vectors do.  Else the products are grouped by a lexsort of
-    their exponent vectors.  Raises ValueError for a product exponent of
-    2^63 or more."""
+    row-major, and the exponent vector of each group, a row each.  Groups
+    are shared across the pairs and numbered in the lexicographic order of
+    the reversed exponent vectors.  A product's key packs its exponents into
+    one int64, the last variable most significant, when every variable's
+    digit (its largest product exponent + 1) fits in 2^62 together: packing
+    is linear without carries, so the key of a product is the sum of its
+    factors' keys, the keys sort as the vectors do, and a group's digits are
+    its exponents.  Else the products are grouped by a lexsort of their
+    exponent vectors.  Raises ValueError for a product exponent of 2^63 or
+    more."""
     top = [0] * num_vars
     for a, b in factors:
         if len(a) and len(b):  # Python ints: a sum of two int64 maxima may overflow
@@ -59,31 +61,18 @@ def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
         weights = np.cumprod([1, *radix[:-1]], dtype=np.int64)
         keys = [((a @ weights)[:, None] + (b @ weights)[None, :]).reshape(-1) for a, b in factors]
         uniq, group = np.unique(np.concatenate([np.zeros(0, np.int64), *keys]), return_inverse=True)
-        size = len(uniq)
+        rows = uniq[:, None] // weights % radix
     else:
-        rows = np.concatenate([np.zeros((0, num_vars), np.int64),
-                               *((a[:, None, :] + b[None, :, :]).reshape(-1, num_vars) for a, b in factors)])
-        order = np.lexsort(rows.T)
-        ordered = rows[order]
-        starts = np.ones(len(rows), dtype=bool)
+        products = np.concatenate([np.zeros((0, num_vars), np.int64),
+                                   *((a[:, None, :] + b[None, :, :]).reshape(-1, num_vars) for a, b in factors)])
+        order = np.lexsort(products.T)
+        ordered = products[order]
+        starts = np.ones(len(products), dtype=bool)
         starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        group = np.empty(len(rows), dtype=np.intp)
+        group = np.empty(len(products), dtype=np.intp)
         group[order] = np.cumsum(starts) - 1
-        size = int(starts.sum())
-    return [group[end - len(a) * len(b):end] for (a, b), end in zip(factors, ends)], size
-
-
-def group_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]], groups: Sequence[np.ndarray],
-               size: int, num_vars: int) -> np.ndarray:
-    """The exponent vector of each group of ``product_groups``, a row each:
-    that of a product a[i] + b[j] in it."""
-    rows = np.zeros((size, num_vars), dtype=np.int64)
-    for (a, b), group in zip(factors, groups):
-        at = np.full(size, -1)
-        at[group.reshape(-1)] = np.arange(group.size)
-        hit = np.flatnonzero(at >= 0)
-        rows[hit] = a[at[hit] // len(b)] + b[at[hit] % len(b)]
-    return rows
+        rows = ordered[starts]
+    return [group[end - len(a) * len(b):end] for (a, b), end in zip(factors, ends)], rows
 
 
 # the type a coefficient has in ``Polynomial`` arithmetic, ordered so that an

@@ -533,6 +533,42 @@ class TestFlags:
         assert code == 3
         assert f"input error: {flag[2:]} holds a number that is not finite" in err
 
+    @pytest.mark.parametrize("command", ["minimize", "arch-check", "coercive-check", "verify"])
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "inf is not a finite number >= 0"),
+        ("-inf", "-inf is not a finite number >= 0"),
+        ("nan", "nan is not a finite number >= 0"),
+        ("-1", "-1 is not a finite number >= 0"),
+        ("1e-400", "1e-400 lies beyond the float range"),
+    ])
+    def test_tol_refused_as_a_c_line(self, tmp_path, capsys, command, value, message):
+        # verify --tol inf once passed a certificate whose identity was off by 5,
+        # and --tol 1e-400 ran with tol 0 without a word
+        problem, cert = tmp_path / "p.pop", tmp_path / "cert.json"
+        problem.write_text(SHIFTED)
+        cert.write_text(json.dumps(SHIFTED_CERT))
+        files = [str(cert), str(problem)] if command == "verify" else [str(problem)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *files, f"--tol={value}"])
+        assert exc.value.code == 3
+        assert f"popnc: input error: argument --tol: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["minimize", "arch-check", "coercive-check", "verify"])
+    @pytest.mark.parametrize("value, tol", [("0", 0.0), ("1/2", 0.5)])
+    def test_tol_read_as_a_c_line(self, tmp_path, capsys, command, value, tol):
+        # 0 is a valid tolerance: verify --tol 0 demands an exact identity,
+        # which SHIFTED_CERT meets
+        problem, cert = tmp_path / "p.pop", tmp_path / "cert.json"
+        problem.write_text(SHIFTED)
+        cert.write_text(json.dumps(SHIFTED_CERT))
+        files = [str(cert), str(problem)] if command == "verify" else [str(problem)]
+        orders = [] if command == "verify" else ["--k-max", "2"]
+        code = cli_main([command, *files, *orders, "--tol", value, "--json"])
+        tree = json.loads(capsys.readouterr().out)
+        assert code in (0, 2)
+        if command == "verify":
+            assert code == 0 and tree["verification"]["tol"] == tol
+
     def test_overflowing_coefficient_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "p.pop"
         path.write_text("vars: x\nobj: 1e999*x^2\nc: 1\n")

@@ -8,10 +8,12 @@ Grams are in test_payload_gram_properties.py.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gram_reference import check_payload_gram, reference_pair_groups
 from popnc.certificates import RationalGram, _pair_groups, certificate_from_payload
+from popnc.termarrays import product_groups
 
 BASIS = [[0, 0], [1, 0], [0, 1]]
 BIG = "9" * 308  # the most digits a numerator within the float range has
@@ -115,3 +117,20 @@ def test_pair_groups_match_the_lexsort(basis, packed):
     want_group, want_monos = reference_pair_groups(basis, num_vars)
     assert group.tolist() == want_group.tolist()
     assert [tuple(m) for m in monos.tolist()] == want_monos
+
+
+@pytest.mark.parametrize("num_vars, top, packed", [(3, 4, True), (40, 1, False)], ids=["packed", "lexsort"])
+def test_product_groups_give_each_group_its_row(num_vars, top, packed):
+    # exponents up to 1 in 40 variables: a digit of 3 per variable, 3^40 > 2^62
+    rng = np.random.default_rng(7)
+    a, b, c = (rng.integers(0, top + 1, size=(m, num_vars), dtype=np.int64) for m in (5, 3, 2))
+    # (b, a) meets the products of (a, b) again: groups are shared across the pairs
+    factors = [(a, b), (np.zeros((0, num_vars), np.int64), b), (b, a), (c, c[:1])]
+    products = [(x[:, None, :] + y[None, :, :]).reshape(-1, num_vars) for x, y in factors]
+    assert (math.prod((np.concatenate(products).max(axis=0) + 1).tolist()) <= 2**62) == packed
+    groups, rows = product_groups(factors, num_vars)
+    for group, product in zip(groups, products):
+        assert group.shape == (len(product),) and (rows[group] == product).all()
+    assert sorted(set(np.concatenate(groups).tolist())) == list(range(len(rows)))
+    keys = [tuple(reversed(row)) for row in rows.tolist()]
+    assert keys == sorted(set(keys))  # distinct, and in the order of the reversed vectors
