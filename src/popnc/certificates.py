@@ -783,7 +783,7 @@ def certificate_from_payload(payload: dict) -> ModuleCertificate:
         sos_weights=weights,
         eq_multipliers=mults,
         residual=residual,
-        family=payload.get("family", "membership"),
+        family=payload["family"],
     )
 
 

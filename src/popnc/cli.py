@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .certificates import (
@@ -231,7 +232,15 @@ def _run_solve_command(args) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``popnc ... | head``): stdout goes
+        # to devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

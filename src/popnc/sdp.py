@@ -7,10 +7,10 @@ Problems are given in primal standard form with optional free variables:
                 X  block-diagonal PSD,  u free
 
 (`sense="max"` negates the objective internally).  An `SdpProblem` stores
-each PSD block's constraints as the (row, r, c, value) arrays of their
-upper-triangle entries, and B and b dense; no dense matrix is formed per
-row.  The solver checks the entries once as it mirrors them into its
-internal form: row, flat position and value arrays per block.
+each PSD block's constraints and objective as the (row, r, c, value) and
+(r, c, value) arrays of their upper-triangle entries, and B and b dense; no
+dense matrix is formed.  The solver checks the entries once as it mirrors
+them into its internal form: row, flat position and value arrays per block.
 
 One presolve step makes the problem pure-PSD.  It eliminates the free
 variables by an SVD of B restricted to the rows where B is nonzero.  Rows
@@ -97,19 +97,19 @@ class LinearConstraint:
 
 @dataclass
 class SdpProblem:
-    """The program above.  Row i's coefficient matrix of block b holds
-    value[k] at (r[k], c[k]) and its mirror for each k with row[k] == i,
-    where ``entries[b] = (row, r, c, value)`` and r <= c.  ``B`` (p, q) holds
-    the free-variable coefficients and ``b`` (p,) the right-hand side."""
+    """The program above, which has no constant term.  Row i's coefficient
+    matrix of block b holds value[k] at (r[k], c[k]) and its mirror for each
+    k with row[k] == i, where ``entries[b] = (row, r, c, value)`` and r <= c;
+    C_b is ``obj_entries[b] = (r, c, value)`` read so, and 0 when not listed.
+    ``B`` (p, q) holds the free-variable coefficients and ``b`` (p,) the right-hand side."""
 
     block_dims: list[int]
     entries: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     B: np.ndarray
     b: np.ndarray
-    obj_blocks: dict[int, np.ndarray] = field(default_factory=dict)
+    obj_entries: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
     obj_free: np.ndarray | None = None
     sense: str = "min"
-    obj_offset: float = 0.0
     meta: Any = None
 
     @property
@@ -435,7 +435,6 @@ class _Data:
     b: np.ndarray  # (p,)
     C: list[np.ndarray]
     c: np.ndarray  # (q,)
-    offset: float
 
 
 @dataclass
@@ -490,50 +489,31 @@ class _Reduced:
         return M
 
 
-def _block_matrix(dims: list[int], b: int, mat) -> np.ndarray:
-    """mat as a float array, checked as the objective of block b.  Symmetric
-    means finite and |M - M'| <= 1e-12 (1 + max|M|) + 1e-5 |M'| entrywise; a
-    NaN or infinite entry makes M - M' nonzero, so the exact test finds it."""
-    if not 0 <= b < len(dims):
-        raise SdpStructureError(f"objective: block index {b} out of range")
-    M = np.asarray(mat, dtype=float)
-    d = dims[b]
-    if M.shape != (d, d):
-        raise SdpStructureError(f"objective: block {b} has shape {M.shape}, expected {(d, d)}")
-    diff = M - M.T
-    if diff.any():
-        amax = np.abs(M).max()
-        if not (np.isfinite(amax) and np.all(np.abs(diff) <= 1e-12 * (1.0 + amax) + 1e-5 * np.abs(M.T))):
-            raise SdpStructureError(f"objective: block {b} coefficient matrix is not symmetric")
-    return M
-
-
-def _entry_block(d: int, p: int, bi: int, entries) -> _Block:
-    """Block bi's (row, r, c, value) entries, checked, as a _Block: the
-    off-diagonal entries mirrored, exact zeros dropped, sorted by (row, pos)."""
+def _entry_block(d: int, p: int, name: str, entries) -> _Block:
+    """(row, r, c, value) entries, checked, as a _Block whose refusals start with
+    name: the off-diagonal entries mirrored, exact zeros dropped, sorted by (row, pos)."""
     row, r, c, val = entries
     row, r, c = (np.asarray(a, dtype=np.intp) for a in (row, r, c))
     val = np.asarray(val, dtype=float)
     if not row.shape == r.shape == c.shape == val.shape == (row.size,):
-        raise SdpStructureError(f"block {bi}: its row, r, c and value arrays differ in length")
+        raise SdpStructureError(f"{name}: its row, r, c and value arrays differ in length")
     if row.size and (row.min() < 0 or row.max() >= p):
-        raise SdpStructureError(f"block {bi}: a row index lies outside [0, {p})")
+        raise SdpStructureError(f"{name}: a row index lies outside [0, {p})")
     if np.any(r < 0) or np.any(r > c) or np.any(c >= d):
-        raise SdpStructureError(f"block {bi}: an entry (r, c) has not 0 <= r <= c < {d}")
+        raise SdpStructureError(f"{name}: an entry (r, c) has not 0 <= r <= c < {d}")
     if not np.isfinite(val).all():
-        raise SdpStructureError(f"block {bi}: a value is not finite")
+        raise SdpStructureError(f"{name}: a value is not finite")
     off = r != c
     rows, pos, val = (np.concatenate(pair) for pair in
                       ((row, row[off]), (r * d + c, (c * d + r)[off]), (val, val[off])))
     key = rows * (d * d) + pos
     order = np.argsort(key, kind="stable")
     if np.any(key[order[1:]] == key[order[:-1]]):
-        raise SdpStructureError(f"block {bi}: an entry (row, r, c) is listed twice")
+        raise SdpStructureError(f"{name}: an entry (row, r, c) is listed twice")
     order = order[val[order] != 0]
     return _Block(d, p, rows[order], pos[order], val[order])
 
 
-@np.errstate(invalid="ignore")  # inf - inf in a symmetry test is a refusal, not a warning
 def _to_internal(problem: SdpProblem) -> _Data:
     if problem.sense not in ("min", "max"):
         raise SdpStructureError(f"sense must be 'min' or 'max', got {problem.sense!r}")
@@ -550,15 +530,18 @@ def _to_internal(problem: SdpProblem) -> _Data:
         raise SdpStructureError("objective free-vector length mismatch")
     flip = -1.0 if problem.sense == "max" else 1.0
     C = [np.zeros((d, d)) for d in dims]
-    for bi, mat in problem.obj_blocks.items():
-        C[bi] = flip * _sym(_block_matrix(dims, bi, mat))
+    for bi, (r, c, val) in problem.obj_entries.items():
+        if not 0 <= bi < len(dims):
+            raise SdpStructureError(f"objective: block index {bi} out of range")
+        ent = (np.zeros(np.size(r), dtype=np.intp), r, c, val)
+        C[bi] = _entry_block(dims[bi], 1, f"objective: block {bi}", ent).adjoint(np.array([flip]))
     if len(problem.entries) != len(dims):
         raise SdpStructureError(f"{len(problem.entries)} entry lists for {len(dims)} blocks")
-    A = [_entry_block(d, p, bi, ent) for bi, (d, ent) in enumerate(zip(dims, problem.entries))]
+    A = [_entry_block(d, p, f"block {bi}", ent) for bi, (d, ent) in enumerate(zip(dims, problem.entries))]
     c = np.zeros(q)
     if q and problem.obj_free is not None:
         c = flip * np.asarray(problem.obj_free, dtype=float)
-    return _Data(dims, A, B, b, C, c, flip * problem.obj_offset)
+    return _Data(dims, A, B, b, C, c)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +582,7 @@ def _solve_eliminated(data: _Data) -> SdpSolution:
     if c_null.size and np.abs(c_null).max() > 1e-11 * (1.0 + np.abs(data.c).max()):
         # objective unbounded along a free direction, provided the rest
         # of the problem is feasible at all
-        feas = _Data(dims, data.A, data.B, data.b, [np.zeros_like(Cb) for Cb in data.C],
-                     np.zeros(q), 0.0)
+        feas = _Data(dims, data.A, data.B, data.b, [np.zeros_like(Cb) for Cb in data.C], np.zeros(q))
         probe = _solve_eliminated(feas)
         if probe.status is Status.OPTIMAL:
             ray_dir = V2 @ c_null
@@ -681,7 +663,7 @@ def _solve_eliminated(data: _Data) -> SdpSolution:
             U = U[:, keep[k:]]
     nk = int(keep[:k].sum())
     red = _Reduced(dims, A, nk, None if U is None else U / rn[keep][nk:], (b / rn)[keep], C,
-                   data.offset + float(w @ data.b))
+                   float(w @ data.b))
     Anorm = max(1.0, float((np.sqrt(fro2[keep]) / rn[keep]).max(initial=0.0)))
 
     sol = _solve_reduced(red, Anorm) if red.b.size else _solve_degenerate(red)
@@ -695,8 +677,8 @@ def _solve_eliminated(data: _Data) -> SdpSolution:
         sol.free = V1 @ ((U1.T @ res[supp]) / sig[:r])
     if sol.status is Status.OPTIMAL:
         sol.y += w
-        sol.obj_primal = _inner_blocks(data.C, sol.X) + float(data.c @ sol.free) + data.offset
-        sol.obj_dual = float(data.b @ sol.y) + data.offset
+        sol.obj_primal = _inner_blocks(data.C, sol.X) + float(data.c @ sol.free)
+        sol.obj_dual = float(data.b @ sol.y)
     elif sol.status is Status.DUAL_INFEASIBLE:
         sol.y = np.zeros(p)
     return sol
@@ -1007,11 +989,13 @@ def dump_sdp(problem: SdpProblem, stream) -> None:
     for i, d in enumerate(problem.block_dims):
         w(f"block {i} psd {d}\n")
     w(f"free {problem.num_free}\n")
-    w(f"offset {float(problem.obj_offset)!r}\n")
+    w("offset 0.0\n")  # an SdpProblem has no constant term; format 1 keeps the line
     w("objective\n")
-    for bi, mat in sorted(problem.obj_blocks.items()):
-        for (r, c) in zip(*np.nonzero(np.triu(mat))):
-            w(f"  obj {bi} {r} {c} {float(mat[r, c])!r}\n")
+    for bi in sorted(problem.obj_entries):
+        r, c, val = (np.asarray(a) for a in problem.obj_entries[bi])
+        order = np.lexsort((c, r))
+        for k in order[val[order] != 0]:
+            w(f"  obj {bi} {r[k]} {c[k]} {float(val[k])!r}\n")
     if problem.obj_free is not None:
         for j in np.nonzero(problem.obj_free)[0]:
             w(f"  objfree {j} {float(problem.obj_free[j])!r}\n")

@@ -170,9 +170,9 @@ def assert_same_program(claim, k):
 
 
 def assert_every_family(subject, extra=2):
-    """Each family's program of ``subject`` at k_min..k_min+extra; the
-    coercivity family only for an objective of even degree >= 2."""
-    built = 0
+    """Each family's program of ``subject`` at k_min..k_min+extra, in a list;
+    the coercivity family only for an objective of even degree >= 2."""
+    built = []
     for family in FAMILIES:
         try:
             claim = statement(family, subject)
@@ -180,6 +180,5 @@ def assert_every_family(subject, extra=2):
             continue
         kmin = claim.min_order()
         for k in range(kmin, kmin + extra + 1):
-            assert_same_program(claim, k)
-            built += 1
+            built.append(assert_same_program(claim, k))
     return built

@@ -15,20 +15,38 @@ def _c(blocks, free, rhs):
     return LinearConstraint(blocks, np.asarray(free, dtype=float), rhs)
 
 
-def dense_problem(block_dims, num_free, constraints, **kw) -> SdpProblem:
-    """An SdpProblem from rows written with a dense matrix per block: each
-    matrix's nonzero upper-triangle entries, the free coefficients as B."""
+def _upper_entries(mat):
+    """The (r, c, value) arrays of a dense matrix's nonzero upper-triangle entries."""
+    mat = np.asarray(mat, dtype=float)
+    r, c = np.nonzero(np.triu(mat))
+    return r, c, mat[r, c]
+
+
+def dense_problem(block_dims, num_free, constraints, objective=None, **kw) -> SdpProblem:
+    """An SdpProblem from rows, and an objective, written with a dense matrix
+    per block: each matrix's nonzero upper-triangle entries, the free
+    coefficients as B."""
     parts = [[] for _ in block_dims]
     for i, con in enumerate(constraints):
         for bi, mat in con.blocks.items():
-            mat = np.asarray(mat, dtype=float)
-            r, c = np.nonzero(np.triu(mat))
-            parts[bi].append((np.full(r.size, i), r, c, mat[r, c]))
+            r, c, val = _upper_entries(mat)
+            parts[bi].append((np.full(r.size, i), r, c, val))
     entries = [tuple(np.concatenate(a) for a in zip(*part)) if part
                else (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),) for part in parts]
     B = np.array([con.free for con in constraints], dtype=float).reshape(len(constraints), num_free)
     b = np.array([con.rhs for con in constraints], dtype=float)
-    return SdpProblem(block_dims=list(block_dims), entries=entries, B=B, b=b, **kw)
+    obj_entries = {bi: _upper_entries(mat) for bi, mat in (objective or {}).items()}
+    return SdpProblem(block_dims=list(block_dims), entries=entries, B=B, b=b, obj_entries=obj_entries, **kw)
+
+
+def objective_matrix(problem: SdpProblem, bi: int) -> np.ndarray:
+    """C_b as a dense matrix, from its entries; zero for a block without them."""
+    d = problem.block_dims[bi]
+    C = np.zeros((d, d))
+    if bi in problem.obj_entries:
+        r, c, val = problem.obj_entries[bi]
+        C[r, c] = C[c, r] = val
+    return C
 
 
 def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
@@ -44,7 +62,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
                 _c({0: np.array([[1.0, 0.0], [0.0, -1.0]])}, [], 0.0),
                 _c({0: np.array([[0.0, 0.5], [0.5, 0.0]])}, [], 1.0),
             ],
-            obj_blocks={0: np.array([[1.0, 0.0], [0.0, 0.0]])},
+            objective={0: np.array([[1.0, 0.0], [0.0, 0.0]])},
             obj_free=np.zeros(0),
         ),
         Status.OPTIMAL, 1.0,
@@ -56,7 +74,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.eye(2)}, [], -1.0)],
-            obj_blocks={}, obj_free=np.zeros(0),
+            obj_free=np.zeros(0),
         ),
         Status.PRIMAL_INFEASIBLE, None,
     ))
@@ -67,7 +85,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[1], num_free=1,
             constraints=[_c({0: np.array([[1.0]])}, [1.0], 1.0)],
-            obj_blocks={}, obj_free=np.array([1.0]), sense="max",
+            obj_free=np.array([1.0]), sense="max",
         ),
         Status.OPTIMAL, 1.0,
     ))
@@ -78,7 +96,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], 1.0)],
-            obj_blocks={}, obj_free=np.zeros(0),
+            obj_free=np.zeros(0),
         ),
         Status.OPTIMAL, 0.0,
     ))
@@ -89,7 +107,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], 1.0)],
-            obj_blocks={0: np.diag([1.0, -1.0])}, obj_free=np.zeros(0),
+            objective={0: np.diag([1.0, -1.0])}, obj_free=np.zeros(0),
         ),
         Status.DUAL_INFEASIBLE, None,
     ))
@@ -100,7 +118,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[2], num_free=0,
             constraints=[_c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], -2.0)],
-            obj_blocks={}, obj_free=np.zeros(0),
+            obj_free=np.zeros(0),
         ),
         Status.PRIMAL_INFEASIBLE, None,
     ))
@@ -114,7 +132,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
                 _c({0: np.array([[1.0]])}, [1.0], 2.0),
                 _c({}, [1.0], 1.0),
             ],
-            obj_blocks={0: np.array([[1.0]])}, obj_free=np.zeros(1),
+            objective={0: np.array([[1.0]])}, obj_free=np.zeros(1),
         ),
         Status.OPTIMAL, 1.0,
     ))
@@ -125,7 +143,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[1], num_free=1,
             constraints=[_c({0: np.array([[1.0]])}, [0.0], 1.0)],
-            obj_blocks={}, obj_free=np.array([1.0]),
+            obj_free=np.array([1.0]),
         ),
         Status.DUAL_INFEASIBLE, None,
     ))
@@ -136,7 +154,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[1], num_free=0,
             constraints=[_c({}, [], 1.0)],
-            obj_blocks={}, obj_free=np.zeros(0),
+            obj_free=np.zeros(0),
         ),
         Status.PRIMAL_INFEASIBLE, None,
     ))
@@ -150,7 +168,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
                 _c({0: np.array([[1.0]]), 1: np.array([[1.0]])}, [], 2.0),
                 _c({0: np.array([[1.0]]), 1: np.array([[-1.0]])}, [], 0.0),
             ],
-            obj_blocks={0: np.array([[1.0]]), 1: np.array([[1.0]])},
+            objective={0: np.array([[1.0]]), 1: np.array([[1.0]])},
             obj_free=np.zeros(0),
         ),
         Status.OPTIMAL, 2.0,
@@ -165,7 +183,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
                 _c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], 1.0),
                 _c({0: np.array([[1.0, 0.0], [0.0, 0.0]])}, [], 2.0),
             ],
-            obj_blocks={}, obj_free=np.zeros(0),
+            obj_free=np.zeros(0),
         ),
         Status.PRIMAL_INFEASIBLE, None,
     ))
@@ -176,7 +194,7 @@ def build_cases() -> list[tuple[str, SdpProblem, Status, float | None]]:
         dense_problem(
             block_dims=[1], num_free=1,
             constraints=[_c({0: np.array([[1.0]])}, [1.0], 3.0)],
-            obj_blocks={}, obj_free=np.array([1.0]), sense="max",
+            obj_free=np.array([1.0]), sense="max",
         ),
         Status.OPTIMAL, 3.0,
     ))
@@ -199,8 +217,8 @@ def recompute_residuals(problem: SdpProblem, sol):
 
     Z = []
     cnorm = 0.0
-    for bi, d in enumerate(problem.block_dims):
-        Cb = flip * np.asarray(problem.obj_blocks.get(bi, np.zeros((d, d))), dtype=float)
+    for bi in range(len(problem.block_dims)):
+        Cb = flip * objective_matrix(problem, bi)
         cnorm += float(np.tensordot(Cb, Cb))
         Zb = Cb.copy()
         for i, con in enumerate(problem.constraints):
@@ -248,8 +266,7 @@ def check_certificate(problem: SdpProblem, sol) -> None:
         assert resid <= 1e-6 * (1.0 + math.sqrt(sum(float(np.vdot(Xb, Xb)) for Xb in X)))
         for Xb in X:
             assert float(np.linalg.eigvalsh(Xb).min()) >= -1e-9
-        obj = sum(float(np.tensordot(np.asarray(mat, dtype=float), X[bi]))
-                  for bi, mat in problem.obj_blocks.items())
+        obj = sum(float(np.tensordot(objective_matrix(problem, bi), X[bi])) for bi in problem.obj_entries)
         if problem.num_free and problem.obj_free is not None:
             obj += float(np.dot(problem.obj_free, u))
         assert flip * obj < 0
@@ -313,6 +330,6 @@ def random_instance(seed: int, status: Status) -> SdpProblem:
     return dense_problem(
         block_dims=dims, num_free=q,
         constraints=[LinearConstraint(dict(enumerate(A[i])), B[i], float(b[i])) for i in range(p)],
-        obj_blocks={bi: flip * Cb for bi, Cb in enumerate(C)}, obj_free=flip * c,
+        objective={bi: flip * Cb for bi, Cb in enumerate(C)}, obj_free=flip * c,
         sense="min" if flip > 0 else "max",
     )

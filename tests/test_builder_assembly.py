@@ -1,9 +1,10 @@
 """The builder's array assembly against the dict assembly it replaced
 (``builder_reference``), bit for bit: block dims, kept bases, solver blocks,
 rows, B, b, the objective and each block's entries sorted by (row, r, c).
-Every family at orders k_min..k_min+2 on EX31 and on EX31 with odd terms
-and an equality (float and rational), and on the sextic; and one
-40-variable program.  Random objectives are in
+Every family at orders k_min..k_min+2 on EX31, on EX31 with odd terms
+and an equality and on two odd objectives whose programs drop basis
+monomials (float and rational), and on the sextic; and one 40-variable
+program.  Random objectives are in
 ``test_builder_assembly_properties``.
 """
 
@@ -23,11 +24,24 @@ EX31_ASYMMETRIC = ("vars: x1 x2\nobj: x1^2 + x1 + x2 + 1\nineq: 1 - x2^2\n"
                    "eq: x1^2 + x2 - 1/3\nc: 2\n")
 
 
+# odd objectives: the zero-diagonal rule drops 15 and 64 basis monomials
+# from their programs
+ODD_LINEAR = "vars: x\nobj: x\nc: 0\n"
+ODD_CUBIC = "vars: x y\nobj: x^3 + y^2\nc: 1\n"
+
+
 @pytest.mark.parametrize("text, rational", [(EX31, False), (EX31, True), (SEXTIC, False),
-                                            (EX31_ASYMMETRIC, False), (EX31_ASYMMETRIC, True)],
-                         ids=["ex31", "ex31-rational", "sextic", "asymmetric", "asymmetric-rational"])
+                                            (EX31_ASYMMETRIC, False), (EX31_ASYMMETRIC, True),
+                                            (ODD_LINEAR, False), (ODD_LINEAR, True),
+                                            (ODD_CUBIC, False), (ODD_CUBIC, True)],
+                         ids=["ex31", "ex31-rational", "sextic", "asymmetric", "asymmetric-rational",
+                              "odd-linear", "odd-linear-rational", "odd-cubic", "odd-cubic-rational"])
 def test_fixed_problems_build_as_the_reference(text, rational):
-    assert assert_every_family(parse_problem(text, rational=rational)) >= 6
+    programs = assert_every_family(parse_problem(text, rational=rational))
+    assert len(programs) >= 6
+    if text in (ODD_LINEAR, ODD_CUBIC):
+        # the cases that drive _reduce_bases
+        assert sum(len(blk.basis) - len(blk.kept) for sdp in programs for blk in sdp.meta.blocks) >= 1
 
 
 def test_forty_variables_build_as_the_reference():

@@ -133,6 +133,23 @@ class TestExitCodes:
         assert exc.value.code == 3
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["verify", "cert.json", "shifted.pop"], ["parse", "shifted.pop", "--json"]],
+                             ids=["verify", "parse-json"])
+    def test_closed_stdout_is_exit_one_without_traceback(self, tmp_path, command):
+        # ``popnc ... | head``: the reader closes stdout before popnc writes
+        (tmp_path / "cert.json").write_text(json.dumps(SHIFTED_CERT))
+        (tmp_path / "shifted.pop").write_text(SHIFTED)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(popnc.cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-c", "from popnc.cli import main; main()", *command],
+                                  cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
     def test_structure_error_is_numerical_failure(self, ex31_file, capsys, monkeypatch):
         import popnc.driver
@@ -266,6 +283,8 @@ class TestVerifyRoundTrip:
         ({**SHIFTED_CERT, "lambda": 1.0, "lambda_sign": -1}, SHIFTED,
          "lambda_sign -1 contradicts the hierarchy family, whose lambda_sign is 1"),
         ({**SHIFTED_CERT, "family": "foo"}, SHIFTED, "unknown certificate family 'foo'"),
+        # a missing family is named as a missing field, not read as a family
+        ({k: v for k, v in SHIFTED_CERT.items() if k != "family"}, SHIFTED, "'family'"),
         # x1^2 + 1 = 1 + (4/3) x1^2 (g1 + g2): valid against f, but without psi
         (_module_cert("1", "4/3"), EX31, "a module certificate must carry its SOS weight psi"),
         # x2 - x2 = 0 as the multiplier of x2; keeping one of the two terms would
@@ -291,7 +310,7 @@ class TestVerifyRoundTrip:
          SHIFTED, "sos weight 0 (sigma0), its gram: not a list of rows"),
         (_payload("hierarchy", -1.0, 1, _weight("sigma0", None, [[0, 0], [1, 0]], ["12", "34"])),
          SHIFTED, "sos weight 0 (sigma0), its gram: not a list of rows"),
-    ], ids=["forged sign", "unknown family", "module without psi", "repeated multiplier monomial",
+    ], ids=["forged sign", "unknown family", "no family", "module without psi", "repeated multiplier monomial",
             "huge exponent", "tiny exponent", "gram entry 1e350", "lambda 1e350", "400-digit denominator",
             "string gram", "object gram", "a string per row"])
     def test_refused_payloads(self, tmp_path, capsys, payload, problem, message):

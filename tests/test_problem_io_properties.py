@@ -71,7 +71,8 @@ def test_one_reader_for_every_literal(text):
     else:
         with pytest.raises(NumberError):
             read_number(text, True)
-    payload = {"num_vars": 1, "order": 1, "lambda": text, "lambda_sign": 1, "sos_weights": []}
+    payload = {"family": "hierarchy", "num_vars": 1, "order": 1, "lambda": text, "lambda_sign": 1,
+               "sos_weights": []}
     for rational in (False, True):
         expected = None if value is None else exact if rational else value
         readers = [

@@ -99,7 +99,11 @@ def _entries(row=(0,), r=(0,), c=(1,), val=(1.0,), dims=(2,), rhs=(1.0,), B=None
                       B=np.zeros((len(rhs), 0)) if B is None else B, b=np.array(rhs))
 
 
-ASYM = np.array([[0.0, 1.0], [0.0, 0.0]])
+def _objective(r=(0,), c=(1,), val=(1.0,)):
+    """One 2 x 2 block and one row, whose objective entries are the given arrays."""
+    prob = _entries()
+    prob.obj_entries = {0: (np.array(r), np.array(c), np.array(val, dtype=float))}
+    return prob
 
 
 class TestStructuralErrors:
@@ -108,12 +112,16 @@ class TestStructuralErrors:
         "block dim 0": (_entries(dims=(2, 0)), "block dimensions must be >= 1"),
         "objective free length": (_one_row(np.eye(2), np.zeros(1), obj_free=np.zeros(2)),
                                   "objective free-vector length mismatch"),
-        "objective block index": (_one_row(np.eye(2), obj_blocks={-1: np.eye(2)}),
+        "objective block index": (_one_row(np.eye(2), objective={-1: np.eye(2)}),
                                   "objective: block index -1 out of range"),
-        "objective shape": (_one_row(np.eye(2), obj_blocks={0: np.eye(3)}),
-                            r"objective: block 0 has shape \(3, 3\), expected \(2, 2\)"),
-        "objective asymmetry": (_one_row(np.eye(2), obj_blocks={0: ASYM}),
-                                "objective: block 0 coefficient matrix is not symmetric"),
+        # the objective's entries are checked as a block's entries over one row
+        "objective entry outside the block": (_objective(c=(2,)),
+                                              "objective: block 0: an entry .* has not 0 <= r <= c < 2"),
+        "objective unequal lengths": (_objective(r=(0, 1)),
+                                      "objective: block 0: its row, r, c and value arrays differ"),
+        "objective nan entry": (_objective(val=(np.nan,)), "objective: block 0: a value is not finite"),
+        "objective entry listed twice": (_objective(r=(0, 0), c=(1, 1), val=(1.0, 2.0)),
+                                         r"objective: block 0: an entry \(row, r, c\) is listed twice"),
         # one row per refusal of the stored constraint entries
         "unequal lengths": (_entries(row=(0, 0)), "block 0: its row, r, c and value arrays differ"),
         "negative row": (_entries(row=(-1,)), r"block 0: a row index lies outside \[0, 1\)"),
@@ -144,21 +152,13 @@ class TestStructuralErrors:
         assert blk.val.size == 0
         assert solve(_entries(val=(0.0,))).status is Status.PRIMAL_INFEASIBLE
 
-    # |M - M'| <= 1e-12 (1 + max|M|) + 1e-5 |M'| entrywise is symmetric
-    @pytest.mark.parametrize("mat, symmetric", [
-        (np.array([[1.0, 1e6], [1e6 * (1 + 0.9e-5), 1.0]]), True),
-        (np.array([[1.0, 1e6], [1e6 * (1 + 1.1e-5), 1.0]]), False),
-        (np.array([[0.0, 0.0], [1.8e-12, 1.0]]), True),
-        (np.array([[0.0, 0.0], [2.2e-12, 1.0]]), False),
-    ])
-    def test_symmetry_tolerance(self, mat, symmetric):
-        # of the objective, the one input still given as a dense matrix
-        prob = _one_row(np.eye(2), obj_blocks={0: mat})
-        if symmetric:
-            assert solve(prob).status is Status.OPTIMAL
-        else:
-            with pytest.raises(SdpStructureError):
-                solve(prob)
+    def test_objective_entries_are_mirrored(self):
+        # C = [[2, 3], [3, 0]]: the off-diagonal entry and its mirror, the
+        # exact zero dropped; negated for a maximization
+        prob = _objective(r=(0, 0, 1), c=(0, 1, 1), val=(2.0, 3.0, 0.0))
+        assert np.array_equal(sdp._to_internal(prob).C[0], [[2.0, 3.0], [3.0, 0.0]])
+        prob.sense = "max"
+        assert np.array_equal(sdp._to_internal(prob).C[0], [[-2.0, -3.0], [-3.0, 0.0]])
 
 
 class TestIterationLimit:
@@ -185,7 +185,7 @@ class TestDegenerate:
                 LinearConstraint({}, np.zeros(0), 0.0),
                 LinearConstraint({0: np.array([[1.0]])}, np.zeros(0), 2.0),
             ],
-            obj_blocks={0: np.array([[1.0]])},
+            objective={0: np.array([[1.0]])},
         )
         sol = solve(prob)
         assert sol.status is Status.OPTIMAL
@@ -207,10 +207,10 @@ class TestDegenerate:
         assert sol.free[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_no_blocks_no_constraints(self):
-        prob = dense_problem(block_dims=[], num_free=0, constraints=[], obj_offset=3.5)
+        prob = dense_problem(block_dims=[], num_free=0, constraints=[])
         sol = solve(prob)
         assert sol.status is Status.OPTIMAL
-        assert sol.obj_primal == 3.5
+        assert sol.obj_primal == sol.obj_dual == 0.0
 
 
 class TestBuiltSizes:
@@ -256,6 +256,22 @@ class TestDump:
         assert "sense max" in text
         assert text.rstrip().endswith("end")
         assert text.count("constraint ") == len(prob.b)
+
+    def test_dump_objective_entries(self):
+        # each block's entries in any order, with an exact zero: dumped by
+        # block, then (r, c), without the zero
+        none = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
+        prob = SdpProblem(block_dims=[2, 3], entries=[none, none], B=np.zeros((0, 0)), b=np.zeros(0),
+                          obj_entries={1: (np.array([2, 0, 1, 0]), np.array([2, 2, 1, 0]),
+                                           np.array([5.0, 6.0, 7.0, 0.0])),
+                                       0: (np.array([1, 0, 0]), np.array([1, 1, 0]), np.array([4.0, 0.0, -2.5]))})
+        buf = io.StringIO()
+        dump_sdp(prob, buf)
+        text = buf.getvalue()
+        assert text[text.index("offset"):text.index("end")] == (
+            "offset 0.0\nobjective\n"
+            "  obj 0 0 0 -2.5\n  obj 0 1 1 4.0\n"
+            "  obj 1 0 2 6.0\n  obj 1 1 1 7.0\n  obj 1 2 2 5.0\n")
 
 
 def _random_sparse_rows(rng, p, d, per_row):
@@ -402,7 +418,7 @@ def _free_rows(b2: float) -> SdpProblem:
             LinearConstraint({}, np.array([1.0]), 2.0),
             LinearConstraint({}, np.array([2.0]), b2),
         ],
-        obj_blocks={0: np.array([[1.0]])}, obj_free=np.array([0.0]),
+        objective={0: np.array([[1.0]])}, obj_free=np.array([0.0]),
     )
 
 
@@ -410,7 +426,8 @@ class TestFreeVariableSupport:
     def test_matches_hand_elimination(self):
         # u appears in rows 0 and 1 only; the other rows pass through
         # elimination unchanged.  Substituting u = b0 - <A0, X> by hand gives
-        # a problem without free variables and the same optimal value.
+        # a problem without free variables whose optimal value is the same
+        # but for the constant cu * b0.
         rng = np.random.default_rng(3)
         d, p, cu = 3, 5, 0.1
         mats = [_sym_random(rng, d) for _ in range(p)]
@@ -422,7 +439,7 @@ class TestFreeVariableSupport:
         prob = dense_problem(
             block_dims=[d], num_free=1,
             constraints=[LinearConstraint({0: m}, np.array([f]), r) for m, f, r in zip(mats, free, rhs)],
-            obj_blocks={0: C}, obj_free=np.array([cu]),
+            objective={0: C}, obj_free=np.array([cu]),
         )
         hand = dense_problem(
             block_dims=[d], num_free=0,
@@ -430,11 +447,11 @@ class TestFreeVariableSupport:
                 LinearConstraint({0: mats[1] - 2.0 * mats[0]}, np.zeros(0), rhs[1] - 2.0 * rhs[0]),
                 *(LinearConstraint({0: m}, np.zeros(0), r) for m, r in zip(mats[2:], rhs[2:])),
             ],
-            obj_blocks={0: C - cu * mats[0]}, obj_offset=cu * rhs[0],
+            objective={0: C - cu * mats[0]},
         )
         sol, ref = solve(prob), solve(hand)
         assert sol.status is ref.status is Status.OPTIMAL
-        assert sol.obj_primal == pytest.approx(ref.obj_primal, rel=1e-7, abs=1e-7)
+        assert sol.obj_primal == pytest.approx(ref.obj_primal + cu * rhs[0], rel=1e-7, abs=1e-7)
         assert sol.free[0] == pytest.approx(rhs[0] - float(np.tensordot(mats[0], sol.X[0])), abs=1e-7)
         pres, dres, gap = recompute_residuals(prob, sol)
         assert max(pres, dres, gap) <= 5 * sdp.FEAS_TOL
