@@ -49,12 +49,16 @@ caller of `solve` gets the factored form.  The system is symmetric positive
 definite and solved by Cholesky factorization and blocked triangular
 substitution.
 
-Memory: the IPM holds one Schur matrix and its factor.  Every iteration
-forms the matrix in the same buffer, the last factor is freed before it is
-formed, and a jitter rewrites the matrix's diagonal in place, so with p
-constraints a step's peak is the presolve's data plus 3 p^2 doubles at the
-factorization: the matrix, LAPACK's working copy and the factor.  The
-low-rank formula keeps views, not arrays, of the rows after each row.
+Memory: the IPM holds one Schur matrix, in one buffer that every iteration
+forms it in.  It is factored in place, by block columns, into its own lower
+triangle, with temporaries of O(64 p) doubles; a failed factorization forms
+the matrix again in the buffer before its diagonal is jittered.  So with p
+constraints a step's peak is the presolve's data plus the p^2 doubles of
+the matrix plus the Schur formulas' own products: the dense formula's
+(p, d^2) products and the factored formula's (p, q) ones.  The low-rank
+formula keeps views, not arrays, of the rows after each row.  With free
+variables on r of the rows, their elimination adds its M U and U' M U
+products, (p, r) and (r, r) doubles.
 
 Classification follows the embedding: tau bounded away from kappa yields an
 optimal solution; tau -> 0 with kappa > 0 (ratio threshold
@@ -170,11 +174,13 @@ _SPARSE_ROW_COST = 1.2e5
 # each step goes _STEP_FRAC of the way to the boundary of the cones.
 _INFEAS_RATIO = 1e6
 _STEP_FRAC = 0.98
+_BREAKDOWN_DIRECTION = "numerical breakdown (non-finite Newton direction)"
 
-# Block size of the triangular solves and of the panels in which the Schur
-# matrix is averaged with its transpose.  Up to 64 unknowns a single LAPACK
-# solve is as fast; at 924 unknowns a forward and back substitution take
-# 1.4 ms against 35 ms for np.linalg.solve on the factor (one OpenBLAS thread).
+# Block size of the triangular solves and of the Schur matrix's panels: those
+# in which it is averaged with its transpose, accumulated and factored.  Up to
+# 64 unknowns a single LAPACK solve is as fast; at 924 unknowns a forward and
+# back substitution take 1.4 ms against 35 ms for np.linalg.solve on the
+# factor (one OpenBLAS thread).
 _TRI_BLOCK = 64
 
 
@@ -360,9 +366,10 @@ def _apply(blocks: list[_Block], X: list[np.ndarray], p: int) -> np.ndarray:
 def _schur(blocks: list[_Block], W: list[np.ndarray], p: int,
            out: np.ndarray | None = None) -> np.ndarray:
     """The Schur matrix M_ij = <A_i, W A_j W>, written into out when given.
-    The dense and the factored formula add their products Y G'; the low-rank
-    formula adds its rows j >= i, off the diagonal twice, and M is then
-    averaged with its transpose.  At most one product is held beside M."""
+    The dense and the factored formula add their products Y G', the first
+    into M and the others by panels of rows; the low-rank formula adds its
+    rows j >= i, off the diagonal twice, and M is then averaged with its
+    transpose.  No p x p array is held beside M."""
     M = None
     for blk, Wb in zip(blocks, W):
         if blk.plan is None:
@@ -370,7 +377,8 @@ def _schur(blocks: list[_Block], W: list[np.ndarray], p: int,
             if M is None:
                 M = np.matmul(Y, G.T, out=out)
             else:
-                M += Y @ G.T
+                for s in range(0, p, _TRI_BLOCK):
+                    M[s:s + _TRI_BLOCK] += Y[s:s + _TRI_BLOCK] @ G.T
     if M is None:
         M = np.empty((p, p)) if out is None else out
         M.fill(0.0)
@@ -403,11 +411,34 @@ def _fro_blocks(P: list[np.ndarray]) -> float:
     return math.sqrt(sum(float(np.vdot(Pb, Pb)) for Pb in P))
 
 
+def _factor(M: np.ndarray) -> None:
+    """Overwrite M's lower triangle with L, M = L L' its Cholesky factorization.
+
+    Left-looking, by block columns of _TRI_BLOCK: each is updated by one
+    product of the columns already factored, its diagonal block is factored
+    by np.linalg.cholesky and the panel below it found by one solve.  The
+    diagonal blocks get L's zeros above their diagonal; the rest of the
+    strict upper triangle keeps M's entries, as _tri_solve never reads it.
+    Up to _TRI_BLOCK rows this is one np.linalg.cholesky call.  Raises
+    LinAlgError, with M partly overwritten, when M is not numerically
+    positive definite.
+    """
+    p = M.shape[0]
+    for s in range(0, p, _TRI_BLOCK):
+        e = min(p, s + _TRI_BLOCK)
+        if s:
+            M[s:, s:e] -= M[s:, :s] @ M[s:e, :s].T
+        M[s:e, s:e] = np.linalg.cholesky(M[s:e, s:e])
+        if e < p:
+            M[e:, s:e] = np.linalg.solve(M[s:e, s:e], M[e:, s:e].T).T
+
+
 def _tri_solve(L: np.ndarray, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
     """Solve L x = rhs, or L' x = rhs with trans, for lower-triangular L.
 
     Blocked substitution: np.linalg.solve on each diagonal block and one
-    matrix product per block for the part already solved.
+    matrix product per block for the part already solved.  Of the strict
+    upper triangle only the diagonal blocks' part is read.
     """
     n = L.shape[0]
     x = np.array(rhs, dtype=float)
@@ -474,7 +505,8 @@ class _Reduced:
 
     def schur(self, W: list[np.ndarray], out: np.ndarray) -> np.ndarray:
         """The Schur matrix, in out (data rows square).  With U it is
-        [[M_kk, M_k. U], [U' M_.k, U' M U]], a view of out's leading part."""
+        [[M_kk, M_k. U], [U' M_.k, U' M U]], a view of out's leading part;
+        its products M U and U' M U are arrays beside out."""
         M = _schur(self.A, W, self.data_rows, out)
         if self.U is None:
             return M
@@ -847,29 +879,29 @@ def _solve_reduced(red: _Reduced, Anorm: float) -> SdpSolution:
             break
         Sinv = [Li.T @ Li for Li in LSinv]
 
-        # the last factor is freed before M is formed; a jitter rewrites M's
-        # diagonal from its saved copy, with the bits of adding to a copy of M
-        L = None
+        # M is factored in its own buffer; a failed try overwrote part of it,
+        # so M is formed again there and jittered from its saved diagonal
         M = red.schur(W, schur_buf)
         diag0 = M.diagonal().copy()
         base = float(np.mean(diag0)) + 1e-300
         for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
             if jit:
+                M = red.schur(W, schur_buf)
                 M.flat[::p + 1] = diag0 + jit * base
             try:
-                L = np.linalg.cholesky(M)
+                _factor(M)
                 break
             except np.linalg.LinAlgError:
                 continue
-        if L is None:
+        else:
             message = "Schur complement factorization failed"
             break
-        diag = L.diagonal().copy()
+        diag = M.diagonal()
         trace[-1]["schur_jitter"] = jit
         trace[-1]["schur_cond_lb"] = float((diag.max() / diag.min()) ** 2)  # <= cond of the matrix factored
 
         def msolve(rhs: np.ndarray) -> np.ndarray:
-            return _tri_solve(L, _tri_solve(L, rhs), trans=True)
+            return _tri_solve(M, _tri_solve(M, rhs), trans=True)
 
         WCW = [Wb @ Cb @ Wb for Wb, Cb in zip(W, C)]
         WRW = [Wb @ Rb @ Wb for Wb, Rb in zip(W, Rd)]
@@ -896,7 +928,11 @@ def _solve_reduced(red: _Reduced, Anorm: float) -> SdpSolution:
             return dX, dy, dS, dtau, dkappa
 
         def step(dX, dS, dtau: float, dkappa: float) -> float:
-            """_STEP_FRAC of the longest step that stays in the cones, at most 1."""
+            """_STEP_FRAC of the longest step that stays in the cones, at most 1;
+            nan when the direction is not finite."""
+            if not (math.isfinite(dtau) and math.isfinite(dkappa)
+                    and all(np.isfinite(D).all() for D in dX + dS)):
+                return math.nan
             longest = min(_max_step(dX, LXinv), _max_step(dS, LSinv),
                           (-tau / dtau) if dtau < 0 else math.inf,
                           (-kappa / dkappa) if dkappa < 0 else math.inf)
@@ -904,6 +940,9 @@ def _solve_reduced(red: _Reduced, Anorm: float) -> SdpSolution:
 
         dXa, _, dSa, dtaua, dkappaa = direction(0.0, 1.0)
         alpha_a = step(dXa, dSa, dtaua, dkappaa)
+        if math.isnan(alpha_a):
+            message = _BREAKDOWN_DIRECTION
+            break
         mu_aff = (
             _inner_blocks([Xb + alpha_a * D for Xb, D in zip(X, dXa)],
                           [Sb + alpha_a * D for Sb, D in zip(S, dSa)])
@@ -913,7 +952,10 @@ def _solve_reduced(red: _Reduced, Anorm: float) -> SdpSolution:
 
         dX, dy, dS, dtau, dkappa = direction(sigma, 1.0 - sigma)
         alpha = step(dX, dS, dtau, dkappa)
-        if not math.isfinite(alpha) or alpha <= 1e-10:
+        if math.isnan(alpha):
+            message = _BREAKDOWN_DIRECTION
+            break
+        if alpha <= 1e-10:
             stalls += 1
             if stalls >= 3:
                 message = "step length collapsed"

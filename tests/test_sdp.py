@@ -161,6 +161,31 @@ class TestStructuralErrors:
         assert np.array_equal(sdp._to_internal(prob).C[0], [[-2.0, -3.0], [-3.0, 0.0]])
 
 
+class TestNonFiniteDirection:
+    def test_breakdown_is_unknown_not_raised(self, example31, monkeypatch):
+        # the back substitution of the second iteration's predictor returns
+        # inf: the Newton direction is not finite, and the solve ends unknown
+        # with the last iterate instead of raising from the step length
+        tri_solve = sdp._tri_solve
+        back = []
+
+        def infinite(L, rhs, trans=False):
+            x = tri_solve(L, rhs, trans)
+            if trans:
+                back.append(None)
+                if len(back) == 5:  # three per iteration: v0, predictor, corrector
+                    x[...] = np.inf
+            return x
+
+        monkeypatch.setattr(sdp, "_tri_solve", infinite)
+        with np.errstate(invalid="ignore"):
+            sol = solve(build_hierarchy_step(example31, 2))
+        assert sol.status is Status.UNKNOWN
+        assert sol.message == "numerical breakdown (non-finite Newton direction)"
+        assert sol.iterations == 2 and len(back) == 5
+        assert all(np.isfinite(Xb).all() for Xb in sol.X) and np.isfinite(sol.y).all()
+
+
 class TestIterationLimit:
     def test_max_iter_returns_unknown_not_exception(self, monkeypatch):
         name, prob, _, _ = build_cases()[0]
@@ -408,6 +433,44 @@ class TestTriangularSolve:
             assert np.abs(x - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
+def _spd(p: int) -> np.ndarray:
+    G = np.random.default_rng(p).standard_normal((p, p))
+    return G @ G.T / p + np.eye(p)
+
+
+class TestSchurFactor:
+    @pytest.mark.parametrize("p", [1, 17, sdp._TRI_BLOCK])
+    def test_one_lapack_call_up_to_a_block(self, p):
+        A = _spd(p)
+        M = A.copy()
+        sdp._factor(M)
+        assert np.array_equal(M, np.linalg.cholesky(A))
+
+    @pytest.mark.parametrize("p", [sdp._TRI_BLOCK + 1, 2 * sdp._TRI_BLOCK, 461])
+    def test_blocked_matches_lapack(self, p):
+        A = _spd(p)
+        M = A.copy()
+        sdp._factor(M)
+        L = np.linalg.cholesky(A)
+        assert np.abs(np.tril(M) - L).max() <= 1e-12 * np.abs(L).max()
+        # the substitutions read L alone: the diagonal blocks hold its zeros
+        # above the diagonal, and the rest of the upper triangle is not read
+        rhs = np.random.default_rng(0).standard_normal(p)
+        x = sdp._tri_solve(M, sdp._tri_solve(M, rhs), trans=True)
+        ref = np.linalg.solve(A, rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_indefinite_past_the_first_panel(self):
+        # the leading 100 rows are positive definite, so the first bad pivot
+        # is row 100, in the second panel
+        A = _spd(150)
+        A[100, 100] = -1.0
+        np.linalg.cholesky(A[:100, :100])
+        M = A.copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._factor(M)
+
+
 def _free_rows(b2: float) -> SdpProblem:
     """Rows 1 and 2 read u = 2 and 2u = b2: after elimination their
     combination has no PSD part, and is dropped when consistent."""
@@ -513,11 +576,11 @@ def _ball_quartic(n: int) -> SdpProblem:
 
 
 class TestSchurMemory:
-    def test_ipm_holds_one_schur_matrix_and_its_factor(self, monkeypatch):
+    def test_ipm_holds_one_schur_matrix(self, monkeypatch):
         # n = 5: 462 rows, 461 after the presolve.  Above what the presolve
-        # leaves, the IPM holds M and its factor L at the Cholesky step (numpy
-        # works on an untraced copy), and M and one product while M is formed;
-        # a second M or L beside these would exceed 3 p^2
+        # leaves, the IPM holds M, which it factors in place, and the Schur
+        # formulas' products while M is formed; a second p x p array beside
+        # these would exceed 2 p^2
         prob = _ball_quartic(5)
         seen = {}
         reduced = sdp._solve_reduced
@@ -538,7 +601,21 @@ class TestSchurMemory:
         assert sol.status is Status.OPTIMAL
         p = seen["p"]
         assert p == 461
-        assert seen["peak"] - seen["before"] < 3 * p * p * 8
+        assert seen["peak"] - seen["before"] < 2 * p * p * 8
+
+    def test_factorization_allocates_no_matrix(self):
+        # p = 923, the rows of the dense-n6 minimize program: the temporaries
+        # are O(64 p) doubles, where np.linalg.cholesky returns a p x p factor
+        p = 923
+        M = _spd(p)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sdp._factor(M)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * p * p * 8
 
     def test_low_rank_plan_stores_no_row_of_later_rows(self, monkeypatch):
         # 3000 rows of 1-2 entries each: one int64 index per row j >= i for
@@ -594,5 +671,51 @@ class TestSchurMemory:
         assert np.array_equal(L, cholesky(at12))
         assert sol.trace[0]["schur_jitter"] == 1e-12
         diag = np.diag(L)
+        assert sol.trace[0]["schur_cond_lb"] == float((diag.max() / diag.min()) ** 2)
+        assert all(row["schur_jitter"] == 0.0 for row in sol.trace[1:-1])
+
+    def test_jitter_forms_the_matrix_again_after_a_failed_panel(self, monkeypatch):
+        # p = 83, two panels: the first factorization fails in its second
+        # panel, without jitter and at 1e-14, after the first panel's columns
+        # were overwritten by L.  Each try factors M's own buffer, formed
+        # again: the untouched M plus jit * mean(diag M) * I, bit for bit
+        prob = _ball_quartic(3)
+        factor, cholesky = sdp._factor, np.linalg.cholesky
+        attempts, overwritten, factors = [], [], []
+
+        def recording(M):
+            attempts.append((M, M.copy()))
+            factor(M)
+            factors.append(M.copy())
+
+        def failing(a):
+            # the second panel's diagonal block, in the first two tries
+            if 1 <= len(attempts) <= 2 and a.shape[0] == 83 - sdp._TRI_BLOCK:
+                M, M0 = attempts[-1]
+                assert np.shares_memory(a, M)
+                overwritten.append(not np.array_equal(M[:, :sdp._TRI_BLOCK], M0[:, :sdp._TRI_BLOCK]))
+                raise np.linalg.LinAlgError("forced failure")
+            return cholesky(a)
+
+        monkeypatch.setattr(sdp, "_factor", recording)
+        monkeypatch.setattr(sdp.np.linalg, "cholesky", failing)
+        sol = solve(prob)
+        monkeypatch.undo()
+        assert sol.status is Status.OPTIMAL
+        assert overwritten == [True, True]
+        (M, M0), (M1, at14), (M2, at12) = attempts[:3]
+        p = M0.shape[0]
+        assert p == 83
+        assert np.shares_memory(M, M1) and np.shares_memory(M, M2)
+        base = float(np.mean(np.diag(M0))) + 1e-300
+        for jit, seen in ((1e-14, at14), (1e-12, at12)):
+            copy = M0.copy()
+            copy.flat[::p + 1] += jit * base
+            assert np.array_equal(seen, copy)
+        ref = at12.copy()
+        factor(ref)
+        assert np.array_equal(factors[0], ref)
+        assert sol.trace[0]["schur_jitter"] == 1e-12
+        diag = np.diag(ref)
         assert sol.trace[0]["schur_cond_lb"] == float((diag.max() / diag.min()) ** 2)
         assert all(row["schur_jitter"] == 0.0 for row in sol.trace[1:-1])
