@@ -62,7 +62,7 @@ from .certificates import (
 )
 from .polynomial import Coeff, Monomial, Polynomial
 from .sdp import SdpProblem, SdpSolution, Status
-from .termarrays import exponent_rows, product_groups, terms_of
+from .termarrays import exponent_rows, product_groups
 
 
 def monomial_basis(num_vars: int, max_degree: int) -> list[Monomial]:
@@ -112,7 +112,7 @@ def sign_flips(polys: Iterable[Polynomial], num_vars: int) -> tuple[tuple[int, .
     Each basis flip is the tuple of the (0-based) variables it negates; the
     basis is in reduced row echelon form, so it is unique.
     """
-    parities = {sum((e & 1) << i for i, e in enumerate(mono)) for p in polys for mono in p.terms}
+    parities = {sum((e & 1) << i for i, e in enumerate(mono)) for p in polys for mono in p.rows.tolist()}
     pivots = {r & -r: r for r in _gf2_rref(parities)}
     null = [(1 << i) | sum(low for low, r in pivots.items() if r >> i & 1)
             for i in range(num_vars) if (1 << i) not in pivots]
@@ -256,20 +256,19 @@ def build_membership_program(claim: Statement, k: int) -> SdpProblem:
     # the factors of every term of the identity: a block's pairs by its
     # generator, a multiplier's basis by its generator, the target and lambda
     nb, ne = len(blocks), len(eq_blocks)
-    gen_terms = [terms_of(p.generator) for p in (*blocks, *eq_blocks)]
     pairs, factors = [], []
-    for blk, (gen_rows, _) in zip(blocks, gen_terms):
+    for blk in blocks:
         a, b = np.triu_indices(len(blk.basis))
         cls = np.asarray(blk.classes)
         same = cls[a] == cls[b]
         pairs.append((a[same], b[same]))
         basis = exponent_rows(blk.basis, n)
-        factors.append((basis[a[same]] + basis[b[same]], gen_rows))
-    factors += [(exponent_rows(eb.basis, n), rows) for eb, (rows, _) in zip(eq_blocks, gen_terms[nb:])]
-    coeffs = [c.floats() + 0.0 for _, c in gen_terms]  # an entry sums its one term from 0.0: -0.0 is 0.0
+        factors.append((basis[a[same]] + basis[b[same]], blk.generator.rows))
+    factors += [(exponent_rows(eb.basis, n), eb.generator.rows) for eb in eq_blocks]
+    # an entry sums its one term from 0.0: -0.0 is 0.0
+    coeffs = [p.generator.coeffs.floats() + 0.0 for p in (*blocks, *eq_blocks)]
     zero = np.zeros((1, n), dtype=np.int64)
-    target_rows, target_coeffs = terms_of(target)
-    factors.append((target_rows, zero))
+    factors.append((target.rows, zero))
     has_lambda = claim.lambda_sign != 0
     if has_lambda:
         factors.append((zero, zero))
@@ -316,7 +315,7 @@ def build_membership_program(claim: Statement, k: int) -> SdpProblem:
     if has_lambda:
         B[row[groups[-1]], lambda_index] = float(claim.lambda_sign)
     b = np.zeros(len(constraint_index))
-    b[row[groups[nb + ne].reshape(-1)]] = target_coeffs.floats()
+    b[row[groups[nb + ne].reshape(-1)]] = target.coeffs.floats()
 
     obj_free = np.zeros(num_free)
     if has_lambda:

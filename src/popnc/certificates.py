@@ -12,12 +12,11 @@ it.  Verification recomputes the identity (exactly, when the data is
 rational) and checks the Gram matrices for positive semidefiniteness.  Each
 Gram is expanded by grouping the pairs of its basis once per basis: exactly
 over the common denominator of a rational Gram, and for a float Gram with
-the floats of a pair-by-pair sum in row-major order, bit for bit.  The
-identity is summed on arrays of grouped monomials and of floats or integer
-numerators (``identity_residual``, over ``termarrays``), to the residual
-that the polynomial arithmetic of this package gives, bit for bit.  This
-module imports neither the builder nor the solver, so nothing is trusted
-from solver bookkeeping, and ``popnc verify`` loads neither.
+the floats of a pair-by-pair sum in row-major order, bit for bit; the
+expansion is a ``Polynomial``, and the identity is summed in ``Polynomial``
+arithmetic (``identity_residual``).  This module imports neither the
+builder nor the solver, so nothing is trusted from solver bookkeeping, and
+``popnc verify`` loads neither.
 
 A Gram matrix is one of two types: a float ndarray, or a ``RationalGram`` of
 integer numerators over one denominator.  ``SosWeight`` makes any other
@@ -54,17 +53,7 @@ from .polynomial import (
     sum_of_squared_variables,
     write_number,
 )
-from .termarrays import (
-    FLOAT,
-    FRACTION,
-    Coefficients,
-    concat,
-    fold,
-    outer,
-    polynomial_of,
-    product_groups,
-    terms_of,
-)
+from .termarrays import FLOAT, FRACTION, Coefficients, fold, product_groups
 
 
 class CertificateError(ValueError):
@@ -259,10 +248,9 @@ def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, 
     return groups[0], rows
 
 
-def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, Coefficients]:
-    """The terms of v' Q v as ``gram_to_polynomial`` orders and sums them,
-    one ``fold`` of the nonzero Gram entries: the exponent vector of each
-    term, a row each, and their coefficients."""
+def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
+    """v' Q v as ``gram_to_polynomial`` orders and sums its terms: one
+    ``fold`` of the nonzero Gram entries."""
     s = len(basis)
     group, monos = _pair_groups(basis, num_vars)
     gram = _as_gram(gram, s)
@@ -274,7 +262,7 @@ def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> tuple[np.nda
     else:
         coeffs = Coefficients(np.full(k, FLOAT, dtype=np.int8), entries)
     present, sums = fold(group[nonzero], coeffs, len(monos))
-    return monos[present], sums
+    return Polynomial.from_arrays(num_vars, monos[present], sums)
 
 
 def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
@@ -289,7 +277,7 @@ def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> P
     sum over the denominator.  Any other Gram is first made one of the two
     (``_as_gram``).  Raises ValueError for a Gram that is not s x s over the s
     monomials."""
-    return polynomial_of(num_vars, *_expand(gram, basis, num_vars))
+    return _expand(gram, basis, num_vars)
 
 
 def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
@@ -300,10 +288,9 @@ def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SosWeight:
-    """A weight does not change once built, so its expansions and its float
-    Gram are computed on first use and kept: the terms of v' Q v as arrays,
-    for the identity check and for its Polynomial (``polynomial``), and the
-    float Gram for both."""
+    """A weight does not change once built, so its expansion v' Q v
+    (``polynomial``) and its float Gram are computed on first use and
+    kept."""
 
     tag: str  # "sigma0" | "ineq" | "cf" | "psi" (the module family's multiplier of f)
     index: int | None
@@ -311,21 +298,16 @@ class SosWeight:
     # square symmetric matrix over the basis: a float ndarray or a RationalGram;
     # any other (nested lists, say) is made one of the two here (``_as_gram``)
     gram: np.ndarray | RationalGram
-    _expansions: dict[int, tuple[np.ndarray, Coefficients]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _expansions: dict[int, Polynomial] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gram", _as_gram(self.gram, len(self.basis)))
 
-    def expansion(self, num_vars: int) -> tuple[np.ndarray, Coefficients]:
-        """The terms of v' Q v: the exponent vector of each, a row each, and
-        their coefficients, in the order of ``gram_to_polynomial``."""
+    def polynomial(self, num_vars: int) -> Polynomial:
+        """v' Q v, as ``gram_to_polynomial`` gives it."""
         if num_vars not in self._expansions:
             self._expansions[num_vars] = _expand(self.gram, self.basis, num_vars)
         return self._expansions[num_vars]
-
-    def polynomial(self, num_vars: int) -> Polynomial:
-        return polynomial_of(num_vars, *self.expansion(num_vars))
 
     @functools.cached_property
     def _float(self) -> np.ndarray:
@@ -388,70 +370,34 @@ def _same_vars(a: int, b: int) -> None:
 
 def identity_residual(cert: ModuleCertificate, claim: Statement) -> Coeff:
     """The l1 norm of sigma_0 + sum_j sigma_j g_j + sum_l phi_l h_l -
-    (target - s * lambda), as the dict arithmetic of ``Polynomial`` computes
-    it: the same value of the same type, floats bit for bit.
-
-    Each part is summed, in that order, into the total; a product is summed
-    in the order of its loop over (sigma term, generator term); the sums drop
-    their zeros and keep a term dict's order; the l1 norm is the builtin sum
-    over what is left, in that order.  The terms are arrays: monomials as
-    groups of ``product_groups``, coefficients as floats or integer numerators
-    over one denominator (``Coefficients``), so that no Fraction is formed
-    but for an exact term that is left at the end.  A psi weight is part of
-    the target, not a module term.  Raises ValueError for a weight or
+    (target - s * lambda), in ``Polynomial`` arithmetic: the parts summed in
+    that order, each sigma the expansion of its Gram.  A psi weight is part
+    of the target, not a module term.  Raises ValueError for a weight or
     multiplier index that names no generator and a variable count that
     differs from the claim's."""
     n = cert.num_vars
     if n < 1:
         raise ValueError(f"num_vars must be >= 1, got {n}")
-    zero = np.zeros((1, n), dtype=np.int64)
-    # the monomials of each part's two factors, its coefficients, and whether
-    # its terms are summed already (those of a Gram expansion are)
-    factors, parts = [], []
+    parts = []
     for i, w in enumerate(cert.sos_weights):
         if w.tag == "psi":
             continue
-        monos, sigma = w.expansion(n)
-        if w.tag == "sigma0":
-            factors.append((monos, zero))
-            parts.append((sigma, True))
-            continue
-        g = _generator(claim.gens.ineq, w.index, f"sos weight {i} ({w.tag})")
-        _same_vars(n, g.num_vars)
-        rows, coeffs = terms_of(g)
-        factors.append((monos, rows))
-        parts.append((outer(sigma, coeffs), False))
+        sigma = w.polynomial(n)
+        if w.tag != "sigma0":
+            g = _generator(claim.gens.ineq, w.index, f"sos weight {i} ({w.tag})")
+            _same_vars(n, g.num_vars)
+            sigma = sigma * g
+        parts.append(sigma)
     for i, (l, phi) in enumerate(cert.eq_multipliers):
         h = _generator(claim.gens.eq, l, f"eq multiplier {i}")
         _same_vars(phi.num_vars, h.num_vars)
         _same_vars(n, phi.num_vars)
-        (phi_rows, phi_coeffs), (h_rows, h_coeffs) = terms_of(phi), terms_of(h)
-        factors.append((phi_rows, h_rows))
-        parts.append((outer(phi_coeffs, h_coeffs), False))
+        parts.append(phi * h)
     _same_vars(n, claim.target.num_vars)
-    rows, expected = terms_of(claim.target)
-    factors.append((rows, zero))
-    shifted = claim.lambda_sign != 0 and cert.lam != 0
-    if shifted:
-        factors.append((zero, zero))
-    groups, rows = product_groups(factors, n)
-    size = len(rows)
-
-    def add(a, b):
-        return fold(np.concatenate([a[0], b[0]]), concat(a[1], b[1]), size)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # float overflow is inf and NaN, as in Python
-        total = (np.zeros(0, dtype=np.intp), Coefficients(np.zeros(0, dtype=np.int8), np.zeros(0)))
-        for i, (group, (coeffs, summed)) in enumerate(zip(groups, parts)):
-            part = (group, coeffs) if summed else fold(group, coeffs, size)
-            total = add(total, part) if i else part  # 0 + p is p, term for term
-        expected = (groups[len(parts)], expected)
-        if shifted:
-            expected = add(expected, (groups[-1], Coefficients.of([-(claim.lambda_sign * cert.lam)])))
-        _, mismatch = add(total, (expected[0], -expected[1]))
-    if mismatch.num is None:
-        return sum(np.abs(mismatch.fl).tolist(), 0)
-    return sum(map(abs, mismatch.values()), 0)
+    expected = claim.target
+    if claim.lambda_sign != 0 and cert.lam != 0:
+        expected = expected - Polynomial.constant(n, claim.lambda_sign * cert.lam)
+    return (sum(parts, Polynomial.zero(n)) - expected).l1_norm()
 
 
 @dataclass

@@ -1,10 +1,16 @@
-"""Sparse multivariate polynomial arithmetic.
+"""Sparse multivariate polynomials on exponent arrays.
 
-Polynomials are stored as maps from exponent vectors to coefficients.
-Coefficients may be ``int``, ``float`` or ``fractions.Fraction``; arithmetic
-preserves whatever type the operands carry, so identity checks can be run
-exactly with rationals while solver-facing code works in floats.  Values are
-immutable after construction and safe to share between threads.
+A polynomial holds its terms as two arrays: the exponent vector of each
+term, a row of one read-only int64 array, and their coefficients
+(``termarrays.Coefficients``).  A coefficient is an ``int``, a ``float`` or
+a ``fractions.Fraction``, and arithmetic gives it the type Python arithmetic
+would, so identity checks can be run exactly with rationals while
+solver-facing code works in floats.  A sum or product groups the terms of
+its operands by monomial (``termarrays.product_groups``) and sums each group
+as a term dict does (``termarrays.fold``): the monomials in the order of
+their first term, the floats of that loop bit for bit, the zeros dropped.
+``terms`` is the dict view of the same terms, built on first use.  Values
+are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -13,8 +19,11 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence, Union
+
+import numpy as np
+
+from .termarrays import FLOAT, INT, Coefficients, concat, exponent_rows, fold, outer, product_groups
 
 Monomial = tuple[int, ...]
 Coeff = Union[int, float, Fraction]
@@ -75,8 +84,9 @@ def _literal(text: str, exact: bool, at: int) -> Coeff:
 
 
 def _in_range(value: Coeff, zero, text: str, at: int) -> Coeff:
-    """value, if it is ``zero`` or reads as a finite nonzero float."""
-    if zero or _TINY < abs(value) < _HUGE:
+    """value, if it is ``zero`` or reads as a finite nonzero float: a float
+    itself, a Fraction by the magnitudes that round to 0 and to infinity."""
+    if zero or (0 < abs(value) < math.inf if isinstance(value, float) else _TINY < abs(value) < _HUGE):
         return value
     shown = text if len(text) <= 40 else f"{text[:12]}... ({len(text)} characters)"
     raise NumberError(f"{shown} lies beyond the float range", at)
@@ -85,10 +95,6 @@ def _in_range(value: Coeff, zero, text: str, at: int) -> Coeff:
 def write_number(v: Coeff) -> str | float:
     """A Fraction as the string "p/q", which ``read_number`` reads back exactly, else a float."""
     return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else float(v)
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 def check_monomial(mono: Monomial, num_vars: int) -> None:
@@ -110,14 +116,16 @@ def grlex_key(mono: Monomial):
 class Polynomial:
     """Immutable sparse polynomial in a fixed number of variables.
 
-    ``terms`` never stores zero coefficients and every exponent vector has
-    length ``num_vars``.  The zero polynomial has an empty term map and, by
-    convention, degree 0.  The constructor checks every exponent vector;
-    arithmetic builds its results through ``_from_checked``, which does not
-    check them again.
+    ``rows`` holds the exponent vector of each term, ``coeffs`` their
+    coefficients, none of them zero.  The zero polynomial has no terms and,
+    by convention, degree 0.  The constructor checks every exponent vector
+    and refuses a total degree of 2^63 or more, as a product does; it reads
+    a coefficient of another float type as a float and one of another
+    integer type as an int.  Arithmetic builds its results through
+    ``from_arrays``, which does not check them again.
     """
 
-    __slots__ = ("num_vars", "_terms")
+    __slots__ = ("num_vars", "rows", "coeffs", "_terms")
 
     def __init__(self, num_vars: int, terms: Mapping[Monomial, Coeff] | None = None):
         if num_vars < 1:
@@ -137,11 +145,23 @@ class Polynomial:
                         clean[mono] = s
                 else:
                     clean[mono] = coeff
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "_terms", clean)
+        self._init(num_vars, exponent_rows(list(clean), num_vars), Coefficients.of(list(clean.values())))
+
+    def _init(self, num_vars: int, rows: np.ndarray, coeffs: Coefficients) -> None:
+        rows.flags.writeable = False
+        for name, value in (("num_vars", num_vars), ("rows", rows), ("coeffs", coeffs), ("_terms", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def from_arrays(cls, num_vars: int, rows: np.ndarray, coeffs: Coefficients) -> "Polynomial":
+        """The polynomial of distinct checked exponent rows (which it makes
+        read-only) and of their nonzero coefficients."""
+        p = object.__new__(cls)
+        p._init(num_vars, rows, coeffs)
+        return p
 
     @classmethod
     def _from_checked(cls, num_vars: int, terms: Mapping[Monomial, Coeff]) -> "Polynomial":
@@ -149,10 +169,8 @@ class Polynomial:
         checked tuples; zero coefficients are dropped, the order is kept.
         The truth value keeps what ``c != 0`` keeps, NaN included, without a
         ``Fraction.__eq__`` call per term."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "num_vars", num_vars)
-        object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c})
-        return p
+        terms = {m: c for m, c in terms.items() if c}
+        return cls.from_arrays(num_vars, exponent_rows(list(terms), num_vars), Coefficients.of(list(terms.values())))
 
     # -- constructors -------------------------------------------------------
 
@@ -175,30 +193,37 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Monomial, Coeff]:
+        """The terms as a dict from exponent tuples to coefficients, in order."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", dict(zip(map(tuple, self.rows.tolist()), self.coeffs.values())))
         return self._terms
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self.rows)
 
     def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(m) for m in self._terms)
+        return int(self.rows.sum(axis=1).max()) if len(self.rows) else 0
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in ascending graded-lex order (deterministic iteration): the
-        order of ``grlex_key``, by a descending sort of the exponent vectors and
-        a stable sort by total degree, both with keys compared in C."""
-        monos = sorted(self._terms, reverse=True)
-        monos.sort(key=sum)
-        return [(m, self._terms[m]) for m in monos]
+        order of ``grlex_key``, by one lexsort of the exponent rows with the
+        total degree as its first key."""
+        order = np.lexsort([*-self.rows[:, ::-1].T, self.rows.sum(axis=1)])
+        values = self.coeffs.values()
+        return list(zip(map(tuple, self.rows[order].tolist()), map(values.__getitem__, order.tolist())))
 
     def coefficient(self, mono: Sequence[int]) -> Coeff:
-        return self._terms.get(tuple(mono), 0)
+        return self.terms.get(tuple(mono), 0)
 
     def l1_norm(self) -> Coeff:
-        """Sum of absolute coefficient values."""
-        return sum((abs(c) for c in self._terms.values()), 0)
+        """Sum of absolute coefficient values: of exact ones, one integer sum
+        over their denominator (an int when all are ints, else a Fraction);
+        else the builtin sum, term after term."""
+        c = self.coeffs
+        if c.num is None or (c.kind == FLOAT).any():
+            return sum(map(abs, c.values()), 0)
+        total = sum(map(abs, c.num.tolist()))
+        return total // c.den if (c.kind == INT).all() else Fraction(total, c.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -208,16 +233,22 @@ class Polynomial:
                 f"dimension mismatch: {self.num_vars} vs {other.num_vars} variables"
             )
 
+    def _sum(self, factors: list[tuple[np.ndarray, np.ndarray]], coeffs: Coefficients) -> "Polynomial":
+        """The polynomial of the terms whose monomials are the products of
+        ``factors`` (``product_groups``), with ``coeffs``, summed as a term
+        dict sums them."""
+        groups, rows = product_groups(factors, self.num_vars)
+        present, sums = fold(np.concatenate(groups), coeffs, len(rows))
+        return Polynomial.from_arrays(self.num_vars, rows[present], sums)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        merged = dict(self._terms)
-        # a new monomial takes its coefficient as is: 0 + a Fraction is an addition
-        for mono, coeff in other._terms.items():
-            old = merged.get(mono)
-            merged[mono] = coeff if old is None else old + coeff
-        return Polynomial._from_checked(self.num_vars, merged)
+        if self.is_zero() or other.is_zero():  # a fold of one polynomial's terms gives them back
+            return other if self.is_zero() else self
+        one = np.zeros((1, self.num_vars), dtype=np.int64)
+        return self._sum([(self.rows, one), (other.rows, one)], concat(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -225,18 +256,12 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_checked(self.num_vars, {m: -c for m, c in self._terms.items()})
+        return Polynomial.from_arrays(self.num_vars, self.rows, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            prod: dict[Monomial, Coeff] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = monomial_mul(m1, m2)
-                    old = prod.get(mono)
-                    prod[mono] = c1 * c2 if old is None else old + c1 * c2
-            return Polynomial._from_checked(self.num_vars, prod)
+            return self._sum([(self.rows, other.rows)], outer(self.coeffs, other.coeffs))
         if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -247,7 +272,9 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, factor: Coeff) -> "Polynomial":
-        return Polynomial._from_checked(self.num_vars, {m: c * factor for m, c in self._terms.items()})
+        m = len(self.rows)
+        present, products = fold(np.arange(m), outer(self.coeffs, Coefficients.of([factor])), m)
+        return Polynomial.from_arrays(self.num_vars, self.rows[present], products)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -266,11 +293,11 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.num_vars == other.num_vars
-            and self._terms == other._terms
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self._terms.items())))
+        return hash((self.num_vars, frozenset(self.terms.items())))
 
     # -- structural operations ----------------------------------------------
 
@@ -281,7 +308,7 @@ class Polynomial:
                 f"dimension mismatch: point has length {len(point)}, expected {self.num_vars}"
             )
         total: Coeff = 0
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms.items():
             term = coeff
             for xi, e in zip(point, mono):
                 if e:
@@ -289,23 +316,13 @@ class Polynomial:
             total = total + term
         return total
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        """Split into homogeneous parts, keyed by degree; zero parts omitted."""
-        buckets: dict[int, dict[Monomial, Coeff]] = {}
-        for mono, coeff in self._terms.items():
-            buckets.setdefault(sum(mono), {})[mono] = coeff
-        return {
-            d: Polynomial(self.num_vars, terms) for d, terms in sorted(buckets.items())
-        }
-
     def top_component(self) -> "Polynomial":
         """Highest-degree homogeneous part; undefined (error) for the zero polynomial."""
-        if not self._terms:
+        if self.is_zero():
             raise ValueError("the zero polynomial has no highest-degree component")
-        d = self.degree()
-        return Polynomial(
-            self.num_vars, {m: c for m, c in self._terms.items() if sum(m) == d}
-        )
+        degrees = self.rows.sum(axis=1)
+        top = np.flatnonzero(degrees == degrees.max())
+        return Polynomial.from_arrays(self.num_vars, self.rows[top], self.coeffs.take(top))
 
     def __repr__(self) -> str:
         from .problem_io import format_polynomial

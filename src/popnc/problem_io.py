@@ -81,8 +81,13 @@ def parse_polynomial(
     if not variables:
         raise ProblemFormatError("variable list must not be empty")
     index = {name: i for i, name in enumerate(variables)}
-    poly = _read_terms(text, index, len(variables), rational)
-    return _walk_tokens(text, index, len(variables), rational, line) if poly is None else poly
+    try:
+        poly = _read_terms(text, index, len(variables), rational)
+        return _walk_tokens(text, index, len(variables), rational, line) if poly is None else poly
+    except ParseError:
+        raise
+    except ValueError as exc:  # Polynomial refuses an exponent or a total degree of 2^63 or more
+        raise ParseError(str(exc), line, 1) from None
 
 
 def _read_terms(text: str, index: dict[str, int], n: int, rational: bool) -> Polynomial | None:
@@ -300,10 +305,10 @@ class PopProblem:
                 raise ProblemFormatError("polynomial variable count does not match problem")
         if (self.c is None) == (self.x0 is None):
             raise ProblemFormatError("exactly one of c or x0 must be given")
-        fields = [("objective", self.objective.terms.values()), ("c", [self.c]),
+        fields = [("objective", self.objective.coeffs.values()), ("c", [self.c]),
                   ("x0", self.x0 or []), ("margin", [self.margin])]
-        fields += [(f"inequality {j + 1}", g.terms.values()) for j, g in enumerate(self.inequalities)]
-        fields += [(f"equality {l + 1}", h.terms.values()) for l, h in enumerate(self.equalities)]
+        fields += [(f"inequality {j + 1}", g.coeffs.values()) for j, g in enumerate(self.inequalities)]
+        fields += [(f"equality {l + 1}", h.coeffs.values()) for l, h in enumerate(self.equalities)]
         for name, values in fields:
             try:
                 finite = all(math.isfinite(float(v)) for v in values if v is not None)

@@ -1,9 +1,10 @@
 """The membership-program assembly the builder replaced, kept as the reference
 for a differential test: one Python tuple per (Gram pair, generator term),
 dicts keyed by monomial tuples, the zero-diagonal fixpoint over those dicts
-and the rows sorted by ``grlex_key``.  It shares no code with
-``popnc.termarrays``; the bases, parity classes, sign flips and generator
-scaling are the builder's own.
+and the rows sorted by ``grlex_key``.  Its polynomials are the dict
+arithmetic of ``polynomial_reference``, so it shares no code with
+``popnc.polynomial`` or ``popnc.termarrays``; the bases, parity classes and
+sign flips are the builder's own.
 
 ``reference_program(claim, k)`` returns what ``build_membership_program``
 returns, as plain data: the block dims, the kept basis positions and the
@@ -15,13 +16,14 @@ solver block of each SOS block, the rows, each block's entries keyed by
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from popnc.builder import _scaled, build_membership_program, monomial_basis, parity_classes, sign_flips
+from polynomial_reference import DictPolynomial, Monomial, dict_polynomial, grlex_key, monomial_mul
+from popnc.builder import build_membership_program, monomial_basis, parity_classes, sign_flips
 from popnc.certificates import statement
-from popnc.polynomial import Monomial, Polynomial, grlex_key, monomial_mul
 
 
 def same_class_pairs(classes: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -35,7 +37,15 @@ def same_class_pairs(classes: Sequence[int]) -> Iterator[tuple[int, int]]:
                 yield a, b
 
 
-def products(basis, classes, generator: Polynomial) -> list[tuple[int, int, Monomial, float]]:
+def scaled(p: DictPolynomial) -> DictPolynomial:
+    """p over its l1 norm, as the builder scales a generator."""
+    s = p.l1_norm()
+    if s == 0:
+        return p
+    return p.scale((Fraction(1) if isinstance(s, Fraction) else 1.0) / s)
+
+
+def products(basis, classes, generator: DictPolynomial) -> list[tuple[int, int, Monomial, float]]:
     """(a, b, monomial, coefficient) of every term of basis[a] * basis[b] *
     generator, over the same-class pairs a <= b."""
     gen_terms = generator.sorted_terms()
@@ -46,7 +56,7 @@ def products(basis, classes, generator: Polynomial) -> list[tuple[int, int, Mono
     return table
 
 
-def reduce_bases(kept: list[list[int]], tables, free_reach: set, target: Polynomial) -> None:
+def reduce_bases(kept: list[list[int]], tables, free_reach: set, target: DictPolynomial) -> None:
     """Drop, to a fixpoint, the basis positions whose diagonal entries are
     alone, with one strict sign, in a row with no off-diagonal entry, no
     free-variable term and a zero target coefficient."""
@@ -74,21 +84,22 @@ def reduce_bases(kept: list[list[int]], tables, free_reach: set, target: Polynom
 
 
 def reference_program(claim, k: int) -> dict:
-    target, gens = claim.target, claim.gens
-    n = gens.num_vars
-    flips = sign_flips((target, *gens.ineq, *gens.eq), n)
-    blocks = [(monomial_basis(n, k), Polynomial.constant(n, 1))]
-    for j, g in enumerate(gens.ineq):
-        blocks.append((monomial_basis(n, k - gens.half_degrees[j]), _scaled(g)[0]))
+    n = claim.gens.num_vars
+    flips = sign_flips((claim.target, *claim.gens.ineq, *claim.gens.eq), n)
+    target = dict_polynomial(claim.target)
+    ineq, eq = map(dict_polynomial, claim.gens.ineq), map(dict_polynomial, claim.gens.eq)
+    blocks = [(monomial_basis(n, k), DictPolynomial.constant(n, 1))]
+    for g in ineq:
+        blocks.append((monomial_basis(n, k - (g.degree() + 1) // 2), scaled(g)))
     classes = [parity_classes(basis, flips) for basis, _ in blocks]
     tables = [products(basis, cls, gen) for (basis, gen), cls in zip(blocks, classes)]
 
     free_terms: list[tuple[Monomial, int, float]] = []
     num_phi = 0
-    for l, h in enumerate(gens.eq):
-        basis = monomial_basis(n, 2 * k - gens.eq_degrees[l])
+    for h in eq:
+        basis = monomial_basis(n, 2 * k - h.degree())
         basis = [m for m, c in zip(basis, parity_classes(basis, flips)) if c == 0]
-        gen_terms = _scaled(h)[0].sorted_terms()
+        gen_terms = scaled(h).sorted_terms()
         for beta in basis:
             free_terms += [(monomial_mul(beta, delta), num_phi, float(co)) for delta, co in gen_terms]
             num_phi += 1

@@ -7,10 +7,10 @@ certificate identity in ``Polynomial`` arithmetic (``reconstruct`` and
 ``reference_gram_to_polynomial`` builds one product monomial and makes one
 dict update per Gram entry, in row-major order, zero entries skipped.
 ``reference_residual`` recomputes a certificate's identity residual from it
-with the dict arithmetic ``Polynomial`` used before its results skipped the
-exponent check.  ``reference_pair_groups`` groups the pairs of a basis by a
-lexsort of their product exponent vectors.  ``reference_gram_from_payload``
-reads a payload Gram one number at a time, by the payload number rule.
+with the dict arithmetic of ``polynomial_reference``.
+``reference_pair_groups`` groups the pairs of a basis by a lexsort of their
+product exponent vectors.  ``reference_gram_from_payload`` reads a payload
+Gram one number at a time, by the payload number rule.
 
 The references are fed the Gram as ``SosWeight`` holds it (``_as_gram``: a
 float ndarray or a ``RationalGram``), so an int Gram is compared as
@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polynomial_reference import DictPolynomial, dict_polynomial
 from popnc.certificates import (
     GeneratorSet,
     ModuleCertificate,
@@ -55,7 +56,7 @@ def reference_gram_to_polynomial(gram, basis, num_vars):
                 continue
             mono = tuple(x + y for x, y in zip(basis[i], basis[j]))
             terms[mono] = terms.get(mono, 0) + q
-    return Polynomial(num_vars, terms)
+    return DictPolynomial(num_vars, terms)
 
 
 def reference_pair_groups(basis, num_vars):
@@ -87,39 +88,23 @@ def reference_gram_from_payload(rows, s):
     return rows if exact else np.array(rows, dtype=float)
 
 
-def _add(a: dict, b: dict) -> dict:
-    merged = dict(a)
-    for mono, coeff in b.items():
-        merged[mono] = merged.get(mono, 0) + coeff
-    return {m: c for m, c in merged.items() if c != 0}
-
-
-def _mul(a: dict, b: dict) -> dict:
-    prod = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = tuple(x + y for x, y in zip(m1, m2))
-            prod[mono] = prod.get(mono, 0) + c1 * c2
-    return {m: c for m, c in prod.items() if c != 0}
-
-
 def reference_residual(cert: ModuleCertificate, claim: Statement):
-    """The l1 residual of the identity, summed as verify_certificate summed it
-    before: sigma_0 + sum sigma_j g_j + sum phi_l h_l - (target - s lambda),
-    each sigma expanded from the Gram its weight holds."""
-    total = {}
+    """The l1 residual of the identity in the dict arithmetic:
+    sigma_0 + sum sigma_j g_j + sum phi_l h_l - (target - s lambda), each
+    sigma expanded from the Gram its weight holds."""
+    n = cert.num_vars
+    total = DictPolynomial.zero(n)
     for w in cert.sos_weights:
         if w.tag == "psi":
             continue
-        sigma = dict(reference_gram_to_polynomial(w.gram, w.basis, cert.num_vars).terms)
-        total = _add(total, sigma if w.tag == "sigma0" else _mul(sigma, dict(claim.gens.ineq[w.index].terms)))
+        sigma = reference_gram_to_polynomial(w.gram, w.basis, n)
+        total = total + (sigma if w.tag == "sigma0" else sigma * dict_polynomial(claim.gens.ineq[w.index]))
     for l, phi in cert.eq_multipliers:
-        total = _add(total, _mul(dict(phi.terms), dict(claim.gens.eq[l].terms)))
-    expected = dict(claim.target.terms)
+        total = total + dict_polynomial(phi) * dict_polynomial(claim.gens.eq[l])
+    expected = dict_polynomial(claim.target)
     if claim.lambda_sign != 0 and cert.lam != 0:
-        expected = _add(expected, {(0,) * cert.num_vars: -(claim.lambda_sign * cert.lam)})
-    mismatch = _add(total, {m: -c for m, c in expected.items()})
-    return sum((abs(c) for c in mismatch.values()), 0)
+        expected = expected - DictPolynomial.constant(n, claim.lambda_sign * cert.lam)
+    return (total - expected).l1_norm()
 
 
 def reconstruct(cert: ModuleCertificate, gens: GeneratorSet) -> Polynomial:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import popnc.certificates
+import popnc.polynomial
 import popnc.termarrays
 from popnc.builder import (
     build_archimedean_check,
@@ -118,12 +119,13 @@ class TestVerifyCertificate:
 
     @pytest.mark.parametrize("module, allowed", [
         (popnc.certificates, {(True, "polynomial"), (True, "termarrays"), (False, "problem_io")}),
-        (popnc.termarrays, {(True, "polynomial")}),
-    ], ids=["certificates", "termarrays"])
+        (popnc.polynomial, {(True, "termarrays"), (False, "problem_io")}),
+        (popnc.termarrays, set()),
+    ], ids=["certificates", "polynomial", "termarrays"])
     def test_checker_imports_only_polynomial_arithmetic(self, module, allowed):
         # the checker trusts nothing of the program that found a certificate:
         # no builder, solver, driver or CLI; problem_io only to print; its
-        # term arrays only polynomial arithmetic
+        # polynomials only their term arrays, which import no popnc module
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
         relative = {(node in tree.body, node.module) for node in imports if getattr(node, "level", 0)}

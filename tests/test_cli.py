@@ -595,6 +595,22 @@ class TestFlags:
         err = capsys.readouterr().err
         assert code == 3 and "line 2, col 6: 1e999 lies beyond the float range" in err
 
+    @pytest.mark.parametrize("command", ["parse", "minimize", "arch-check", "coercive-check", "verify"])
+    @pytest.mark.parametrize("objective, message", [
+        ("x^9223372036854775808 + y^2", "an exponent reaches 2^63"),
+        ("x^9223372036854775807*y + y^2", "a monomial has total degree 2^63 or more"),
+    ], ids=["exponent", "total degree"])
+    def test_degree_beyond_int64_is_input_error(self, tmp_path, capsys, command, objective, message):
+        # exponent rows are int64: a total degree of 2^63 would wrap around
+        path = tmp_path / "p.pop"
+        path.write_text(f"vars: x y\nobj: {objective}\nc: 1\n")
+        (tmp_path / "cert.json").write_text(json.dumps(SHIFTED_CERT))
+        argv = [command, str(tmp_path / "cert.json")] if command == "verify" else [command]
+        code = cli_main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"popnc: input error: line 2, col 6: {message}" in captured.err
+
     @pytest.mark.parametrize("command", ["parse", "minimize"])
     def test_x0_beyond_float_range_is_input_error(self, tmp_path, capsys, command):
         path = tmp_path / "p.pop"

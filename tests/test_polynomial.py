@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,34 +54,12 @@ class TestEvaluate:
             assert abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs) + abs(rhs))
 
 
-class TestHomogeneousComponents:
-    def test_sextic_with_tail(self):
+class TestTopComponent:
+    def test_highest_degree_terms_in_order(self):
         f = P("x1^6 + x2^6 - x1^3*x2^3 + x1^4 - x2 + 1")
-        comps = f.homogeneous_components()
-        assert sorted(comps) == [0, 1, 4, 6]
-        assert comps[6] == P("x1^6 + x2^6 - x1^3*x2^3")
-        assert comps[4] == P("x1^4")
-        assert comps[1] == P("-x2")
-        assert comps[0] == P("1")
-
-    def test_constant(self):
-        comps = Polynomial.constant(2, 5).homogeneous_components()
-        assert list(comps) == [0]
-        assert comps[0] == Polynomial.constant(2, 5)
-
-    def test_mixed_low_degree(self):
-        comps = P("x1*x2 + x1").homogeneous_components()
-        assert comps[2] == P("x1*x2")
-        assert comps[1] == P("x1")
-
-    def test_round_trip(self):
-        rng = random.Random(11)
-        for _ in range(80):
-            p = random_poly(rng, rng.randint(1, 4), 6, rational=True)
-            total = Polynomial.zero(p.num_vars)
-            for comp in p.homogeneous_components().values():
-                total = total + comp
-            assert total == p
+        top = f.top_component()
+        assert list(top.terms.items()) == [((6, 0), 1.0), ((0, 6), 1.0), ((3, 3), -1.0)]
+        assert Polynomial.constant(2, 5).top_component() == Polynomial.constant(2, 5)
 
     def test_top_component_of_zero_errors(self):
         with pytest.raises(ValueError):
@@ -215,3 +194,28 @@ class TestStructure:
             Polynomial(2, {(-1, 0): 1.0})
         with pytest.raises(ValueError):
             Polynomial(2, {(1,): 1.0})
+
+    def test_rows_are_read_only(self):
+        p = P("x1^2 + x2")
+        with pytest.raises(ValueError):
+            p.rows[0, 0] = 5
+        assert p.rows.dtype == "int64" and p.rows.tolist() == [[2, 0], [0, 1]]
+
+    @pytest.mark.parametrize("mono, message", [
+        ((2**63, 0), "an exponent reaches 2^63"),
+        ((2**63 - 1, 1), "a monomial has total degree 2^63 or more"),
+        ((2**62, 2**62), "a monomial has total degree 2^63 or more"),
+    ])
+    def test_total_degree_beyond_int64_is_refused(self, mono, message):
+        # exponent rows are int64, and degree() sums a row: it must not wrap
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial(2, {mono: 1, (0, 0): 1})
+
+    def test_product_beyond_int64_is_refused(self):
+        x, y = Polynomial(2, {(2**62, 0): 1}), Polynomial(2, {(0, 2**62 - 1): 1, (2**62 - 1, 0): 1})
+        assert (x * y).degree() == 2**63 - 1
+        with pytest.raises(ValueError, match="total degree 2\\^63"):
+            x * Polynomial(2, {(0, 2**62): 1})
+        with pytest.raises(ValueError, match="total degree 2\\^63"):
+            x * x
+        assert Polynomial(2, {(2**63 - 1, 0): 2.0}).degree() == 2**63 - 1

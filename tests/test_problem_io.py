@@ -115,12 +115,42 @@ class TestParsePolynomial:
         ("x1 + 1e-200/1e200*x2", True, "1e-200/1e200 lies beyond the float range", 6),
         ("x1 - 1e300 / 1e-300", False, "1e300 / 1e-300 lies beyond the float range", 6),
         ("x1 + 1 / 0.0", True, "division by zero in '1 / 0.0'", 10),
+        # exponent rows are int64: an exponent or a total degree of 2^63 is refused
+        ("x1 + x2^9223372036854775808", False, "an exponent reaches 2^63", 1),
+        ("x1^9223372036854775807*x2", True, "a monomial has total degree 2^63 or more", 1),
+        ("x1^4611686018427387904*x1^4611686018427387904", False, "an exponent reaches 2^63", 1),
     ])
     def test_error_messages_and_positions(self, text, rational, message, col):
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, V2, rational=rational, line=3)
         assert (err.value.reason, err.value.line, err.value.col) == (message, 3, col)
         assert str(err.value) == f"line 3, col {col}: {message}"
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("number, in_float, in_exact", [
+        ("5e-324", 5e-324, Fraction(5, 10**324)),  # the least subnormal
+        ("2e-324", None, None),  # rounds to 0
+        ("2.4703282292062328e-324", 5e-324, Fraction(24703282292062328, 10**340)),  # just above 2^-1075
+        ("2.4703282292062327e-324", None, None),  # just below it
+        ("1.7976931348623157e308", 1.7976931348623157e308, 17976931348623157 * 10**292),  # the largest float
+        ("1.7976931348623158e308", 1.7976931348623157e308, 17976931348623158 * 10**292),  # rounds down to it
+        ("1.8e308", None, None),  # rounds to infinity
+        # a quotient is checked as one number: a float quotient in float mode, a Fraction in exact mode
+        ("1e-323/2", 5e-324, Fraction(1, 2 * 10**323)),
+        ("1e-323/4", None, Fraction(1, 4 * 10**323)),
+        ("3e-162/1e162", 5e-324, Fraction(3, 10**324)),
+        ("9/5e-324", None, None),
+        ("179769313486231570000/1e-288", 1.7976931348623155e308, 17976931348623157 * 10**292),
+        ("1e308/0.5", None, None),
+    ])
+    def test_number_range_boundaries(self, number, in_float, in_exact, rational):
+        want = in_exact if rational else in_float
+        if want is None:
+            with pytest.raises(ParseError, match=re.escape(f"{number} lies beyond the float range")):
+                parse_polynomial(f"x1 + {number}*x2", V2, rational=rational)
+            return
+        got = parse_polynomial(f"x1 + {number}*x2", V2, rational=rational).terms[(0, 1)]
+        assert type(got) is (Fraction if rational else float) and got == want
 
     def test_repeated_variable_collects(self):
         p = parse_polynomial("x1^2*x1", V2)
