@@ -370,9 +370,10 @@ def _same_vars(a: int, b: int) -> None:
 
 def identity_residual(cert: ModuleCertificate, claim: Statement) -> Coeff:
     """The l1 norm of sigma_0 + sum_j sigma_j g_j + sum_l phi_l h_l -
-    (target - s * lambda), in ``Polynomial`` arithmetic: the parts summed in
-    that order, each sigma the expansion of its Gram.  A psi weight is part
-    of the target, not a module term.  Raises ValueError for a weight or
+    (target - s * lambda), in ``Polynomial`` arithmetic, each sigma the
+    expansion of its Gram: the parts and -(target - s * lambda) added at
+    once by ``Polynomial.sum``, bit for bit as adding them in that order.
+    A psi weight is part of the target, not a module term.  Raises ValueError for a weight or
     multiplier index that names no generator and a variable count that
     differs from the claim's."""
     n = cert.num_vars
@@ -397,7 +398,7 @@ def identity_residual(cert: ModuleCertificate, claim: Statement) -> Coeff:
     expected = claim.target
     if claim.lambda_sign != 0 and cert.lam != 0:
         expected = expected - Polynomial.constant(n, claim.lambda_sign * cert.lam)
-    return (sum(parts, Polynomial.zero(n)) - expected).l1_norm()
+    return Polynomial.sum([*parts, -expected], n).l1_norm()
 
 
 @dataclass

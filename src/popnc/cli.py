@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable
 
 from .certificates import (
     DEFAULT_RESIDUAL_TOL,
@@ -108,21 +109,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_problem(args) -> PopProblem:
+    """The problem file, parsed and checked; checked again only when --c or
+    --margin replaced a value."""
     with open(args.problem, "r", encoding="utf-8") as fh:
         text = fh.read()
     problem = parse_problem(text)
-    if getattr(args, "margin", None) is not None:
+    if args.margin is None and args.c is None:
+        return problem
+    if args.margin is not None:
         problem.margin = args.margin
-    if getattr(args, "c", None) is not None:
+    if args.c is not None:
         problem.c = args.c
         problem.x0 = None
     problem.validate()
     return problem
 
 
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(emit_report(payload))
+def _emit(args, payload: Callable[[], dict], human_lines: list[str]) -> None:
+    """The JSON report ``payload()`` under --json (built only then), else the text lines."""
+    if args.json:
+        print(emit_report(payload()))
     else:
         for line in human_lines:
             print(line)
@@ -153,7 +159,7 @@ def _solver_errors() -> tuple[type[Exception], ...]:
 def _dispatch(args) -> int:
     if args.command == "parse":
         problem = _load_problem(args)
-        _emit(args, {"command": "parse", "problem": problem.to_payload()},
+        _emit(args, lambda: {"command": "parse", "problem": problem.to_payload()},
               [f"ok: {len(problem.variables)} variables, "
                f"{len(problem.inequalities)} inequalities, "
                f"{len(problem.equalities)} equalities, c = {float(problem.resolved_c()):g}"])
@@ -179,12 +185,12 @@ def _dispatch(args) -> int:
         cert = certificate_from_payload(payload_in)
         claim = claimed_statement(cert, problem)
         result = verify_certificate(cert, claim, tol=args.tol if args.tol is not None else DEFAULT_RESIDUAL_TOL)
+        cert.residual = result.residual  # print the recomputed residual, not the payload's claim
         # the report names the checked payload by its family, order and lambda; it
         # does not echo the payload
-        verification = {**result.to_payload(), "family": cert.family, "order": cert.order,
-                        "lambda": write_number(cert.lam)}
-        cert.residual = result.residual  # print the recomputed residual, not the payload's claim
-        _emit(args, {"command": "verify", "problem": problem.to_payload(), "verification": verification},
+        _emit(args, lambda: {"command": "verify", "problem": problem.to_payload(),
+                             "verification": {**result.to_payload(), "family": cert.family,
+                                              "order": cert.order, "lambda": write_number(cert.lam)}},
               [] if args.json else [
                   f"residual: {float(result.residual):.6e}",
                   f"min Gram eigenvalue: {result.min_gram_eig:.3e}",
@@ -227,7 +233,7 @@ def _run_solve_command(args) -> int:
         lines += bound_lines.format(bound=report.bound, order=report.order, residual=float(ver.residual),
                                     check="ok" if ver.passed else "FAILED").splitlines()
     lines += [f"note: {note}" for note in report.notes]
-    _emit(args, {"problem": problem.to_payload(), **report.to_payload()}, lines)
+    _emit(args, lambda: {"problem": problem.to_payload(), **report.to_payload()}, lines)
     return EXIT_OK if report.verdict in ("stabilized", "certified") else EXIT_INCONCLUSIVE
 
 

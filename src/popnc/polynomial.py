@@ -9,13 +9,17 @@ solver-facing code works in floats.  A sum or product groups the terms of
 its operands by monomial (``termarrays.product_groups``) and sums each group
 as a term dict does (``termarrays.fold``): the monomials in the order of
 their first term, the floats of that loop bit for bit, the zeros dropped.
+``Polynomial.sum`` adds many polynomials with one grouping and one fold,
+bit for bit as adding them one after another does.
 ``terms`` is the dict view of the same terms, built on first use.  Values
 are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -204,11 +208,15 @@ class Polynomial:
     def degree(self) -> int:
         return int(self.rows.sum(axis=1).max()) if len(self.rows) else 0
 
+    def grlex_order(self) -> np.ndarray:
+        """The term indices in ascending graded-lex order, the order of
+        ``grlex_key``: one lexsort of the exponent rows with the total degree
+        as its first key."""
+        return np.lexsort([*-self.rows[:, ::-1].T, self.rows.sum(axis=1)])
+
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        """Terms in ascending graded-lex order (deterministic iteration): the
-        order of ``grlex_key``, by one lexsort of the exponent rows with the
-        total degree as its first key."""
-        order = np.lexsort([*-self.rows[:, ::-1].T, self.rows.sum(axis=1)])
+        """Terms in ascending graded-lex order (deterministic iteration)."""
+        order = self.grlex_order()
         values = self.coeffs.values()
         return list(zip(map(tuple, self.rows[order].tolist()), map(values.__getitem__, order.tolist())))
 
@@ -249,6 +257,32 @@ class Polynomial:
             return other if self.is_zero() else self
         one = np.zeros((1, self.num_vars), dtype=np.int64)
         return self._sum([(self.rows, one), (other.rows, one)], concat(self.coeffs, other.coeffs))
+
+    @classmethod
+    def sum(cls, polys: Sequence["Polynomial"], num_vars: int) -> "Polynomial":
+        """The sum of polynomials in ``num_vars`` variables, bit for bit what
+        adding them one after another to the zero polynomial gives, by one
+        grouping of all their terms and one fold.  Added one after another,
+        a monomial whose partial sum cancels to exactly 0 is dropped and, if
+        a later polynomial brings it back, appended last with a sum that
+        starts afresh; the fold would keep it in place.  So when a partial
+        sum may be 0 (``_may_cancel``), the polynomials are added one after
+        another.  The check holds a float table of monomials by polynomials:
+        the method is meant for a few polynomials at a time."""
+        for p in polys:
+            if p.num_vars != num_vars:
+                raise ValueError(f"dimension mismatch: {p.num_vars} vs {num_vars} variables")
+        polys = [p for p in polys if not p.is_zero()]  # adding the zero polynomial changes nothing
+        if len(polys) < 2:
+            return polys[0] if polys else cls.zero(num_vars)
+        one = np.zeros((1, num_vars), dtype=np.int64)
+        groups, rows = product_groups([(p.rows, one) for p in polys], num_vars)
+        group, coeffs = np.concatenate(groups), concat(*(p.coeffs for p in polys))
+        part = np.repeat(np.arange(len(polys)), [len(p.rows) for p in polys])
+        if _may_cancel(group, part, coeffs, len(rows), len(polys)):
+            return functools.reduce(operator.add, polys)
+        present, sums = fold(group, coeffs, len(rows))
+        return cls.from_arrays(num_vars, rows[present], sums)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -328,6 +362,35 @@ class Polynomial:
         from .problem_io import format_polynomial
 
         return f"Polynomial({self.num_vars}, {format_polynomial(self)!r})"
+
+
+def _may_cancel(group: np.ndarray, part: np.ndarray, coeffs: Coefficients, size: int,
+                parts: int) -> bool:
+    """Whether some monomial's partial sum, as ``fold`` sums the terms, may
+    be exactly 0 at the end of a polynomial before the last one that holds
+    it: ``group`` is the monomial of each term (of ``size``), ``part`` its
+    polynomial (of ``parts``, each holding a monomial at most once, in
+    order).  A row of a (size, parts) table holds a monomial's terms in
+    order, and its cumulative sums follow the partial sums.  Both take at
+    most two roundings per term, so they differ by at most parts * 2^-50
+    times the sum of the terms' magnitudes, plus parts * 2^-1072 in the
+    subnormal range: a cumulative sum whose magnitude exceeds parts * 2^-48
+    times (that sum + 2^-1000) belongs to a partial sum that is not 0.  A
+    term beyond the float range, or a sum that is not finite, may hide a 0."""
+    try:
+        values = coeffs.floats()
+    except OverflowError:  # an exact term beyond the float range
+        return True
+    table = np.zeros((2, size, parts))
+    table[0, group, part] = values
+    table[1, group, part] = np.abs(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial, scale = np.cumsum(table, axis=2)
+        clear = np.abs(partial) > (scale + 2.0**-1000) * (parts * 2.0**-48)
+    last = np.zeros(size, dtype=np.intp)  # the last polynomial that holds each monomial
+    np.maximum.at(last, group, part)
+    early = part < last[group]
+    return not clear[group[early], part[early]].all()
 
 
 def sum_of_squared_variables(num_vars: int) -> Polynomial:

@@ -27,7 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
+import numpy as np
+
 from .polynomial import LITERAL, Coeff, Monomial, NumberError, Polynomial, read_number, write_number
+from .termarrays import FLOAT
 
 
 class ParseError(ValueError):
@@ -220,33 +223,54 @@ def _format_coeff(coeff: Coeff) -> str:
 
 
 def format_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> str:
-    """Canonical printable form; ``parse_polynomial`` round-trips it exactly."""
+    """Canonical printable form; ``parse_polynomial`` round-trips it exactly.
+
+    The terms in ascending graded-lex order (``Polynomial.grlex_order``),
+    each its sign ("-" or nothing first, "- " or "+ " after) and its body:
+    the magnitude of its coefficient, then "*" and its factors ``name`` or
+    ``name^e``, joined by "*"; a magnitude of 1 before factors is left out.
+    Built on the exponent arrays, with a Python loop per variable column,
+    not per term: a column's factor strings come from one table of the
+    distinct exponents, the float magnitudes are written by one
+    ``float.__repr__`` pass, and only an exact magnitude by ``_format_coeff``."""
     names = list(variables) if variables is not None else [f"x{i+1}" for i in range(p.num_vars)]
     if len(names) != p.num_vars:
         raise ValueError("variable name list length does not match num_vars")
     if p.is_zero():
         return "0"
-    parts: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = _format_coeff(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = _format_coeff(mag) + "*" + "*".join(factors)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+    order = p.grlex_order()
+    rows, c = p.rows[order], p.coeffs.take(order)
+    # the factors of each term joined by "*", column by column: each used
+    # column indexes one table of the distinct exponents, whose second row
+    # carries the "*" of a factor after the term's first
+    used = rows.any(axis=0).nonzero()[0]
+    powers, inverse = np.unique(rows[:, used], return_inverse=True)
+    inverse, powers = inverse.reshape(len(rows), len(used)), powers.tolist()
+    factors = np.full(len(rows), "", dtype=object)
+    started = np.zeros(len(rows), dtype=bool)
+    for k, j in enumerate(used.tolist()):
+        name = names[j]
+        bare = ["" if e == 0 else name if e == 1 else f"{name}^{e}" for e in powers]
+        table = np.array([bare, ["*" + f if f else f for f in bare]], dtype=object)
+        factors += table[started.view(np.int8), inverse[:, k]]
+        started |= rows[:, j] > 0
+    with np.errstate(invalid="ignore"):  # a NaN is neither negative nor 1
+        neg = c.fl < 0
+        magnitude = np.abs(c.fl)
+        unit = magnitude == 1
+    shown = np.array(list(map(float.__repr__, magnitude.tolist())), dtype=object)
+    if c.num is not None:
+        exact = (c.kind != FLOAT).nonzero()[0]
+        values = c.values()
+        for i in exact.tolist():
+            shown[i] = _format_coeff(abs(values[i]))
+        num = c.num[exact]
+        neg[exact] = num < 0
+        unit[exact] = abs(num) == c.den
+    body = np.where(started, np.where(unit, factors, shown + "*" + factors), shown)
+    terms = np.where(neg, "- ", "+ ").astype(object) + body
+    terms[0] = ("-" if neg[0] else "") + body[0]
+    return " ".join(terms.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +329,15 @@ class PopProblem:
                 raise ProblemFormatError("polynomial variable count does not match problem")
         if (self.c is None) == (self.x0 is None):
             raise ProblemFormatError("exactly one of c or x0 must be given")
-        fields = [("objective", self.objective.coeffs.values()), ("c", [self.c]),
-                  ("x0", self.x0 or []), ("margin", [self.margin])]
-        fields += [(f"inequality {j + 1}", g.coeffs.values()) for j, g in enumerate(self.inequalities)]
-        fields += [(f"equality {l + 1}", h.coeffs.values()) for l, h in enumerate(self.equalities)]
+        fields = [("objective", self.objective), ("c", [self.c]), ("x0", self.x0 or []),
+                  ("margin", [self.margin])]
+        fields += [(f"inequality {j + 1}", g) for j, g in enumerate(self.inequalities)]
+        fields += [(f"equality {l + 1}", h) for l, h in enumerate(self.equalities)]
         for name, values in fields:
-            try:
-                finite = all(math.isfinite(float(v)) for v in values if v is not None)
+            try:  # a polynomial's coefficients as one float array, exact ones as num / den
+                floats = (values.coeffs.floats() if isinstance(values, Polynomial)
+                          else [float(v) for v in values if v is not None])
+                finite = bool(np.isfinite(floats).all())
             except OverflowError:  # a rational too large for a float
                 finite = False
             if not finite:

@@ -168,12 +168,14 @@ class Coefficients:
         return Coefficients(self.kind, -self.fl, None if self.num is None else -self.num, self.den)
 
 
-def concat(a: Coefficients, b: Coefficients) -> Coefficients:
-    kind, fl = np.concatenate([a.kind, b.kind]), np.concatenate([a.fl, b.fl])
-    if a.num is None and b.num is None:
+def concat(*parts: Coefficients) -> Coefficients:
+    """The coefficients of ``parts``, one after another, exact ones over the
+    least common denominator."""
+    kind, fl = np.concatenate([c.kind for c in parts]), np.concatenate([c.fl for c in parts])
+    if all(c.num is None for c in parts):
         return Coefficients(kind, fl)
-    den = math.lcm(a.den, b.den)
-    return Coefficients(kind, fl, np.concatenate([a.numerators(den), b.numerators(den)]), den)
+    den = math.lcm(*(c.den for c in parts))
+    return Coefficients(kind, fl, np.concatenate([c.numerators(den) for c in parts]), den)
 
 
 def outer(a: Coefficients, b: Coefficients) -> Coefficients:

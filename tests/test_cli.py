@@ -14,7 +14,7 @@ from popnc import driver
 from popnc.builder import build_membership_program, extract_certificate
 from popnc.certificates import Statement, certificate_to_payload, corollary_transform, hierarchy_generators
 from popnc.cli import cli_main
-from popnc.problem_io import ProblemFormatError, emit_report, parse_problem
+from popnc.problem_io import PopProblem, ProblemFormatError, emit_report, parse_problem
 from popnc.sdp import SdpProblem, solve
 
 EX31 = "vars: x1 x2\nobj: x1^2 + 1\nineq: 1 - x2^2\nineq: x2^2 - 1/4\nc: 2\n"
@@ -551,6 +551,55 @@ class TestFlags:
         err = capsys.readouterr().err
         assert code == 3
         assert f"input error: {flag[2:]} holds a number that is not finite" in err
+
+    @pytest.mark.parametrize("command", ["parse", "minimize"])
+    @pytest.mark.parametrize("text, flags", [
+        (SEXTIC, ["--margin", "0"]), (SEXTIC, ["--margin", "-1"]), (SEXTIC + "margin: 0\n", []),
+    ], ids=["--margin 0", "--margin -1", "margin: 0"])
+    def test_margin_not_positive_is_input_error(self, tmp_path, capsys, command, text, flags):
+        # the sextic has x0: and derives c from the margin
+        path = tmp_path / "p.pop"
+        path.write_text(text)
+        assert cli_main([command, str(path), *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "popnc: input error: margin must be > 0\n"
+
+    @pytest.mark.parametrize("flags, checks", [
+        ((), 1), (("--margin", "2"), 2), (("--c", "5"), 2), (("--c", "5", "--margin", "2"), 2),
+    ])
+    def test_problem_checked_again_only_after_an_override(self, sextic_file, capsys, monkeypatch,
+                                                         flags, checks):
+        calls = collections.Counter()
+        original = PopProblem.validate
+        def counted(problem):
+            calls["validate"] += 1
+            return original(problem)
+        monkeypatch.setattr(PopProblem, "validate", counted)
+        assert cli_main(["parse", sextic_file, *flags]) == 0
+        assert calls["validate"] == checks
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["parse", "minimize", "verify"])
+    def test_payload_built_only_with_json(self, tmp_path, capsys, monkeypatch, command):
+        calls = collections.Counter()
+        for cls in (PopProblem, driver.HierarchyReport):
+            def counted(self, _name=cls.__name__, _original=cls.to_payload):
+                calls[_name] += 1
+                return _original(self)
+            monkeypatch.setattr(cls, "to_payload", counted)
+        problem, cert = tmp_path / "p.pop", tmp_path / "cert.json"
+        problem.write_text(SHIFTED)
+        cert.write_text(json.dumps(SHIFTED_CERT))
+        files = [str(cert), str(problem)] if command == "verify" else [str(problem)]
+        extra = ["--k-max", "1"] if command == "minimize" else []
+        for flags, built in (((), 0), (("--json",), 1)):
+            calls.clear()
+            cli_main([command, *files, *extra, *flags])
+            out = capsys.readouterr().out
+            assert calls["PopProblem"] == built, flags
+            assert calls["HierarchyReport"] == (built if command == "minimize" else 0), flags
+            assert out.startswith("{") == bool(built)
 
     @pytest.mark.parametrize("command", ["minimize", "arch-check", "coercive-check", "verify"])
     @pytest.mark.parametrize("value, message", [

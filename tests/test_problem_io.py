@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import string
@@ -341,6 +342,23 @@ class TestParseProblem:
         p = PopProblem(["x"], parse_polynomial("x^2", ["x"]), x0=[1e300])
         with pytest.raises(ProblemFormatError, match="^x0 is out of range: the objective"):
             p.resolved_c()
+
+    @pytest.mark.parametrize("field", ["objective", "inequality 1", "equality 1"])
+    @pytest.mark.parametrize("value", [Fraction(10**400, 3), -(10**400), math.nan, math.inf],
+                             ids=["fraction", "int", "nan", "inf"])
+    def test_coefficient_that_is_not_finite_refused(self, field, value):
+        # an exact coefficient is tested as num / den over the polynomial's
+        # common denominator; a float one by np.isfinite
+        x = ["x"]
+        bad = Polynomial(1, {(1,): Fraction(1, 7), (2,): value})
+        fine = parse_polynomial("x^2 + 1/3", x, rational=True)
+        problem = PopProblem(x, bad if field == "objective" else fine, c=1,
+                             inequalities=[bad if field == "inequality 1" else fine],
+                             equalities=[bad if field == "equality 1" else fine])
+        with pytest.raises(ProblemFormatError, match=f"^{field} holds a number that is not finite$"):
+            problem.validate()
+        problem.objective = problem.inequalities[0] = problem.equalities[0] = fine
+        problem.validate()
 
     def test_large_finite_numbers_accepted(self):
         p = parse_problem("vars: x\nobj: 1e300*x^2\nc: 1e300\n")
