@@ -17,9 +17,9 @@ value) entries of its Gram pairs r <= c, and the free-variable matrix B.
 Rows are assembled on exponent arrays: every term of the identity (a Gram
 pair by a generator term, a multiplier basis monomial by a generator term,
 the target's terms and lambda's constant) is grouped by its monomial in one
-``termarrays.product_groups`` call, which gives each group's exponent vector.
-The groups that keep a term after ``_reduce_bases`` are the rows, put in
-graded-lex order by one array sort of those vectors, and the entries, B and
+``termarrays.product_groups`` call, which numbers the groups in graded-lex
+order and gives each group's exponent vector.  The groups that keep a term
+after ``_reduce_bases`` are the rows, in group order, and the entries, B and
 b are scattered from arrays.  Distinct generator terms give distinct
 products, so each (row, r, c) and each (row, column) of B holds one term.
 
@@ -285,12 +285,10 @@ def build_membership_program(claim: Statement, k: int) -> SdpProblem:
     used = fixed.copy()
     for g, lv in zip(groups, live):
         used[g[lv]] = True
-    used = np.flatnonzero(used)
-    # ``grlex_key``'s order: total degree (lexsort's last key) first, then descending x1, x2, ...
-    order = np.lexsort([*-monos[used, ::-1].T, monos[used].sum(axis=1)])
-    constraint_index = [tuple(m) for m in monos[used[order]].tolist()]
+    used = np.flatnonzero(used)  # in graded-lex order, as the groups are numbered
+    constraint_index = [tuple(m) for m in monos[used].tolist()]
     row = np.empty(len(monos), dtype=np.intp)
-    row[used[order]] = np.arange(len(order))
+    row[used] = np.arange(len(used))
 
     solver_block_dims: list[int] = []
     entries = []

@@ -248,9 +248,18 @@ def _pair_groups(basis: Sequence[Monomial], num_vars: int) -> tuple[np.ndarray, 
     return groups[0], rows
 
 
-def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
-    """v' Q v as ``gram_to_polynomial`` orders and sums its terms: one
-    ``fold`` of the nonzero Gram entries."""
+def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
+    """Expand v' Q v over the monomial basis v.
+
+    The coefficient of a monomial is the sum, in row-major order, of the
+    entries of the pairs whose product it is, and the monomials come in
+    graded-lex order: one ``fold`` of the nonzero entries.  A float Gram is
+    summed by ``np.bincount``, which adds in that order, so its floats are
+    those of a loop over the pairs, bit for bit.  A ``RationalGram`` sums its
+    numerators per monomial in one reduction and gives each monomial the
+    Fraction of its sum over the denominator.  Any other Gram is first made
+    one of the two (``_as_gram``).  Raises ValueError for a Gram that is not
+    s x s over the s monomials."""
     s = len(basis)
     group, monos = _pair_groups(basis, num_vars)
     gram = _as_gram(gram, s)
@@ -263,21 +272,6 @@ def _expand(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
         coeffs = Coefficients(np.full(k, FLOAT, dtype=np.int8), entries)
     present, sums = fold(group[nonzero], coeffs, len(monos))
     return Polynomial.from_arrays(num_vars, monos[present], sums)
-
-
-def gram_to_polynomial(gram: Any, basis: Sequence[Monomial], num_vars: int) -> Polynomial:
-    """Expand v' Q v over the monomial basis v.
-
-    The coefficient of a monomial is the sum, in row-major order, of the
-    entries of the pairs whose product it is, and the monomials come in the
-    order of their first nonzero entry.  A float Gram is summed by
-    ``np.bincount``, which adds in that order, so its floats are those of a
-    loop over the pairs, bit for bit.  A ``RationalGram`` sums its numerators
-    per monomial in one reduction and gives each monomial the Fraction of its
-    sum over the denominator.  Any other Gram is first made one of the two
-    (``_as_gram``).  Raises ValueError for a Gram that is not s x s over the s
-    monomials."""
-    return _expand(gram, basis, num_vars)
 
 
 def _gram_float(gram: np.ndarray | RationalGram) -> np.ndarray:
@@ -306,7 +300,7 @@ class SosWeight:
     def polynomial(self, num_vars: int) -> Polynomial:
         """v' Q v, as ``gram_to_polynomial`` gives it."""
         if num_vars not in self._expansions:
-            self._expansions[num_vars] = _expand(self.gram, self.basis, num_vars)
+            self._expansions[num_vars] = gram_to_polynomial(self.gram, self.basis, num_vars)
         return self._expansions[num_vars]
 
     @functools.cached_property
@@ -371,8 +365,10 @@ def _same_vars(a: int, b: int) -> None:
 def identity_residual(cert: ModuleCertificate, claim: Statement) -> Coeff:
     """The l1 norm of sigma_0 + sum_j sigma_j g_j + sum_l phi_l h_l -
     (target - s * lambda), in ``Polynomial`` arithmetic, each sigma the
-    expansion of its Gram: the parts and -(target - s * lambda) added at
-    once by ``Polynomial.sum``, bit for bit as adding them in that order.
+    expansion of its Gram: the parts and -(target - s * lambda) added by
+    one ``Polynomial.sum``.  target - s * lambda is formed first: adding
+    -target and s * lambda as two more parts can turn an exact 0 into a
+    rounding residual.
     A psi weight is part of the target, not a module term.  Raises ValueError for a weight or
     multiplier index that names no generator and a variable count that
     differs from the claim's."""
@@ -673,7 +669,7 @@ def certificate_to_payload(cert: ModuleCertificate) -> dict:
         "eq_multipliers": [
             {
                 "index": l,
-                "terms": [[list(m), write_number(cv)] for m, cv in phi.sorted_terms()],
+                "terms": [[list(m), write_number(cv)] for m, cv in phi.terms.items()],
             }
             for l, phi in cert.eq_multipliers
         ],

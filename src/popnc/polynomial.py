@@ -5,21 +5,21 @@ term, a row of one read-only int64 array, and their coefficients
 (``termarrays.Coefficients``).  A coefficient is an ``int``, a ``float`` or
 a ``fractions.Fraction``, and arithmetic gives it the type Python arithmetic
 would, so identity checks can be run exactly with rationals while
-solver-facing code works in floats.  A sum or product groups the terms of
-its operands by monomial (``termarrays.product_groups``) and sums each group
-as a term dict does (``termarrays.fold``): the monomials in the order of
-their first term, the floats of that loop bit for bit, the zeros dropped.
-``Polynomial.sum`` adds many polynomials with one grouping and one fold,
-bit for bit as adding them one after another does.
-``terms`` is the dict view of the same terms, built on first use.  Values
-are immutable after construction and safe to share between threads.
+solver-facing code works in floats.  The rows come in one order, strictly
+ascending in graded-lex order (``grlex_key``): the constructors sort them,
+and a sum or product groups the terms of its operands by monomial in that
+order (``termarrays.product_groups``) and sums each group term after term
+(``termarrays.fold``), the zeros dropped.  So every sum, product, norm and
+point value is a function of the polynomial, not of how its terms were
+written.  ``Polynomial.sum`` adds many polynomials with one grouping and
+one fold.  ``terms`` is the dict view of the same terms, built on first
+use.  Values are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -120,12 +120,12 @@ def grlex_key(mono: Monomial):
 class Polynomial:
     """Immutable sparse polynomial in a fixed number of variables.
 
-    ``rows`` holds the exponent vector of each term, ``coeffs`` their
-    coefficients, none of them zero.  The zero polynomial has no terms and,
-    by convention, degree 0.  The constructor checks every exponent vector
-    and refuses a total degree of 2^63 or more, as a product does; it reads
-    a coefficient of another float type as a float and one of another
-    integer type as an int.  Arithmetic builds its results through
+    ``rows`` holds the exponent vector of each term, strictly ascending in
+    graded-lex order, ``coeffs`` their coefficients, none of them zero.  The
+    zero polynomial has no terms and, by convention, degree 0.  The
+    constructor checks every exponent vector and refuses a total degree of
+    2^63 or more, as a product does; it reads a coefficient of another float
+    type as a float and one of another integer type as an int.  Arithmetic builds its results through
     ``from_arrays``, which does not check them again.
     """
 
@@ -149,7 +149,7 @@ class Polynomial:
                         clean[mono] = s
                 else:
                     clean[mono] = coeff
-        self._init(num_vars, exponent_rows(list(clean), num_vars), Coefficients.of(list(clean.values())))
+        self._init(num_vars, *_grlex_arrays(clean, num_vars))
 
     def _init(self, num_vars: int, rows: np.ndarray, coeffs: Coefficients) -> None:
         rows.flags.writeable = False
@@ -161,8 +161,9 @@ class Polynomial:
 
     @classmethod
     def from_arrays(cls, num_vars: int, rows: np.ndarray, coeffs: Coefficients) -> "Polynomial":
-        """The polynomial of distinct checked exponent rows (which it makes
-        read-only) and of their nonzero coefficients."""
+        """The polynomial of distinct checked exponent rows, strictly
+        ascending in graded-lex order (it makes them read-only), and of their
+        nonzero coefficients."""
         p = object.__new__(cls)
         p._init(num_vars, rows, coeffs)
         return p
@@ -170,11 +171,10 @@ class Polynomial:
     @classmethod
     def _from_checked(cls, num_vars: int, terms: Mapping[Monomial, Coeff]) -> "Polynomial":
         """The polynomial of ``terms``, whose exponent vectors are already
-        checked tuples; zero coefficients are dropped, the order is kept.
-        The truth value keeps what ``c != 0`` keeps, NaN included, without a
-        ``Fraction.__eq__`` call per term."""
-        terms = {m: c for m, c in terms.items() if c}
-        return cls.from_arrays(num_vars, exponent_rows(list(terms), num_vars), Coefficients.of(list(terms.values())))
+        checked tuples; zero coefficients are dropped.  The truth value keeps
+        what ``c != 0`` keeps, NaN included, without a ``Fraction.__eq__``
+        call per term."""
+        return cls.from_arrays(num_vars, *_grlex_arrays({m: c for m, c in terms.items() if c}, num_vars))
 
     # -- constructors -------------------------------------------------------
 
@@ -197,7 +197,7 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[Monomial, Coeff]:
-        """The terms as a dict from exponent tuples to coefficients, in order."""
+        """The terms as a dict from exponent tuples to coefficients, in graded-lex order."""
         if self._terms is None:
             object.__setattr__(self, "_terms", dict(zip(map(tuple, self.rows.tolist()), self.coeffs.values())))
         return self._terms
@@ -208,25 +208,13 @@ class Polynomial:
     def degree(self) -> int:
         return int(self.rows.sum(axis=1).max()) if len(self.rows) else 0
 
-    def grlex_order(self) -> np.ndarray:
-        """The term indices in ascending graded-lex order, the order of
-        ``grlex_key``: one lexsort of the exponent rows with the total degree
-        as its first key."""
-        return np.lexsort([*-self.rows[:, ::-1].T, self.rows.sum(axis=1)])
-
-    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        """Terms in ascending graded-lex order (deterministic iteration)."""
-        order = self.grlex_order()
-        values = self.coeffs.values()
-        return list(zip(map(tuple, self.rows[order].tolist()), map(values.__getitem__, order.tolist())))
-
     def coefficient(self, mono: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(mono), 0)
 
     def l1_norm(self) -> Coeff:
         """Sum of absolute coefficient values: of exact ones, one integer sum
         over their denominator (an int when all are ints, else a Fraction);
-        else the builtin sum, term after term."""
+        else the builtin sum, term after term in graded-lex order."""
         c = self.coeffs
         if c.num is None or (c.kind == FLOAT).any():
             return sum(map(abs, c.values()), 0)
@@ -243,8 +231,8 @@ class Polynomial:
 
     def _sum(self, factors: list[tuple[np.ndarray, np.ndarray]], coeffs: Coefficients) -> "Polynomial":
         """The polynomial of the terms whose monomials are the products of
-        ``factors`` (``product_groups``), with ``coeffs``, summed as a term
-        dict sums them."""
+        ``factors`` (``product_groups``), with ``coeffs``, each monomial's
+        terms summed in the order they come (``fold``)."""
         groups, rows = product_groups(factors, self.num_vars)
         present, sums = fold(np.concatenate(groups), coeffs, len(rows))
         return Polynomial.from_arrays(self.num_vars, rows[present], sums)
@@ -253,22 +241,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():  # a fold of one polynomial's terms gives them back
-            return other if self.is_zero() else self
-        one = np.zeros((1, self.num_vars), dtype=np.int64)
-        return self._sum([(self.rows, one), (other.rows, one)], concat(self.coeffs, other.coeffs))
+        return Polynomial.sum([self, other], self.num_vars)
 
     @classmethod
     def sum(cls, polys: Sequence["Polynomial"], num_vars: int) -> "Polynomial":
-        """The sum of polynomials in ``num_vars`` variables, bit for bit what
-        adding them one after another to the zero polynomial gives, by one
-        grouping of all their terms and one fold.  Added one after another,
-        a monomial whose partial sum cancels to exactly 0 is dropped and, if
-        a later polynomial brings it back, appended last with a sum that
-        starts afresh; the fold would keep it in place.  So when a partial
-        sum may be 0 (``_may_cancel``), the polynomials are added one after
-        another.  The check holds a float table of monomials by polynomials:
-        the method is meant for a few polynomials at a time."""
+        """The sum of polynomials in ``num_vars`` variables, by one grouping
+        of all their terms and one fold: each monomial's terms summed in the
+        order of the polynomials, with the values and types of adding them
+        one after another.  One exception: a monomial whose sum cancels to
+        exactly 0 part way, and which a later polynomial brings back, keeps
+        the type of its first terms' sum (a Fraction 1 where adding one
+        after another drops the 0 and gives the int 1 of the later term)."""
         for p in polys:
             if p.num_vars != num_vars:
                 raise ValueError(f"dimension mismatch: {p.num_vars} vs {num_vars} variables")
@@ -276,13 +259,7 @@ class Polynomial:
         if len(polys) < 2:
             return polys[0] if polys else cls.zero(num_vars)
         one = np.zeros((1, num_vars), dtype=np.int64)
-        groups, rows = product_groups([(p.rows, one) for p in polys], num_vars)
-        group, coeffs = np.concatenate(groups), concat(*(p.coeffs for p in polys))
-        part = np.repeat(np.arange(len(polys)), [len(p.rows) for p in polys])
-        if _may_cancel(group, part, coeffs, len(rows), len(polys)):
-            return functools.reduce(operator.add, polys)
-        present, sums = fold(group, coeffs, len(rows))
-        return cls.from_arrays(num_vars, rows[present], sums)
+        return polys[0]._sum([(p.rows, one) for p in polys], concat(*(p.coeffs for p in polys)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -364,33 +341,13 @@ class Polynomial:
         return f"Polynomial({self.num_vars}, {format_polynomial(self)!r})"
 
 
-def _may_cancel(group: np.ndarray, part: np.ndarray, coeffs: Coefficients, size: int,
-                parts: int) -> bool:
-    """Whether some monomial's partial sum, as ``fold`` sums the terms, may
-    be exactly 0 at the end of a polynomial before the last one that holds
-    it: ``group`` is the monomial of each term (of ``size``), ``part`` its
-    polynomial (of ``parts``, each holding a monomial at most once, in
-    order).  A row of a (size, parts) table holds a monomial's terms in
-    order, and its cumulative sums follow the partial sums.  Both take at
-    most two roundings per term, so they differ by at most parts * 2^-50
-    times the sum of the terms' magnitudes, plus parts * 2^-1072 in the
-    subnormal range: a cumulative sum whose magnitude exceeds parts * 2^-48
-    times (that sum + 2^-1000) belongs to a partial sum that is not 0.  A
-    term beyond the float range, or a sum that is not finite, may hide a 0."""
-    try:
-        values = coeffs.floats()
-    except OverflowError:  # an exact term beyond the float range
-        return True
-    table = np.zeros((2, size, parts))
-    table[0, group, part] = values
-    table[1, group, part] = np.abs(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        partial, scale = np.cumsum(table, axis=2)
-        clear = np.abs(partial) > (scale + 2.0**-1000) * (parts * 2.0**-48)
-    last = np.zeros(size, dtype=np.intp)  # the last polynomial that holds each monomial
-    np.maximum.at(last, group, part)
-    early = part < last[group]
-    return not clear[group[early], part[early]].all()
+def _grlex_arrays(terms: Mapping[Monomial, Coeff], num_vars: int) -> tuple[np.ndarray, Coefficients]:
+    """The exponent rows and coefficients of ``terms`` (checked tuples) in
+    ascending graded-lex order: the tuples in descending order, then a
+    stable sort by total degree."""
+    monos = sorted(terms, reverse=True)
+    monos.sort(key=sum)
+    return exponent_rows(monos, num_vars), Coefficients.of([terms[m] for m in monos])
 
 
 def sum_of_squared_variables(num_vars: int) -> Polynomial:

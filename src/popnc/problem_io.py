@@ -225,9 +225,9 @@ def _format_coeff(coeff: Coeff) -> str:
 def format_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> str:
     """Canonical printable form; ``parse_polynomial`` round-trips it exactly.
 
-    The terms in ascending graded-lex order (``Polynomial.grlex_order``),
-    each its sign ("-" or nothing first, "- " or "+ " after) and its body:
-    the magnitude of its coefficient, then "*" and its factors ``name`` or
+    The terms in the polynomial's order, ascending graded-lex order, each
+    its sign ("-" or nothing first, "- " or "+ " after) and its body: the
+    magnitude of its coefficient, then "*" and its factors ``name`` or
     ``name^e``, joined by "*"; a magnitude of 1 before factors is left out.
     Built on the exponent arrays, with a Python loop per variable column,
     not per term: a column's factor strings come from one table of the
@@ -238,8 +238,7 @@ def format_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> 
         raise ValueError("variable name list length does not match num_vars")
     if p.is_zero():
         return "0"
-    order = p.grlex_order()
-    rows, c = p.rows[order], p.coeffs.take(order)
+    rows, c = p.rows, p.coeffs
     # the factors of each term joined by "*", column by column: each used
     # column indexes one table of the distinct exponents, whose second row
     # carries the "*" of a factor after the term's first

@@ -4,12 +4,14 @@ A term list is an int64 array of exponent vectors, a row each, and their
 ``Coefficients``.  A coefficient keeps the type Python arithmetic gives it:
 a float, or an int or a Fraction held as an integer numerator over one
 denominator, so that exact sums and products form no Fraction per term.
-``product_groups`` groups products of monomials by their value (one packing
-of their exponents, or a lexsort when it does not fit in an int64), and
-gives each group's exponent vector.  ``outer`` multiplies two term lists as
-the loop over their pairs does, and ``fold`` sums the terms of each group
-as a term dict does: in the order of their first term, with the types and
-the float sums of that loop, bit for bit.
+``product_groups`` groups products of monomials by their value and numbers
+the groups in graded-lex order (one packing of their total degree and
+exponents, or a lexsort when it does not fit in an int64), and gives each
+group's exponent vector.  ``outer`` multiplies two term lists as the loop
+over their pairs does, and ``fold`` sums the terms of each group in the
+order they come, with the types and the float sums of that loop, bit for
+bit, and gives the groups in group order: so a result's terms come in
+graded-lex order.
 """
 
 from __future__ import annotations
@@ -54,15 +56,16 @@ def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
     """The products of monomials grouped by their value: for each pair (a, b)
     of exponent-vector arrays, the group of each product a[i] + b[j],
     row-major, and the exponent vector of each group, a row each.  Groups
-    are shared across the pairs and numbered in the lexicographic order of
-    the reversed exponent vectors.  A product's key packs its exponents into
-    one int64 as digits of w bits, the last variable most significant, when
-    the n digits fit in 62 bits (w the bit length of the largest product
-    exponent): packing is linear without carries, so the key of a product
-    is the sum of its factors' keys, the keys sort as the vectors do, and a
-    group's digits are its exponents.  Else the products are grouped by a
-    lexsort of their exponent vectors.  Raises ValueError for a product of
-    total degree 2^63 or more."""
+    are shared across the pairs and numbered in graded-lex order (total
+    degree first, then descending x1, x2, ...: ``polynomial.grlex_key``).
+    A product's key is its total degree times 2^(n w) minus its exponents
+    packed as digits of w bits, x1 most significant (w the bit length of
+    the largest product exponent), when (n + 1) w + bits(n) <= 62: packing
+    is linear without carries, so the key of a product is the sum of its
+    factors' keys, the keys sort in graded-lex order, and a group's
+    exponents are the low digits of minus its key.  Else the products are
+    grouped by a lexsort with the total degree as first key.  Raises
+    ValueError for a product of total degree 2^63 or more."""
     # Python ints: a sum of two int64 maxima may overflow; a product whose
     # factors' maxima sum to 2^63 has a total degree of 2^63 or more
     largest = max((int(a.max()) + int(b.max()) for a, b in factors if len(a) and len(b)), default=0)
@@ -70,10 +73,10 @@ def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
         raise ValueError(DEGREE_ERROR)
     ends = list(itertools.accumulate(len(a) * len(b) for a, b in factors))
     width = largest.bit_length()
-    packed = num_vars * width <= 62
+    packed = (num_vars + 1) * width + num_vars.bit_length() <= 62
     if packed:
-        shifts = np.arange(num_vars, dtype=np.int64) * width
-        weights = 1 << shifts
+        shifts = np.arange(num_vars - 1, -1, -1, dtype=np.int64) * width
+        weights = (1 << num_vars * width) - (1 << shifts)  # the key of each variable
         keys = np.concatenate([np.zeros(0, np.int64),
                                *(((a @ weights)[:, None] + b @ weights).reshape(-1) for a, b in factors)])
         order = keys.argsort()
@@ -82,7 +85,8 @@ def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
     else:
         products = np.concatenate([np.zeros((0, num_vars), np.int64),
                                    *((a[:, None, :] + b[None, :, :]).reshape(-1, num_vars) for a, b in factors)])
-        order = np.lexsort(products.T)
+        # a total degree that wraps groups equal vectors still, and is refused below
+        order = np.lexsort([*-products[:, ::-1].T, products.sum(axis=1)])
         ordered = products[order]
         change = (ordered[1:] != ordered[:-1]).any(axis=1)
     starts = np.ones(len(order), dtype=bool)
@@ -90,8 +94,8 @@ def product_groups(factors: Sequence[tuple[np.ndarray, np.ndarray]],
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
     rows = ordered[starts]
-    if packed:  # the groups' keys, whose digits are their exponents
-        rows = (rows[:, None] >> shifts) & ((1 << width) - 1)
+    if packed:  # minus a key is its digits modulo 2^(n w)
+        rows = (-rows[:, None] >> shifts) & ((1 << width) - 1)
     _check_degrees(rows)
     return [group[end - len(a) * len(b):end] for (a, b), end in zip(factors, ends)], rows
 
@@ -192,23 +196,19 @@ def outer(a: Coefficients, b: Coefficients) -> Coefficients:
 
 
 def fold(group: np.ndarray, c: Coefficients, size: int) -> tuple[np.ndarray, Coefficients]:
-    """The terms of each group (of ``size``) summed as a term dict sums
-    them, ``d[m] = c if m not in d else d[m] + c`` term after term: the
-    groups in the order of their first term, and the zero sums dropped.
-    A sum is exact while its terms are; at its first float term, the exact
-    sum so far becomes a float once, and each later exact term becomes one
-    when it is added.  ``np.bincount`` adds in that order from 0.0, which
-    changes no nonzero sum, so a float sum is that of the loop, bit for bit."""
+    """The terms of each group (of ``size``) summed in the order they come,
+    as ``d[m] = c if m not in d else d[m] + c`` sums them term after term:
+    the groups that hold a nonzero sum, in group order.  A sum is exact
+    while its terms are; at its first float term, the exact sum so far
+    becomes a float once, and each later exact term becomes one when it is
+    added.  ``np.bincount`` adds in that order from 0.0, which changes no
+    nonzero sum, so a float sum is that of the loop, bit for bit."""
+    if c.num is None:
+        fl = np.bincount(group, weights=c.fl, minlength=size)
+        present = fl.nonzero()[0]  # NaN is kept, as its truth value keeps it
+        return present, Coefficients(np.full(len(present), FLOAT, dtype=np.int8), fl[present])
     m = len(group)
     position = np.arange(m)
-    first = np.full(size, m)
-    np.minimum.at(first, group, position)
-    present = (first < m).nonzero()[0]
-    present = present[np.argsort(first[present])]
-    if c.num is None:
-        fl = np.bincount(group, weights=c.fl, minlength=size)[present]
-        keep = fl != 0  # NaN is kept, as its truth value keeps it
-        return present[keep], Coefficients(np.full(int(keep.sum()), FLOAT, dtype=np.int8), fl[keep])
     is_float = c.kind == FLOAT
     first_float = np.full(size, m)
     np.minimum.at(first_float, group[is_float], position[is_float])
@@ -223,13 +223,15 @@ def fold(group: np.ndarray, c: Coefficients, size: int) -> tuple[np.ndarray, Coe
         w = np.where(is_float, c.fl, 0.0)
         late = ~is_float & ~lead
         w[late] = c.num[late] / c.den
-        # an exact part that leads a sum enters as one float, at its first term
-        carried = (floated & (first < first_float)).nonzero()[0]
-        w[first[carried]] = exact[carried] / c.den
+        # an exact part that leads a sum enters as one float, at the place of
+        # one of its terms: all of them come before the first float
+        at = np.full(size, -1)
+        at[group[lead]] = position[lead]
+        carried = (floated & (at >= 0)).nonzero()[0]
+        w[at[carried]] = exact[carried] / c.den
         fl = np.bincount(group, weights=w, minlength=size)
         kind[floated], exact[floated] = FLOAT, 0
-    kind, fl, exact = kind[present], fl[present], exact[present]
-    keep = np.where(kind == FLOAT, fl != 0, exact != 0)
-    kind = kind[keep]
-    num = exact[keep] if (kind != FLOAT).any() else None
-    return present[keep], Coefficients(kind, fl[keep], num, c.den)
+    present = np.where(kind == FLOAT, fl != 0, exact != 0).nonzero()[0]
+    kind = kind[present]
+    num = exact[present] if (kind != FLOAT).any() else None
+    return present, Coefficients(kind, fl[present], num, c.den)

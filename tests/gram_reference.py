@@ -1,6 +1,6 @@
 """Replaced code kept as references for differential tests: the per-pair
-Gram expansion, the certificate residual computed from it, the lexsort
-grouping of basis pairs, the entry-by-entry payload Gram reader, and the
+Gram expansion, the certificate residual computed from it, the grouping of
+basis pairs, the entry-by-entry payload Gram reader, and the
 certificate identity in ``Polynomial`` arithmetic (``reconstruct`` and
 ``expected``).
 
@@ -8,8 +8,8 @@ certificate identity in ``Polynomial`` arithmetic (``reconstruct`` and
 dict update per Gram entry, in row-major order, zero entries skipped.
 ``reference_residual`` recomputes a certificate's identity residual from it
 with the dict arithmetic of ``polynomial_reference``.
-``reference_pair_groups`` groups the pairs of a basis by a lexsort of their
-product exponent vectors.  ``reference_gram_from_payload`` reads a payload
+``reference_pair_groups`` groups the pairs of a basis by their product
+monomial, with Python tuples and ``sorted`` by ``grlex_key``.  ``reference_gram_from_payload`` reads a payload
 Gram one number at a time, by the payload number rule.
 
 The references are fed the Gram as ``SosWeight`` holds it (``_as_gram``: a
@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polynomial_reference import DictPolynomial, dict_polynomial
+from polynomial_reference import DictPolynomial, dict_polynomial, grlex_key
 from popnc.certificates import (
     GeneratorSet,
     ModuleCertificate,
@@ -61,17 +61,11 @@ def reference_gram_to_polynomial(gram, basis, num_vars):
 
 def reference_pair_groups(basis, num_vars):
     """The group of each pair (i, j), in row-major order, and the monomial of
-    each group, numbered by a lexsort of the product exponent vectors."""
-    s = len(basis)
-    exps = np.array(basis, dtype=np.int64).reshape(s, num_vars)
-    sums = (exps[:, None, :] + exps[None, :, :]).reshape(s * s, num_vars)
-    order = np.lexsort(sums.T)
-    ordered = sums[order]
-    starts = np.ones(s * s, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty(s * s, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return group, [tuple(m) for m in ordered[starts].tolist()]
+    each group, numbered in graded-lex order."""
+    products = [tuple(x + y for x, y in zip(a, b)) for a in basis for b in basis]
+    monos = sorted(set(products), key=grlex_key)
+    index = {m: i for i, m in enumerate(monos)}
+    return np.array([index[m] for m in products], dtype=np.intp), monos
 
 
 def reference_gram_from_payload(rows, s):
@@ -143,8 +137,9 @@ def same(a, b) -> bool:
 
 
 def assert_same_polynomial(got: Polynomial, want: Polynomial):
+    """The same terms, ``got``'s in graded-lex order, and the same coefficients."""
     assert got.num_vars == want.num_vars
-    assert list(got.terms) == list(want.terms)
+    assert list(got.terms) == sorted(want.terms, key=grlex_key)
     for mono, coeff in want.terms.items():
         assert same(got.terms[mono], coeff), (mono, got.terms[mono], coeff)
 

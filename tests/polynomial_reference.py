@@ -7,8 +7,11 @@ references of ``gram_reference`` and ``builder_reference``.
 float or Fraction) and computes every result term by term with Python
 arithmetic: a sum copies the first operand's dict and adds the second's
 terms into it, a product loops over the pairs of terms, and each result
-drops its zero coefficients and keeps the dict's order.  It shares no code
-with ``popnc.polynomial`` or ``popnc.termarrays``.
+drops its zero coefficients.  Every polynomial, built or computed, puts its
+dict in graded-lex order (``sorted`` by ``grlex_key``), the one order of
+``Polynomial``'s terms, so that a product and a norm add their terms in
+that order too.  It shares no code with ``popnc.polynomial`` or
+``popnc.termarrays``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ def check_monomial(mono: Monomial, num_vars: int) -> None:
 def grlex_key(mono: Monomial):
     """Graded-lexicographic sort key: total degree first, then x1 > x2 > ..."""
     return (sum(mono), tuple(-e for e in mono))
+
+
+def in_grlex_order(terms: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
+    return {m: terms[m] for m in sorted(terms, key=grlex_key)}
 
 
 class DictPolynomial:
@@ -69,7 +76,7 @@ class DictPolynomial:
                 else:
                     clean[mono] = coeff
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", in_grlex_order(clean))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("DictPolynomial is immutable")
@@ -77,12 +84,12 @@ class DictPolynomial:
     @classmethod
     def _from_checked(cls, num_vars: int, terms: Mapping[Monomial, Coeff]) -> "DictPolynomial":
         """The polynomial of ``terms``, whose exponent vectors are already
-        checked tuples; zero coefficients are dropped, the order is kept.
-        The truth value keeps what ``c != 0`` keeps, NaN included, without a
-        ``Fraction.__eq__`` call per term."""
+        checked tuples; zero coefficients are dropped, and the rest put in
+        graded-lex order.  The truth value keeps what ``c != 0`` keeps, NaN
+        included, without a ``Fraction.__eq__`` call per term."""
         p = object.__new__(cls)
         object.__setattr__(p, "num_vars", num_vars)
-        object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(p, "_terms", in_grlex_order({m: c for m, c in terms.items() if c}))
         return p
 
     # -- constructors -------------------------------------------------------
@@ -117,12 +124,8 @@ class DictPolynomial:
         return max(sum(m) for m in self._terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        """Terms in ascending graded-lex order (deterministic iteration): the
-        order of ``grlex_key``, by a descending sort of the exponent vectors and
-        a stable sort by total degree, both with keys compared in C."""
-        monos = sorted(self._terms, reverse=True)
-        monos.sort(key=sum)
-        return [(m, self._terms[m]) for m in monos]
+        """Terms in ascending graded-lex order, the dict's order."""
+        return list(self._terms.items())
 
     def coefficient(self, mono: Sequence[int]) -> Coeff:
         return self._terms.get(tuple(mono), 0)

@@ -441,7 +441,7 @@ class TestVerifyRoundTrip:
         # statement's psi and the printed certificate alike, and each float
         # Gram is formed once
         calls = collections.Counter()
-        for name in ("_expand", "_gram_float"):
+        for name in ("gram_to_polynomial", "_gram_float"):
             def counted(*args, _name=name, _original=getattr(popnc.certificates, name)):
                 calls[_name] += 1
                 return _original(*args)
@@ -449,7 +449,7 @@ class TestVerifyRoundTrip:
         for flags in ((), ("--json",)):
             calls.clear()
             assert self._verify(tmp_path, _module_cert(sigma0, w, psi), EX31, *flags) == 0
-            assert (calls["_expand"], calls["_gram_float"]) == (4, 4), flags
+            assert (calls["gram_to_polynomial"], calls["_gram_float"]) == (4, 4), flags
         assert "psi = 0.5" in capsys.readouterr().out
 
 

@@ -1,5 +1,5 @@
 """The Gram expansion against the per-pair loop it replaced
-(``gram_reference``): the same terms in the same order, the same coefficient
+(``gram_reference``): the same terms in graded-lex order, the same coefficient
 types, floats equal bit for bit and Fractions equal.  Random Grams and
 certificates are in test_gram_expansion_properties.py.  Also the one rule
 that makes every Gram a float ndarray or a ``RationalGram``.

@@ -5,7 +5,6 @@ expansion and written payload, or refused with the same message.  Random
 Grams are in test_payload_gram_properties.py.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 
 from gram_reference import check_payload_gram, reference_pair_groups
 from popnc.certificates import RationalGram, _pair_groups, certificate_from_payload
+from popnc.polynomial import grlex_key
 from popnc.termarrays import product_groups
 
 BASIS = [[0, 0], [1, 0], [0, 1]]
@@ -99,20 +99,28 @@ def test_an_empty_basis_has_a_0_x_0_gram():
     assert weight.gram.shape == (0, 0) and weight.polynomial(2).is_zero()
 
 
+def packs(num_vars, largest):
+    """Whether ``product_groups`` packs products whose factors' largest
+    exponents sum to ``largest``: a total degree and n digits of w bits,
+    with room for the carries of a sum, in 62 bits."""
+    return (num_vars + 1) * largest.bit_length() + num_vars.bit_length() <= 62
+
+
 @pytest.mark.parametrize("basis, packed", [
-    # a digit of 2 * 2^21 + 1 per variable: (2^22 + 1)^3 > 2^62, so the lexsort groups
+    # 2^22 needs 23 bits: 4 * 23 + 2 > 62, so the lexsort groups
     ([(2**21, 0, 1), (0, 2**21, 0), (1, 1, 2**21), (2**21, 2**21, 2**21), (0, 0, 0), (2**21, 0, 1)], False),
     # one exponent of 2^61 alone does not fit either
     ([(2**61, 0), (0, 1), (1, 0), (2**61, 1)], False),
-    # (2^31 - 1)^2 just fits
-    ([(2**30 - 1, 0), (0, 2**30 - 1), (5, 7), (0, 0)], True),
+    # 2^20 - 2 needs 20 bits: 3 * 20 + 2 = 62 just fits, and 2^20 does not
+    ([(2**19 - 1, 0), (0, 2**19 - 1), (5, 7), (0, 0)], True),
+    ([(2**19, 0), (0, 2**19 - 1), (5, 7), (0, 0)], False),
     ([(3, 0, 1, 2), (0, 0, 0, 0), (1, 2, 3, 0), (3, 0, 1, 2), (2, 2, 2, 2)], True),
     ([], True),
-], ids=["three 2^21 exponents", "one 2^61 exponent", "packed near 2^62", "packed", "empty"])
-def test_pair_groups_match_the_lexsort(basis, packed):
+], ids=["three 2^21 exponents", "one 2^61 exponent", "packed at 62 bits", "lexsort at 65 bits",
+        "packed", "empty"])
+def test_pair_groups_match_the_reference(basis, packed):
     num_vars = len(basis[0]) if basis else 2
-    digits = [2 * max((m[i] for m in basis), default=0) + 1 for i in range(num_vars)]
-    assert (math.prod(digits) <= 2**62) == packed
+    assert packs(num_vars, 2 * max(map(max, basis), default=0)) == packed
     group, monos = _pair_groups(basis, num_vars)
     want_group, want_monos = reference_pair_groups(basis, num_vars)
     assert group.tolist() == want_group.tolist()
@@ -127,10 +135,10 @@ def test_product_groups_give_each_group_its_row(num_vars, top, packed):
     # (b, a) meets the products of (a, b) again: groups are shared across the pairs
     factors = [(a, b), (np.zeros((0, num_vars), np.int64), b), (b, a), (c, c[:1])]
     products = [(x[:, None, :] + y[None, :, :]).reshape(-1, num_vars) for x, y in factors]
-    assert (math.prod((np.concatenate(products).max(axis=0) + 1).tolist()) <= 2**62) == packed
+    assert packs(num_vars, max(int(x.max()) + int(y.max()) for x, y in factors if len(x) and len(y))) == packed
     groups, rows = product_groups(factors, num_vars)
     for group, product in zip(groups, products):
         assert group.shape == (len(product),) and (rows[group] == product).all()
     assert sorted(set(np.concatenate(groups).tolist())) == list(range(len(rows)))
-    keys = [tuple(reversed(row)) for row in rows.tolist()]
-    assert keys == sorted(set(keys))  # distinct, and in the order of the reversed vectors
+    keys = [grlex_key(tuple(row)) for row in rows.tolist()]
+    assert keys == sorted(set(keys))  # distinct, and in graded-lex order

@@ -58,7 +58,7 @@ class TestTopComponent:
     def test_highest_degree_terms_in_order(self):
         f = P("x1^6 + x2^6 - x1^3*x2^3 + x1^4 - x2 + 1")
         top = f.top_component()
-        assert list(top.terms.items()) == [((6, 0), 1.0), ((0, 6), 1.0), ((3, 3), -1.0)]
+        assert list(top.terms.items()) == [((6, 0), 1.0), ((3, 3), -1.0), ((0, 6), 1.0)]
         assert Polynomial.constant(2, 5).top_component() == Polynomial.constant(2, 5)
 
     def test_top_component_of_zero_errors(self):
@@ -146,7 +146,8 @@ class TestArithmetic:
     @pytest.mark.parametrize("seed", range(40))
     def test_mixed_float_and_fraction_arithmetic_is_the_pairwise_one(self, seed):
         # a float operand turns the other's Fractions into floats once; Fraction
-        # computes each mixed pair from that same float, so the floats agree bit for bit
+        # computes each mixed pair from that same float, so the floats agree bit
+        # for bit; the operands' terms and the result's come in graded-lex order
         rng = random.Random(seed)
         n = rng.randint(1, 3)
         a = random_poly(rng, n, 4, rational=True, max_terms=8)
@@ -163,7 +164,7 @@ class TestArithmetic:
                     mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
                     want_prod[mono] = want_prod.get(mono, 0) + c1 * c2
             for got, want in ((x + y, want_sum), (x * y, want_prod)):
-                want = {m: c for m, c in want.items() if c != 0}
+                want = {m: want[m] for m in sorted(want, key=grlex_key) if want[m] != 0}
                 assert list(got.terms) == list(want)
                 assert [(type(c), repr(c)) for c in got.terms.values()] == \
                        [(type(c), repr(c)) for c in want.values()]
@@ -175,11 +176,11 @@ class TestStructure:
         assert sorted(monos, key=grlex_key) == monos
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_sorted_terms_are_in_grlex_order(self, seed):
+    def test_terms_are_in_grlex_order(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         p = random_poly(rng, n, 8, rational=seed % 2 == 0, max_terms=30)
-        assert p.sorted_terms() == sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        assert list(p.terms) == sorted(p.terms, key=grlex_key)
 
     def test_sum_of_squared_variables(self):
         assert sum_of_squared_variables(2) == P("x1^2 + x2^2")
@@ -199,7 +200,7 @@ class TestStructure:
         p = P("x1^2 + x2")
         with pytest.raises(ValueError):
             p.rows[0, 0] = 5
-        assert p.rows.dtype == "int64" and p.rows.tolist() == [[2, 0], [0, 1]]
+        assert p.rows.dtype == "int64" and p.rows.tolist() == [[0, 1], [2, 0]]
 
     @pytest.mark.parametrize("mono, message", [
         ((2**63, 0), "an exponent reaches 2^63"),

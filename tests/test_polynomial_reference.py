@@ -5,11 +5,14 @@ Fractions, floats, -0.0, NaN and floats whose products overflow or
 underflow, at n = 1..4 and at n = 40, where products do not pack into one
 int64 and are grouped by a lexsort.
 
-Every result must have the same terms in the same order, and each
-coefficient the same type and repr; a number the same type and repr; an
-operation the reference refuses must raise the same exception type.  ``==``
-and ``hash`` are compared only between NaN-free polynomials: a dict compares
-NaN equal to itself by identity alone, and a NaN hashes by identity.
+Every result must have the same terms in the same order, graded-lex order,
+in which the reference puts each of its polynomials, and each coefficient
+the same type and repr; a number the same type and repr; an operation the
+reference refuses must raise the same exception type.  Every polynomial
+built or computed, ``Polynomial.sum`` included, must hold its rows strictly
+ascending by ``grlex_key``.  ``==`` and ``hash`` are compared only between
+NaN-free polynomials: a dict compares NaN equal to itself by identity
+alone, and a NaN hashes by identity.
 """
 
 import math
@@ -19,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from polynomial_reference import DictPolynomial
-from popnc.polynomial import Polynomial
+from popnc.polynomial import Polynomial, grlex_key
 
 SPECIAL = [-0.0, math.nan, 1e200, -1e200, 1e-200, 0.1, 0.2, 0.3]
 
@@ -60,7 +63,13 @@ def outcome(f, *args):
         return "raises", type(exc)
 
 
+def assert_grlex(p: Polynomial):
+    keys = list(map(grlex_key, map(tuple, p.rows.tolist())))
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+
+
 def assert_same(got: Polynomial, want: DictPolynomial):
+    assert_grlex(got)
     assert got.num_vars == want.num_vars
     assert list(got.terms) == list(want.terms)
     assert list(map(shown, got.terms.values())) == list(map(shown, want.terms.values()))
@@ -85,6 +94,10 @@ def check_pair(rng, n, a_terms, b_terms):
     ra, rb = DictPolynomial(n, a_terms), DictPolynomial(n, b_terms)
     assert_same(a, ra)
     assert_same(b, rb)
+    assert_same(Polynomial._from_checked(n, a_terms), DictPolynomial._from_checked(n, a_terms))
+    for p in (Polynomial.zero(n), Polynomial.constant(n, a_terms.get((0,) * n, 2)),
+              Polynomial.variable(n, n - 1), Polynomial.sum([a, b, a * b, -a], n)):
+        assert_grlex(p)
     for op in ("__add__", "__sub__", "__mul__"):
         assert_same_outcome(outcome(getattr(a, op), b), outcome(getattr(ra, op), rb))
     assert_same(-a, -ra)
@@ -97,8 +110,6 @@ def check_pair(rng, n, a_terms, b_terms):
         assert shown(p.l1_norm()) == shown(rp.l1_norm())
         assert p.degree() == rp.degree()
         assert_same_outcome(outcome(p.top_component), outcome(rp.top_component))
-        assert [(m, *shown(c)) for m, c in p.sorted_terms()] == \
-               [(m, *shown(c)) for m, c in rp.sorted_terms()]
         for mono in [*rp.terms, tuple([1] * n)]:
             assert shown(p.coefficient(mono)) == shown(rp.coefficient(mono))
         point = [rng.choice([rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2), rng.uniform(-1, 1)])

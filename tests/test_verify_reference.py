@@ -5,12 +5,14 @@ on seeded random inputs drawn with ``random`` (no hypothesis):
   int, Fraction, float, NaN, infinite and +-1 coefficients, constant-only
   polynomials, n = 1..6 and 40, exponents of two or more digits and custom
   variable names;
-- ``Polynomial.sum`` against the polynomials added one after another, and
-  ``identity_residual`` against the parts summed one after another: the same
+- ``Polynomial.sum`` against the terms of all its polynomials added into one
+  dict and put in graded-lex order, and ``identity_residual`` against the
+  l1 norm of that sum of the parts, taken in graded-lex order: the same
   terms in the same order, and the same type and repr of every coefficient
   and of the residual, on float and rational certificates, including
   partial sums that cancel to exactly 0 before a later part brings their
-  monomial back.
+  monomial back.  There the value is that of the polynomials added one
+  after another, and the type that of the sum's first terms.
 """
 
 import functools
@@ -22,7 +24,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from verify_reference import chained_identity, chained_residual, reference_format_polynomial
+from verify_reference import (
+    chained_identity,
+    chained_parts,
+    chained_residual,
+    dict_sum,
+    reference_format_polynomial,
+)
 from popnc.certificates import (
     GeneratorSet,
     ModuleCertificate,
@@ -118,9 +126,10 @@ def test_echo_of_a_dense_sextic():
 # ---------------------------------------------------------------------------
 
 
-def assert_same_polynomial(got: Polynomial, want: Polynomial):
+def assert_same_polynomial(got: Polynomial, want):
     assert got.num_vars == want.num_vars
     assert terms_shown(got) == terms_shown(want)
+    assert shown(got.l1_norm()) == shown(want.l1_norm())
 
 
 def chained_sum(polys, n):
@@ -150,25 +159,30 @@ def test_sum_of_polynomials(seed):
     kinds = rng.choice([["int"], ["fraction", "int"], ["float"], ["float", "fraction"],
                         ["int", "fraction", "float", "one"], ["float", "special"]])
     polys = cancelling_parts(rng, n, rng.randint(0, 6), kinds)
-    assert_same_polynomial(Polynomial.sum(polys, n), chained_sum(polys, n))
+    assert_same_polynomial(Polynomial.sum(polys, n), dict_sum(polys, n))
 
 
 def test_sum_that_cancels_and_comes_back():
     # x cancels after the second polynomial and comes back in the third: added
-    # one after another, it is appended after x^2, with a sum that starts afresh
+    # one after another, x's 0 is dropped and x comes back as the third
+    # polynomial's term; summed at once, x keeps the type of its first terms'
+    # sum, and the value is the same
     x, x2 = (1,), (2,)
     cases = [
-        ([{x: 0.5}, {x: -0.5, x2: 1.0}, {x: 2.0}], [(x2, float, "1.0"), (x, float, "2.0")]),
-        ([{x: F(1, 2)}, {x: F(-1, 2), x2: 1}, {x: 2}], [(x2, int, "1"), (x, int, "2")]),
-        ([{x: 0.5}, {x: -0.5, x2: 1}, {x: 2}], [(x2, int, "1"), (x, int, "2")]),
+        ([{x: 0.5}, {x: -0.5, x2: 1.0}, {x: 2.0}], [(x, float, "2.0"), (x2, float, "1.0")], float),
+        ([{x: F(1, 2)}, {x: F(-1, 2), x2: 1}, {x: 2}], [(x, F, "Fraction(2, 1)"), (x2, int, "1")], int),
+        ([{x: 0.5}, {x: -0.5, x2: 1}, {x: 2}], [(x, float, "2.0"), (x2, int, "1")], int),
         # 1/10 + 2/10 - 3/10 is 0, where the sum of their floats is 2^-54
-        ([{x: F(1, 10)}, {x: F(2, 10)}, {x: F(-3, 10), x2: 1}, {x: 2}], [(x2, int, "1"), (x, int, "2")]),
+        ([{x: F(1, 10)}, {x: F(2, 10)}, {x: F(-3, 10), x2: 1}, {x: 2}],
+         [(x, F, "Fraction(2, 1)"), (x2, int, "1")], int),
     ]
-    for terms, want in cases:
+    for terms, want, chained_type in cases:
         polys = [Polynomial(1, t) for t in terms]
         got = Polynomial.sum(polys, 1)
         assert terms_shown(got) == want
-        assert_same_polynomial(got, chained_sum(polys, 1))
+        assert_same_polynomial(got, dict_sum(polys, 1))
+        chained = chained_sum(polys, 1)
+        assert type(chained.terms[x]) is chained_type and chained == got
 
 
 def test_sum_of_forty_variables():
@@ -176,7 +190,7 @@ def test_sum_of_forty_variables():
     rng = random.Random(40)
     for _ in range(4):
         polys = cancelling_parts(rng, 40, 4, ["int", "fraction", "float"])
-        assert_same_polynomial(Polynomial.sum(polys, 40), chained_sum(polys, 40))
+        assert_same_polynomial(Polynomial.sum(polys, 40), dict_sum(polys, 40))
 
 
 def test_sum_refuses_a_dimension_mismatch():
@@ -215,15 +229,19 @@ def random_case(rng, exact_gram, rational_problem):
 def test_residual_of_random_certificates(seed):
     rng = random.Random(seed)
     cert, claim = random_case(rng, exact_gram=seed % 2 == 0, rational_problem=seed % 3 == 0)
-    assert shown(identity_residual(cert, claim)) == shown(chained_residual(cert, claim))
-    assert shown(verify_certificate(cert, claim).residual) == shown(chained_residual(cert, claim))
+    parts, expected = chained_parts(cert, claim)
+    want = shown(dict_sum([*parts, -expected], cert.num_vars).l1_norm())
+    assert shown(identity_residual(cert, claim)) == want
+    assert shown(verify_certificate(cert, claim).residual) == want
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float gram", "rational gram"])
 def test_residual_whose_partial_sum_cancels_and_comes_back(exact):
     # the archimedean target -x1^2 - x2^2 has int coefficients; sigma_0 +
     # sigma_1 g cancels x1^2 to exactly 0 and leaves -x2^2, which the target
-    # cancels in turn, so that x1^2 alone comes back, as the int 1 of the target
+    # cancels in turn, so that x1^2 alone comes back: as the int 1 of the
+    # target when the parts are added one after another, and with the type of
+    # the Gram's entries when they are summed at once
     half = F(1, 2) if exact else 0.5
     g = Polynomial(2, {(2, 0): -1, (0, 2): -3})
     claim = Statement("archimedean", -sum_of_squared_variables(2), GeneratorSet(2, (g,)), -1)
@@ -231,4 +249,8 @@ def test_residual_whose_partial_sum_cancels_and_comes_back(exact):
         SosWeight("sigma0", None, [(1, 0), (0, 1)], [[half, 0], [0, half]]),
         SosWeight("ineq", 0, [(0, 0)], [[half]])])
     assert terms_shown(chained_identity(cert, claim)) == [((2, 0), int, "1")]
-    assert shown(identity_residual(cert, claim)) == shown(chained_residual(cert, claim)) == (int, "1")
+    assert shown(chained_residual(cert, claim)) == (int, "1")
+    want = (F, "Fraction(1, 1)") if exact else (float, "1.0")
+    assert shown(identity_residual(cert, claim)) == want
+    parts, expected = chained_parts(cert, claim)
+    assert shown(dict_sum([*parts, -expected], 2).l1_norm()) == want

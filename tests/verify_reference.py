@@ -2,20 +2,24 @@
 differential tests: the per-term printer of ``format_polynomial`` and the
 certificate identity summed part after part.
 
-``reference_format_polynomial`` walks the terms of ``sorted_terms`` one at
-a time and writes each with ``_format_coeff``.  ``chained_residual`` sums
-sigma_0, each sigma_j g_j and each phi_l h_l, then subtracts target - s
-lambda, one ``Polynomial`` addition at a time: a monomial whose partial sum
-cancels to exactly 0 is dropped and, when a later part brings it back, is
-appended last with a sum that starts afresh.
+``reference_format_polynomial`` sorts the terms by ``grlex_key`` and walks
+them one at a time, writing each with ``_format_coeff``.
+``chained_residual`` sums sigma_0, each sigma_j g_j and each phi_l h_l, then
+subtracts target - s lambda, one ``Polynomial`` addition at a time: a
+monomial whose partial sum cancels to exactly 0 is dropped and, when a later
+part brings it back, takes the type of that part's term.  ``dict_sum`` is
+the reference of ``Polynomial.sum``: every term of every part added into one
+dict, ``d[m] = c if m not in d else d[m] + c``, the zeros dropped at the
+end, and the result put in graded-lex order (``DictPolynomial``).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from polynomial_reference import DictPolynomial
 from popnc.certificates import ModuleCertificate, Statement, _generator, _same_vars
-from popnc.polynomial import Coeff, Polynomial
+from popnc.polynomial import Coeff, Polynomial, grlex_key
 from popnc.problem_io import _format_coeff
 
 
@@ -26,7 +30,7 @@ def reference_format_polynomial(p: Polynomial, variables: Sequence[str] | None =
     if p.is_zero():
         return "0"
     parts: list[str] = []
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in sorted(p.terms.items(), key=lambda term: grlex_key(term[0])):
         neg = coeff < 0
         mag = -coeff if neg else coeff
         factors = []
@@ -80,3 +84,11 @@ def chained_identity(cert: ModuleCertificate, claim: Statement) -> Polynomial:
 
 def chained_residual(cert: ModuleCertificate, claim: Statement) -> Coeff:
     return chained_identity(cert, claim).l1_norm()
+
+
+def dict_sum(polys: Sequence[Polynomial], n: int) -> DictPolynomial:
+    total: dict = {}
+    for p in polys:
+        for m, c in p.terms.items():
+            total[m] = c if m not in total else total[m] + c
+    return DictPolynomial._from_checked(n, total)
